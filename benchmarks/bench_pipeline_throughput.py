@@ -1,7 +1,7 @@
 """Trace-dataplane throughput: per-event loop vs batched stages.
 
-Times ``RtadSoc.run_events`` on the same demo SoC and the same traces
-under both dataplane implementations and records events/sec into
+Times ``RtadSoc.run_events`` on the same traces through two demo SoCs
+that differ only in ``RtadConfig.dataplane`` and records events/sec into
 ``benchmarks/results/BENCH_pipeline.json`` (mirrored to the
 repository root via ``bench_io.save_result``).  The acceptance gate for
 the staged-dataplane refactor is >= 3x events/sec on the 1M-event
@@ -35,23 +35,26 @@ SMOKE_SIZES = (50_000,)
 SPEEDUP_GATE = 3.0
 
 
-def _timed_run(soc, events, dataplane: str):
+def _timed_run(soc, events):
     start = time.perf_counter()
-    records = soc.run_events(events, dataplane=dataplane)
+    records = soc.run_events(events)
     wall_s = time.perf_counter() - start
     return wall_s, len(records)
 
 
 def run_throughput(sizes=FULL_SIZES, kind: str = "lstm") -> dict:
-    soc = build_demo_soc(kind)
+    socs = {
+        dataplane: build_demo_soc(kind, dataplane=dataplane)
+        for dataplane in ("loop", "batched")
+    }
     entries = []
     for size in sizes:
         events = demo_events(
             kind, 0, size, run_label=f"throughput-{size}"
         )
         measured = {}
-        for dataplane in ("loop", "batched"):
-            wall_s, total_records = _timed_run(soc, events, dataplane)
+        for dataplane, soc in socs.items():
+            wall_s, total_records = _timed_run(soc, events)
             measured[dataplane] = {
                 "wall_s": round(wall_s, 4),
                 "events_per_s": round(len(events) / wall_s, 1),

@@ -229,6 +229,8 @@ def build_demo_soc(
     fifo_depth: int = 64,
     fault_plan: Optional[FaultPlan] = None,
     frontend: Optional[str] = None,
+    dataplane: str = "batched",
+    chunk_events: int = 32768,
 ) -> RtadSoc:
     """A small, deterministic, fully assembled SoC for short traces.
 
@@ -236,7 +238,8 @@ def build_demo_soc(
     ``"etrace"``).  When None it falls back to the ``REPRO_FRONTEND``
     environment variable, defaulting to CoreSight — so CI can re-run
     the whole demo surface under the other grammar without touching
-    call sites.
+    call sites.  ``dataplane`` and ``chunk_events`` are forwarded into
+    :class:`RtadConfig`.
     """
     if frontend is None:
         frontend = os.environ.get("REPRO_FRONTEND", "coresight")
@@ -261,6 +264,8 @@ def build_demo_soc(
         score_smoothing=parts["smoothing"],
         fault_plan=fault_plan,
         frontend=frontend,
+        dataplane=dataplane,
+        chunk_events=chunk_events,
     )
     return RtadSoc(
         program=parts["program"],

@@ -21,9 +21,9 @@ harness (:mod:`repro.eval.chaos`).
 
 The stages are thin wrappers over pure, chunk-invariant helpers
 (:func:`apply_event_faults`, :class:`VectorOverflowModel`) that the
-per-event reference loop in :meth:`repro.soc.rtad.RtadSoc` reuses
-directly, so ``dataplane="batched"`` and ``dataplane="loop"`` inject
-the identical fault pattern for the same :class:`FaultPlan`.
+per-event :class:`repro.soc.loop.LoopDataplane` reuses directly, so
+``dataplane="batched"`` and ``dataplane="loop"`` inject the identical
+fault pattern for the same :class:`FaultPlan`.
 """
 
 from __future__ import annotations
@@ -110,6 +110,18 @@ class VectorOverflowModel:
     def reset(self) -> None:
         self._index = 0
         self._burst_left = 0
+
+    def export_state(self) -> dict:
+        return {
+            "index": self._index,
+            "burst_left": self._burst_left,
+            "dropped": self.dropped,
+        }
+
+    def restore_state(self, state: dict) -> None:
+        self._index = state["index"]
+        self._burst_left = state["burst_left"]
+        self.dropped = state["dropped"]
 
     def admit(self) -> bool:
         if self.spec is None:
@@ -266,16 +278,10 @@ class VectorFaultStage(StageBase):
         self.model.reset()
 
     def export_state(self) -> dict:
-        return {
-            "index": self.model._index,
-            "burst_left": self.model._burst_left,
-            "dropped": self.model.dropped,
-        }
+        return self.model.export_state()
 
     def restore_state(self, state: dict) -> None:
-        self.model._index = state["index"]
-        self.model._burst_left = state["burst_left"]
-        self.model.dropped = state["dropped"]
+        self.model.restore_state(state)
 
     @property
     def fault_drops(self) -> int:

@@ -1,6 +1,6 @@
 """Staged dataplane: the batched trace-path pipeline.
 
-The per-event loop in :meth:`repro.soc.rtad.RtadSoc.run_events` is
+The per-event loop in :meth:`repro.soc.loop.LoopDataplane.run` is
 re-expressed here as composable *stages* connected by bounded *ports*:
 
 - :class:`~repro.pipeline.stage.Stage` — the protocol every stage

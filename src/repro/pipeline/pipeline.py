@@ -231,10 +231,10 @@ def build_trace_pipeline(
 ) -> Pipeline:
     """Assemble the standard five-stage trace dataplane.
 
-    Mirrors the wiring of :class:`repro.soc.rtad.RtadSoc`: the
+    Mirrors the wiring of :class:`repro.soc.loop.LoopDataplane`: the
     frontend's encode + framing stages (CoreSight PTM/TPIU by
     default), PTM-FIFO batching, address map + vector encode, and
-    delivery into ``sink`` (usually ``Mcm.push``).  ``frontend``
+    delivery into ``sink`` (a tenant's schedule capture).  ``frontend``
     selects the trace grammar; the legacy ``ptm_config`` /
     ``tpiu_sync_period`` knobs configure the default CoreSight
     frontend and must not be combined with an explicit one.

@@ -1,7 +1,7 @@
 """Concrete trace-path stages, batched.
 
 Each stage reproduces one segment of the per-event reference loop in
-:meth:`repro.soc.rtad.RtadSoc.run_events` — PTM packet encoding, TPIU
+:meth:`repro.soc.loop.LoopDataplane.run` — PTM packet encoding, TPIU
 framing, PTM-FIFO batching, address map + vector encode, and vector
 delivery — but operates on numpy arrays over whole chunks of events.
 
@@ -737,7 +737,7 @@ class DeliverStage(StageBase):
 
     A vector leaves the IGM when the PTM FIFO drain that carries its
     trace bytes completes; the fixed IGM vectorize latency is added on
-    top, exactly as in ``RtadSoc._deliver``.
+    top, exactly as in ``LoopDataplane._deliver``.
     """
 
     name = "deliver"

@@ -9,7 +9,7 @@ latency (Fig. 8).
 
 from repro.soc.clocks import ClockDomain, CPU_CLOCK, RTAD_CLOCK, GPU_CLOCK
 from repro.soc.bus import AxiBus
-from repro.soc.cpu import PtmFifoModel, HostCpu
+from repro.soc.cpu import PtmFifoModel
 from repro.soc.software_baseline import (
     SoftwareInstrumentationModel,
     SoftwareTransferModel,
@@ -34,7 +34,6 @@ __all__ = [
     "GPU_CLOCK",
     "AxiBus",
     "PtmFifoModel",
-    "HostCpu",
     "SoftwareInstrumentationModel",
     "SoftwareTransferModel",
     "RtadOverheadModel",

@@ -1,13 +1,15 @@
-"""Per-event reference dataplane as a reusable tenant component.
+"""Per-event reference dataplane: the oracle for the staged pipeline.
 
-:class:`LoopDataplane` packages the per-event trace path of
-:meth:`repro.soc.rtad.RtadSoc._run_events_loop` — CoreSight PTM/TPIU
-byte emission, PTM-FIFO batching, address map + vector encode, and
-timed delivery into a sink — behind the same ``run`` / ``reset`` /
-``export_state`` surface as the staged :class:`repro.pipeline.Pipeline`.
-That lets :class:`repro.soc.manager.TenantRuntime` host either
-implementation per tenant (``RtadConfig.dataplane``), and lets the
-crash-recovery harness assert replay equivalence on both.
+:class:`LoopDataplane` is the one per-event trace loop in the SoC —
+frontend byte emission (CoreSight PTM/TPIU or E-Trace), PTM-FIFO
+batching, address map + vector encode, and timed delivery into a
+sink — behind the same ``run`` / ``reset`` / ``export_state`` surface
+as the staged :class:`repro.pipeline.Pipeline`.  That lets
+:class:`repro.soc.manager.TenantRuntime` (and through it
+:class:`repro.soc.rtad.RtadSoc`) host either implementation
+(``RtadConfig.dataplane``), lets the differential tests pin the
+batched pipeline against it, and lets the crash-recovery harness
+assert replay equivalence on both.
 
 Fault channels reuse the batched stages' pure helpers
 (:func:`repro.faults.stages.apply_event_faults`,
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
-from repro.coresight.ptm import PtmConfig
 from repro.igm.address_mapper import AddressMapper
 from repro.igm.vector_encoder import InputVector, VectorEncoder
 from repro.obs import MetricsRegistry, NULL_REGISTRY
@@ -47,14 +48,12 @@ class LoopDataplane:
         encoder: VectorEncoder,
         sink: Callable[[InputVector, float], None],
         *,
-        ptm_config: Optional[PtmConfig] = None,
-        tpiu_sync_period: int = 64,
+        frontend: "TraceFrontend",
         fifo_threshold_bytes: int = 176,
         port_clock: ClockDomain = RTAD_CLOCK,
         igm_pipe_ns: float = 24.0,
         metrics: Optional[MetricsRegistry] = None,
         fault_plan: Optional["FaultPlan"] = None,
-        frontend: Optional["TraceFrontend"] = None,
     ) -> None:
         self.mapper = mapper
         self.encoder = encoder
@@ -62,17 +61,6 @@ class LoopDataplane:
         self.igm_pipe_ns = igm_pipe_ns
         self.metrics = metrics or NULL_REGISTRY
         self.fault_plan = fault_plan
-        if frontend is None:
-            # Deferred import: repro.frontends late-binds its builtins.
-            from repro.frontends.coresight import CoreSightFrontend
-
-            frontend = CoreSightFrontend(
-                ptm_config=ptm_config, sync_period=tpiu_sync_period
-            )
-        elif ptm_config is not None:
-            raise ValueError(
-                "pass ptm_config through the frontend, not alongside it"
-            )
         self.frontend = frontend
         # Created disabled; ``run`` powers it up at first use so no
         # trace bytes exist before the session starts.
@@ -85,22 +73,29 @@ class LoopDataplane:
             metrics=self.metrics,
         )
         self._overflow: Optional["VectorOverflowModel"] = None
+        event_metrics = vector_metrics = NULL_REGISTRY
         if fault_plan is not None and not fault_plan.is_noop:
-            from repro.faults.plan import FaultKind
+            from repro.faults.plan import EVENT_KINDS, FaultKind
             from repro.faults.stages import VectorOverflowModel
 
+            if fault_plan.active(EVENT_KINDS):
+                event_metrics = self.metrics
             if fault_plan.spec(FaultKind.FIFO_OVERFLOW) is not None:
                 self._overflow = VectorOverflowModel(fault_plan)
-        # Counter names match the batched fault stages so either
-        # dataplane reports injected losses identically.
-        self._m_ev_dropped = self.metrics.counter("faults.events.dropped")
-        self._m_ev_duplicated = self.metrics.counter(
+                vector_metrics = self.metrics
+        # Counter names match the batched fault stages, and each is
+        # registered only where the batched build inserts its stage, so
+        # both dataplanes report the same counter set.
+        self._m_ev_dropped = event_metrics.counter("faults.events.dropped")
+        self._m_ev_duplicated = event_metrics.counter(
             "faults.events.duplicated"
         )
-        self._m_ev_corrupted = self.metrics.counter(
+        self._m_ev_corrupted = event_metrics.counter(
             "faults.events.corrupted"
         )
-        self._m_vec_dropped = self.metrics.counter("faults.vectors.dropped")
+        self._m_vec_dropped = vector_metrics.counter(
+            "faults.vectors.dropped"
+        )
         self._m_read = self.metrics.histogram("pipeline.read_ns")
         self._m_vectorize = self.metrics.histogram("pipeline.vectorize_ns")
         self._injected_drops = 0
@@ -114,11 +109,6 @@ class LoopDataplane:
         """
         overflow = self._overflow.dropped if self._overflow else 0
         return self._injected_drops + overflow
-
-    @property
-    def coresight(self) -> "TraceDriver":
-        """Back-compat alias for the frontend driver."""
-        return self.driver
 
     def reset(self) -> None:
         """New trace session: fresh encoder/link context, empty FIFO."""
@@ -201,11 +191,7 @@ class LoopDataplane:
             "injected_drops": self._injected_drops,
         }
         if self._overflow is not None:
-            state["overflow"] = {
-                "index": self._overflow._index,
-                "burst_left": self._overflow._burst_left,
-                "dropped": self._overflow.dropped,
-            }
+            state["overflow"] = self._overflow.export_state()
         return state
 
     def restore_state(self, state: dict) -> None:
@@ -213,6 +199,4 @@ class LoopDataplane:
         self.fifo.restore_state(state["fifo"])
         self._injected_drops = state["injected_drops"]
         if self._overflow is not None and "overflow" in state:
-            self._overflow._index = state["overflow"]["index"]
-            self._overflow._burst_left = state["overflow"]["burst_left"]
-            self._overflow.dropped = state["overflow"]["dropped"]
+            self._overflow.restore_state(state["overflow"])

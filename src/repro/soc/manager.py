@@ -121,7 +121,12 @@ class Deployment:
 
 
 class TenantRuntime:
-    """Per-tenant dataplane + MCM lane (internal to SocManager)."""
+    """Per-tenant dataplane + MCM lane.
+
+    The one assembly path for the paper's IGM + MCM unit:
+    :class:`SocManager` runs one per tenant, and
+    :class:`repro.soc.rtad.RtadSoc` wraps a single one.
+    """
 
     def __init__(
         self,
@@ -159,7 +164,8 @@ class TenantRuntime:
         self.schedule: List[Tuple[InputVector, float]] = []
         # Deferred imports: repro.pipeline depends on repro.soc.clocks
         # and repro.frontends late-binds its builtins; module-level
-        # imports here would be circular (see rtad.py).
+        # imports here would be circular through the repro.soc package
+        # __init__.
         from repro.frontends import make_frontend
         from repro.pipeline import build_trace_pipeline
         from repro.soc.loop import LoopDataplane

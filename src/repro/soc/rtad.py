@@ -1,11 +1,18 @@
 """The RTAD MPSoC: end-to-end anomaly-detection simulation.
 
+:class:`RtadSoc` is the paper's unit — one IGM and one MCM serving one
+monitored program — built as a one-tenant
+:class:`repro.soc.manager.TenantRuntime`, so the SoC and the
+multi-tenant manager share a single assembly path.
+
 Two run modes:
 
 - :meth:`RtadSoc.run_events` — the *full path*: branch events go
-  through PTM packet encoding, the CPU-internal PTM FIFO batching,
-  TPIU framing, the (functionally exact) address mapper + vector
-  encoder, then the MCM queue and the GPU engine.  Used by the
+  through the trace frontend's packet encoding and link framing, the
+  CPU-internal PTM FIFO batching, the (functionally exact) address
+  mapper + vector encoder, then the MCM queue and the GPU engine.
+  ``RtadConfig.dataplane`` picks the staged batched pipeline or the
+  per-event :class:`repro.soc.loop.LoopDataplane` oracle.  Used by the
   integration tests and examples on short traces.
 - :meth:`RtadSoc.run_monitored_stream` — the *queueing path* for the
   long Fig. 8 experiments: already-filtered monitored IDs with
@@ -16,21 +23,18 @@ Two run modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import SocConfigError
-from repro.igm.address_mapper import AddressMapper
-from repro.igm.vector_encoder import EncoderMode, InputVector, VectorEncoder
 from repro.mcm.driver import MlMiaowDriver
 from repro.mcm.engines import ProtocolConverter
-from repro.mcm.mcm import InferenceRecord, Mcm, McmConfig
+from repro.mcm.mcm import InferenceRecord
 from repro.ml.detector import ThresholdDetector
 from repro.obs import MetricsRegistry, NULL_REGISTRY
 from repro.soc.clocks import CPU_CLOCK
-from repro.soc.cpu import HostCpu
 from repro.soc.metrics import rtad_transfer_breakdown
 from repro.utils.rng import derive_seed, make_rng
 from repro.workloads.cfg import BranchEvent
@@ -38,7 +42,6 @@ from repro.workloads.program import SyntheticProgram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.plan import FaultPlan
-    from repro.faults.stages import VectorOverflowModel
 
 
 @dataclass(frozen=True)
@@ -105,7 +108,13 @@ class AttackTrialResult:
 
 
 class RtadSoc:
-    """Host CPU + MLPU, assembled around one deployed model."""
+    """Host CPU + MLPU around one deployed model.
+
+    A one-tenant facade over :class:`repro.soc.manager.TenantRuntime`,
+    which assembles the address mapper, vector encoder, MCM lane and
+    the trace dataplane ``config.dataplane`` selects.  The tenant's
+    parts are exposed under their usual names.
+    """
 
     def __init__(
         self,
@@ -117,215 +126,77 @@ class RtadSoc:
         config: Optional[RtadConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
+        # Deferred import: repro.soc.manager imports RtadConfig from
+        # this module.
+        from repro.soc.manager import Deployment, TenantRuntime
+
         self.program = program
         self.config = config or RtadConfig()
         self.metrics = metrics or NULL_REGISTRY
-        self.mapper = AddressMapper(metrics=self.metrics)
-        self.mapper.load(monitored_addresses)
-        self.encoder = VectorEncoder(
-            mode=EncoderMode.SEQUENCE,
-            window=self.config.window,
-            vocabulary_size=self.mapper.size + 1,
-            metrics=self.metrics,
-        )
         if self.metrics.enabled:
             # The driver (and its GPU) are built by the caller; adopt
             # them into this SoC's registry so kernel launches and
             # wavefront cycles land in the same snapshot.
             driver.bind_metrics(self.metrics)
-        self.mcm = Mcm(
-            driver=driver,
-            converter=converter,
-            detector=detector,
-            config=McmConfig(
-                fifo_depth=self.config.fifo_depth,
-                score_smoothing=self.config.score_smoothing,
-                rtad_clock_hz=self.config.rtad_clock_hz,
-                gpu_clock_hz=self.config.gpu_clock_hz,
-                dual_run=self.config.dual_run,
+        self.tenant = TenantRuntime(
+            0,
+            Deployment(
+                name="rtad",
+                driver=driver,
+                converter=converter,
+                monitored_addresses=monitored_addresses,
+                detector=detector,
+                config=self.config,
             ),
             metrics=self.metrics,
         )
-        # Imported here: repro.frontends late-binds its builtins, and
-        # repro.pipeline depends on repro.soc.clocks, so module-level
-        # imports would be circular through the repro.soc package
-        # __init__.
-        from repro.frontends import make_frontend
-        from repro.pipeline import build_trace_pipeline
-
-        self.frontend = make_frontend(self.config.frontend)
-        self.host = HostCpu(
-            program, metrics=self.metrics, frontend=self.frontend
-        )
-        self.pipeline = build_trace_pipeline(
-            self.mapper,
-            self.encoder,
-            self.mcm.push,
-            frontend=self.frontend,
-            fifo_threshold_bytes=self.host.ptm_fifo.threshold_bytes,
-            port_clock=self.host.ptm_fifo.port_clock,
-            igm_pipe_ns=self.config.igm_pipe_ns,
-            metrics=self.metrics,
-            chunk_events=self.config.chunk_events,
-            fault_plan=self.config.fault_plan,
-        )
-        # Loop-dataplane fault state (the batched pipeline carries its
-        # own stages); counter names match the stage counters so either
-        # dataplane reports injected losses identically.
-        self._overflow: Optional["VectorOverflowModel"] = None
-        plan = self.config.fault_plan
-        if plan is not None and not plan.is_noop:
-            from repro.faults.plan import FaultKind
-            from repro.faults.stages import VectorOverflowModel
-
-            if plan.spec(FaultKind.FIFO_OVERFLOW) is not None:
-                self._overflow = VectorOverflowModel(plan)
-        self._m_fault_ev_dropped = self.metrics.counter(
-            "faults.events.dropped"
-        )
-        self._m_fault_ev_duplicated = self.metrics.counter(
-            "faults.events.duplicated"
-        )
-        self._m_fault_ev_corrupted = self.metrics.counter(
-            "faults.events.corrupted"
-        )
-        self._m_fault_vec_dropped = self.metrics.counter(
-            "faults.vectors.dropped"
-        )
+        self.mapper = self.tenant.mapper
+        self.encoder = self.tenant.encoder
+        self.mcm = self.tenant.mcm
+        self.pipeline = self.tenant.pipeline
+        self.frontend = self.tenant.frontend
         self._m_events = self.metrics.counter("soc.events")
         self._m_monitored_ids = self.metrics.counter("soc.monitored_ids")
-        # Fig. 7 mirror, in simulated nanoseconds per delivered vector:
-        # (1) read = PTM FIFO batching + trace-port drain, (2) the
-        # fixed IGM vectorize stage; (3) copy is mcm.copy_ns.
         self._m_read = self.metrics.histogram("pipeline.read_ns")
-        self._m_vectorize = self.metrics.histogram("pipeline.vectorize_ns")
         self._m_e2e = self.metrics.histogram("pipeline.e2e_ns")
-        self._observed_records = 0
 
     # ------------------------------------------------------------------
     # Full-path run (byte-accurate trace path)
     # ------------------------------------------------------------------
 
     def run_events(
-        self,
-        events: Sequence[BranchEvent],
-        dataplane: Optional[str] = None,
+        self, events: Sequence[BranchEvent]
     ) -> List[InferenceRecord]:
         """Run raw branch events through the complete pipeline.
 
         Every call is an independent trace session: per-session state
-        (PTM compression context, pending atoms, TPIU partial frame,
-        PTM FIFO bytes, encoder window, LSTM recurrent state, MCM busy
-        window) is reset first, so back-to-back calls behave like
-        fresh SoCs.  ``mcm.records`` and the observability counters
-        keep accumulating — they are the lifetime log.
-
-        ``dataplane`` overrides the configured implementation:
-        ``"batched"`` (the staged numpy pipeline) or ``"loop"`` (the
-        per-event reference).  Both produce identical records.
+        (trace encoder context, link framer, PTM FIFO bytes, encoder
+        window, LSTM recurrent state, MCM busy window) is reset first,
+        so back-to-back calls behave like fresh SoCs.  ``mcm.records``
+        and the observability counters keep accumulating — they are
+        the lifetime log.
         """
-        mode = dataplane or self.config.dataplane
-        if mode not in ("batched", "loop"):
-            raise SocConfigError(f"unknown dataplane {mode!r}")
+        tenant = self.tenant
         with self.metrics.trace("soc.run_events", events=len(events)):
             self._m_events.inc(len(events))
-            self.reset_session()
+            tenant.reset()
+            tenant.mcm.reset_session()
             if len(events):
-                if mode == "batched":
-                    self.pipeline.run(events)
-                else:
-                    self._run_events_loop(events)
+                tenant.pipeline.run(events)
+            # One lane: delivering the captured schedule after the run
+            # is the same as pushing from inside the dataplane's sink.
+            for vector, deliver_ns in tenant.schedule:
+                tenant.mcm.push(vector, deliver_ns)
             with self.metrics.trace("mcm.finalize"):
-                records = self.mcm.finalize()
-            self._observe_records(records)
+                records = tenant.mcm.finalize()
+            self._observe_records()
             return records
 
-    def reset_session(self) -> None:
-        """Restore all per-session dataplane and model state.
-
-        Fixes the state leakage between repeated ``run_events`` calls:
-        residual PTM FIFO bytes, the CoreSight encoder's compression
-        base / pending atoms / sync countdown, the TPIU partial frame,
-        the vector-encoder window, LSTM recurrent state, and the MCM
-        busy window all belong to one trace session.  On a freshly
-        built SoC every step below is a no-op, so first runs are
-        unaffected.
-        """
-        self.host.begin_session()
-        self.host.ptm_fifo.reset()
-        self.pipeline.reset()
-        self.encoder.reset(reset_sequence=True)
-        self.mcm.driver.reset()
-        self.mcm.reset_session()
-        if self._overflow is not None:
-            self._overflow.reset()
-
-    def _run_events_loop(self, events: Sequence[BranchEvent]) -> None:
-        """Per-event reference dataplane.
-
-        Kept verbatim as the behavioural oracle for the staged
-        pipeline (differential tests) and as the baseline the
-        throughput benchmark compares against.  Fault channels reuse
-        the batched stages' pure helpers, so both dataplanes inject
-        the identical pattern for one plan.
-        """
-        plan = self.config.fault_plan
-        if plan is not None and not plan.is_noop:
-            from repro.faults.stages import apply_event_faults
-
-            events, counts = apply_event_faults(events, plan)
-            if counts:
-                self._m_fault_ev_dropped.inc(counts.dropped)
-                self._m_fault_ev_duplicated.inc(counts.duplicated)
-                self._m_fault_ev_corrupted.inc(counts.corrupted)
-            if not len(events):
-                return
-        pending: List[InputVector] = []
-        for event in events:
-            time_ns = self.host.event_time_ns(event)
-            chunk = self.host.driver.trace(event)
-            index = self.mapper.lookup(event.target)
-            if index is not None:
-                vector = self.encoder.push(
-                    index=index, address=event.target, cycle=event.cycle
-                )
-                if vector is not None:
-                    pending.append(vector)
-            flushed = self.host.ptm_fifo.push(time_ns, len(chunk))
-            if flushed is not None:
-                self._deliver(pending, flushed)
-                pending = []
-        tail = self.host.driver.flush()
-        last_ns = self.host.event_time_ns(events[-1])
-        # The tail push may itself cross the threshold and drain the
-        # FIFO; keep that handle, or the explicit session-end flush
-        # sees an empty FIFO and the pending vectors are lost.
-        flushed = self.host.ptm_fifo.push(last_ns, len(tail))
-        if flushed is None:
-            flushed = self.host.ptm_fifo.flush(last_ns)
-        if flushed is not None:
-            self._deliver(pending, flushed)
-
-    def _deliver(self, vectors: List[InputVector], flush_ns: float) -> None:
-        for vector in vectors:
-            if self._overflow is not None and not self._overflow.admit():
-                self._m_fault_vec_dropped.inc()
-                continue
-            trigger_ns = CPU_CLOCK.to_ns(vector.trigger_cycle)
-            self._m_read.observe(max(0.0, flush_ns - trigger_ns))
-            self._m_vectorize.observe(self.config.igm_pipe_ns)
-            self.mcm.push(vector, flush_ns + self.config.igm_pipe_ns)
-
-    def _observe_records(self, records: List[InferenceRecord]) -> None:
-        """End-to-end latency per inference not yet observed.
-
-        ``Mcm.records`` accumulates across runs, so only the tail that
-        appeared since the last observation is recorded.
-        """
-        for record in records[self._observed_records:]:
+    def _observe_records(self) -> None:
+        """End-to-end latency of every inference not yet observed."""
+        for record in self.tenant.take_new_records():
             trigger_ns = CPU_CLOCK.to_ns(record.trigger_cycle)
             self._m_e2e.observe(max(0.0, record.done_ns - trigger_ns))
-        self._observed_records = len(records)
 
     # ------------------------------------------------------------------
     # Queueing-path run (pre-filtered monitored stream)
@@ -368,7 +239,7 @@ class RtadSoc:
                     self._m_read.observe(latency)
                     self.mcm.push(vector, time_ns + latency)
             records = self.mcm.finalize()
-            self._observe_records(records)
+            self._observe_records()
             return records
 
     # ------------------------------------------------------------------

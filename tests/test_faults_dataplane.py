@@ -61,10 +61,14 @@ def record_key(record):
 def run_soc(dataplane, fault_plan, seed=SEED):
     registry = MetricsRegistry()
     soc = build_demo_soc(
-        "lstm", seed=0, metrics=registry, fault_plan=fault_plan
+        "lstm",
+        seed=0,
+        metrics=registry,
+        fault_plan=fault_plan,
+        dataplane=dataplane,
     )
     events = demo_events("lstm", 0, EVENTS, run_label="dataplane-faults")
-    records = soc.run_events(events, dataplane=dataplane)
+    records = soc.run_events(events)
     counters = registry.snapshot()["counters"]
     faults = {
         name: counters.get(name, 0) for name in FAULT_COUNTERS

@@ -124,11 +124,19 @@ def test_dataplanes_agree_across_a_context_change(name):
     def verdicts(dataplane):
         # Fresh SoC per dataplane: run_events returns the MCM's
         # lifetime record log, covering both sessions.
-        soc = build_demo_soc("lstm", seed=0, frontend=name)
-        soc.run_events(events_a, dataplane=dataplane)
-        soc.host.end_session()
-        soc.host.driver.set_context_id(CONTEXT_B)
-        records = soc.run_events(events_b, dataplane=dataplane)
+        soc = build_demo_soc(
+            "lstm", seed=0, frontend=name, dataplane=dataplane
+        )
+        soc.run_events(events_a)
+        # The loop dataplane owns a live driver; the batched pipeline
+        # has none, so reconfigure through a fresh (disabled) driver.
+        # Either way the frontend's shared config carries the change.
+        driver = getattr(soc.pipeline, "driver", None)
+        if driver is None:
+            driver = soc.frontend.create_driver()
+        driver.disable()
+        driver.set_context_id(CONTEXT_B)
+        records = soc.run_events(events_b)
         return [
             (r.sequence_number, r.score, bool(r.anomalous))
             for r in records

@@ -42,9 +42,9 @@ def test_etrace_batched_matches_loop_dataplane(kind):
     # Fresh SoC per run: run_events returns the MCM's lifetime record
     # log, so reusing one SoC would hand the second run both sessions.
     soc = build_demo_soc(kind, seed=0, frontend="etrace")
-    batched = _verdicts(soc.run_events(stream, dataplane="batched"))
-    soc = build_demo_soc(kind, seed=0, frontend="etrace")
-    loop = _verdicts(soc.run_events(stream, dataplane="loop"))
+    batched = _verdicts(soc.run_events(stream))
+    soc = build_demo_soc(kind, seed=0, frontend="etrace", dataplane="loop")
+    loop = _verdicts(soc.run_events(stream))
     assert batched, "vacuous equivalence (no inferences)"
     assert batched == loop
 

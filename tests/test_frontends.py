@@ -6,8 +6,8 @@ Pins the contracts ``docs/FRONTENDS.md`` documents:
 - every frontend's driver satisfies the :class:`TraceDriver`
   protocol and the created-disabled session lifecycle — in particular
   the regression that no trace bytes exist before a session starts
-  (the old ``HostCpu`` constructor enabled CoreSight eagerly, leaking
-  the encoder's lazy sync burst into the pre-session stream);
+  (an eagerly enabled driver leaks the encoder's lazy sync burst into
+  the pre-session stream);
 - ``make_frontend`` refuses CoreSight-specific configuration for
   other grammars instead of silently dropping it.
 """
@@ -143,25 +143,6 @@ def test_decode_chain_round_trips_through_frontend_factories(name):
 
 
 @pytest.mark.parametrize("name", FRONTEND_NAMES)
-def test_host_cpu_emits_no_bytes_before_a_session(name):
-    from repro.eval.prep import get_program
-    from repro.soc.cpu import HostCpu
-
-    host = HostCpu(
-        get_program("403.gcc", seed=0), frontend=get_frontend(name)
-    )
-    # Construction must not power up the trace path: the encoder's
-    # lazy sync burst belongs to the first session, not to t=0.
-    assert not host.driver.enabled
-    with pytest.raises(SocConfigError):
-        host.driver.trace(demo_events("lstm", 0, 1)[0])
-    host.begin_session()
-    assert host.driver.enabled
-    host.end_session()
-    assert not host.driver.enabled
-
-
-@pytest.mark.parametrize("name", FRONTEND_NAMES)
 def test_loop_dataplane_driver_starts_disabled(name):
     from repro.igm.address_mapper import AddressMapper
     from repro.igm.vector_encoder import VectorEncoder
@@ -180,23 +161,6 @@ def test_loop_dataplane_driver_starts_disabled(name):
     # sync burst, exactly as in the batched pipeline.
     plane.run(demo_events("lstm", 0, 50))
     assert plane.driver.enabled
-
-
-def test_loop_dataplane_rejects_ptm_config_alongside_frontend():
-    from repro.igm.address_mapper import AddressMapper
-    from repro.igm.vector_encoder import VectorEncoder
-    from repro.soc.loop import LoopDataplane
-
-    mapper = AddressMapper()
-    mapper.load([0x1000])
-    with pytest.raises(ValueError):
-        LoopDataplane(
-            mapper,
-            VectorEncoder(window=4, vocabulary_size=mapper.size + 1),
-            lambda vector, when: None,
-            ptm_config=PtmConfig(),
-            frontend=get_frontend("etrace"),
-        )
 
 
 def test_pipeline_rejects_ptm_config_alongside_frontend():

@@ -31,9 +31,13 @@ def record_key(record):
 
 def run_one(kind: str, events, dataplane: str, chunk_events: int = 32768):
     registry = MetricsRegistry()
-    soc = build_demo_soc(kind, metrics=registry)
-    soc.pipeline.chunk_events = chunk_events
-    records = soc.run_events(events, dataplane=dataplane)
+    soc = build_demo_soc(
+        kind,
+        metrics=registry,
+        dataplane=dataplane,
+        chunk_events=chunk_events,
+    )
+    records = soc.run_events(events)
     interrupts = [
         (i.time_ns, i.sequence_number) for i in soc.mcm.interrupts.fired
     ]
@@ -75,8 +79,9 @@ def test_chunk_size_is_invisible(chunk_events):
 
 
 def test_dataplane_override_validated():
+    # The dataplane is chosen per SoC through RtadConfig, which refuses
+    # unknown names at construction.
     from repro.errors import SocConfigError
 
-    soc = build_demo_soc("lstm")
     with pytest.raises(SocConfigError):
-        soc.run_events(demo_events("lstm", 0, 10), dataplane="simd")
+        build_demo_soc("lstm", dataplane="simd")

@@ -37,14 +37,14 @@ class TestRepeatedRuns:
     @pytest.mark.parametrize("dataplane", ["batched", "loop"])
     def test_second_run_matches_fresh_soc(self, dataplane):
         events = demo_events("lstm", 0, 6_000)
-        soc = build_demo_soc("lstm")
+        soc = build_demo_soc("lstm", dataplane=dataplane)
         # run_events returns the live lifetime log (mcm.records), so
         # snapshot a copy before the second call appends to it.
-        first = list(soc.run_events(events, dataplane=dataplane))
-        both = soc.run_events(events, dataplane=dataplane)
+        first = list(soc.run_events(events))
+        both = soc.run_events(events)
         second = both[len(first):]
-        fresh = build_demo_soc("lstm").run_events(
-            events, dataplane=dataplane
+        fresh = build_demo_soc("lstm", dataplane=dataplane).run_events(
+            events
         )
         assert len(second) == len(fresh) > 10
         assert [record_key(r) for r in second] == [
@@ -67,8 +67,8 @@ class TestEmptyTrace:
     @pytest.mark.parametrize("dataplane", ["batched", "loop"])
     def test_empty_trace_is_a_clean_noop(self, dataplane):
         registry = MetricsRegistry()
-        soc = build_demo_soc("lstm", metrics=registry)
-        records = soc.run_events([], dataplane=dataplane)
+        soc = build_demo_soc("lstm", metrics=registry, dataplane=dataplane)
+        records = soc.run_events([])
         assert records == []
         counters = registry.snapshot()["counters"]
         # no spurious zero-time FIFO flush, no trace bytes, no vectors

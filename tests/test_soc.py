@@ -6,7 +6,7 @@ import pytest
 from repro.errors import SocConfigError
 from repro.soc.bus import AxiBus
 from repro.soc.clocks import CPU_CLOCK, GPU_CLOCK, RTAD_CLOCK, ClockDomain
-from repro.soc.cpu import HostCpu, PtmFifoModel
+from repro.soc.cpu import PtmFifoModel
 from repro.soc.metrics import (
     rtad_transfer_breakdown,
     sw_transfer_breakdown,
@@ -87,24 +87,6 @@ class TestPtmFifo:
     def test_negative_bytes_rejected(self):
         with pytest.raises(SocConfigError):
             PtmFifoModel().push(0.0, -1)
-
-
-class TestHostCpu:
-    def test_trace_events_batched(self, small_program):
-        host = HostCpu(small_program, ptm_fifo=PtmFifoModel(threshold_bytes=64))
-        events = small_program.run(2_000, run_label="host").events
-        batches = host.trace_events(events)
-        assert len(batches) > 2
-        departures = [b.depart_ns for b in batches]
-        assert departures == sorted(departures)
-
-    def test_batch_departure_after_event_times(self, small_program):
-        host = HostCpu(small_program)
-        events = small_program.run(1_000, run_label="host2").events
-        batches = host.trace_events(events)
-        last_event_ns = host.event_time_ns(events[-1])
-        assert batches[-1].depart_ns >= 0
-        assert batches[-1].depart_ns <= last_event_ns + 1e6
 
 
 class TestFig6Models:

@@ -142,6 +142,46 @@ def test_contention_losses_stay_per_lane():
         assert sequences == list(range(len(sequences))), name
 
 
+def _record_fields(record):
+    return (
+        record.sequence_number,
+        record.trigger_cycle,
+        record.arrival_ns,
+        record.start_ns,
+        record.done_ns,
+        record.score,
+        record.anomalous,
+        record.gpu_cycles,
+    )
+
+
+@pytest.mark.parametrize("fifo_depth", [2, 64])
+@pytest.mark.parametrize("dataplane", ["batched", "loop"])
+@pytest.mark.parametrize("kind,count", [("lstm", 12_000), ("elm", 30_000)])
+def test_rtad_soc_equals_one_tenant_manager(kind, count, dataplane, fifo_depth):
+    # RtadSoc is a one-tenant facade over TenantRuntime: on every
+    # record field it must match a one-tenant manager round, including
+    # the shallow FIFO that drops vectors.
+    events = demo_events(kind, 0, count, run_label="facade")
+    soc = build_demo_soc(
+        kind,
+        fifo_depth=fifo_depth,
+        dataplane=dataplane,
+        frontend="coresight",
+    )
+    solo = soc.run_events(events)
+    manager = build_demo_manager(
+        num_tenants=1, kind=kind, fifo_depth=fifo_depth, dataplane=dataplane
+    )
+    round_ = manager.run_events({"tenant0": events})["tenant0"]
+    assert len(solo) > 10, "vacuous comparison (too few inferences)"
+    if fifo_depth == 2:
+        assert soc.mcm.dropped_vectors > 0, "expected FIFO drops"
+    assert [_record_fields(r) for r in solo] == [
+        _record_fields(r) for r in round_
+    ]
+
+
 class TestManagerValidation:
     def test_unknown_tenant_refused(self, four_tenant_run):
         manager, _, _, _ = four_tenant_run
