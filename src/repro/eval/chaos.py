@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.coresight.decoder import DecodedBranch, PftDecoder
 from repro.coresight.ptm import Ptm, PtmConfig
 from repro.coresight.tpiu import DEFAULT_SOURCE_ID, Tpiu, TpiuDeframer
+from repro.eval.recovery import record_signature
 from repro.eval.report import format_table
 from repro.faults.injectors import StreamFaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
@@ -370,17 +371,6 @@ class QuarantineChaosResult:
     healthy_always_identical: bool = True
 
 
-def _record_key(record: InferenceRecord) -> Tuple:
-    return (
-        record.sequence_number,
-        record.arrival_ns,
-        record.start_ns,
-        record.done_ns,
-        record.score,
-        record.anomalous,
-    )
-
-
 def run_quarantine_scenario(
     events: int,
     seed: int,
@@ -459,8 +449,8 @@ def run_quarantine_scenario(
             ref_traces[_FAULTY_TENANT] = []
             ref_records = reference.run_events(ref_traces)
             healthy_identical = all(
-                [_record_key(r) for r in records[name]]
-                == [_record_key(r) for r in ref_records[name]]
+                [record_signature(r) for r in records[name]]
+                == [record_signature(r) for r in ref_records[name]]
                 for name in names
                 if name != _FAULTY_TENANT
             )

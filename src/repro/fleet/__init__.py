@@ -10,9 +10,10 @@ manager's own surface (``run_events`` / ``health`` / ``tenant`` /
 ``tenants``), so the serve front door and the eval harness run over a
 fleet unchanged.
 
-Bulk round payloads cross the process boundary through a pluggable
-transport (:mod:`repro.fleet.transport`): zero-copy shared-memory
-rings by default, pickle-over-pipe as the universal fallback.  When
+Bulk round payloads cross the process boundary through one transport
+(:mod:`repro.fleet.transport`): zero-copy shared-memory rings by
+default; without rings (``transport="pipe"``, or any fallback) they
+ride the pipe inline.  When
 ``FleetConfig.rebalance_ratio`` is set, placement is load-aware — the
 coordinator migrates tenants between shards at round boundaries to
 level the modeled makespan.

@@ -27,15 +27,16 @@ protocol change.
   DEGRADED and QUARANTINED tenants stay pinned — a sick tenant is not
   spread to healthy shards.
 
-**Transport** (docs/FLEET.md §5): how round payloads and replies
-cross the process boundary is pluggable (:mod:`repro.fleet.
-transport`).  The default moves them through per-shard shared-memory
+**Transport** (docs/FLEET.md §5): round payloads and replies cross
+the process boundary through one transport (:mod:`repro.fleet.
+transport`).  By default it moves them through per-shard shared-memory
 rings — written once by the coordinator, mapped zero-copy by the
-worker — with the pickle-over-pipe path as the universal fallback;
-control traffic (heartbeats, health, migration) always stays on the
-pipe.  ``fleet.transport.*`` counters observe a second conservation
-law: staged bytes equal worker-receipted consumed bytes plus the
-bytes of dispatches that died or were refused before consumption.
+worker — and without rings everything rides the pipe inline, which is
+also the universal fallback; control traffic (heartbeats, health,
+migration) always stays on the pipe.  ``fleet.transport.*`` counters
+observe a second conservation law: staged bytes equal
+worker-receipted consumed bytes plus the bytes of dispatches that died
+or were refused before consumption.
 
 **Placement**: tenants start round-robined; when
 ``rebalance_ratio`` is set, the coordinator tracks a per-shard EWMA
@@ -59,7 +60,6 @@ reported via :meth:`transport_stats` instead.
 from __future__ import annotations
 
 import time
-import zlib
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
@@ -74,9 +74,10 @@ from repro.errors import (
 from repro.fleet import messages
 from repro.fleet.transport import (
     DEFAULT_RING_BYTES,
-    PipeCoordinatorTransport,
-    ShmCoordinatorTransport,
     TRANSPORT_NAMES,
+    WIRE_INLINE,
+    CoordinatorTransport,
+    chain_crc,
 )
 from repro.mcm.mcm import InferenceRecord
 from repro.obs import MetricsRegistry, NULL_REGISTRY
@@ -117,7 +118,6 @@ TRANSPORT_COUNTERS = (
     "fleet.transport.torn_slots",
     "fleet.transport.shm.rings",
     "fleet.transport.shm.reinits",  # rings rebuilt after a worker death
-    "fleet.transport.shm.wraps",
 )
 
 #: Load-aware placement counters.
@@ -143,7 +143,7 @@ _WALLCLOCK_COUNTERS = frozenset(
 )
 
 #: Transport-*shape* counters: they describe which byte path carried
-#: the rounds (ring segments built, spills, wraps, fallbacks), not
+#: the rounds (ring segments built, spills, fallbacks), not
 #: what the SoC computed — so they differ between a pipe and a shm run
 #: of the same workload.  Excluded from the merged
 #: :meth:`FleetCoordinator.counters` snapshot (the byte-identity
@@ -155,7 +155,6 @@ _TRANSPORT_SHAPE_COUNTERS = frozenset(
         "fleet.transport.fallbacks",
         "fleet.transport.shm.rings",
         "fleet.transport.shm.reinits",
-        "fleet.transport.shm.wraps",
     }
 )
 
@@ -189,7 +188,7 @@ class FleetConfig:
     #: pipe fallback on failure) or ``"pipe"`` (always inline).
     transport: str = "shm"
     #: Per-direction ring capacity per shard.  One round's payloads
-    #: should fit; larger payloads spill inline per-payload.
+    #: should fit; a larger round spills inline whole.
     shm_ring_bytes: int = DEFAULT_RING_BYTES
     #: Load-aware rebalancing threshold: move a tenant when the hottest
     #: shard's makespan EWMA exceeds the coldest's by this factor.
@@ -423,20 +422,18 @@ class FleetCoordinator:
         Creation failure (no shm on this platform, exhausted
         ``/dev/shm``) degrades the shard to the pipe permanently.
         """
-        if self.config.transport == "shm" and not shard.force_pipe:
-            try:
-                transport = ShmCoordinatorTransport(
-                    self.config.shm_ring_bytes
-                )
-            except TransportError:
-                shard.force_pipe = True
-                self._count("fleet.transport.fallbacks")
-                return PipeCoordinatorTransport()
-            self._count("fleet.transport.shm.rings", 2)
-            if shard.generation > 0:
-                self._count("fleet.transport.shm.reinits")
-            return transport
-        return PipeCoordinatorTransport()
+        if self.config.transport == "pipe" or shard.force_pipe:
+            return CoordinatorTransport()
+        try:
+            transport = CoordinatorTransport(self.config.shm_ring_bytes)
+        except TransportError:
+            shard.force_pipe = True
+            self._count("fleet.transport.fallbacks")
+            return CoordinatorTransport()
+        self._count("fleet.transport.shm.rings", 2)
+        if shard.generation > 0:
+            self._count("fleet.transport.shm.reinits")
+        return transport
 
     def _spawn(self, shard: _Shard) -> None:
         from repro.fleet.worker import worker_main
@@ -452,7 +449,7 @@ class FleetCoordinator:
                 list(shard.tenants),
                 shard.journal_dir,
                 self.manager_kwargs,
-                shard.transport.spec(),
+                shard.transport.spec,
             ),
             daemon=True,
             name=f"fleet-shard-{shard.id}",
@@ -732,7 +729,7 @@ class FleetCoordinator:
         """
         if shard.transport is not None:
             shard.transport.close()
-        shard.transport = PipeCoordinatorTransport()
+        shard.transport = CoordinatorTransport()
         shard.force_pipe = True
         self._count("fleet.transport.fallbacks")
 
@@ -761,6 +758,9 @@ class FleetCoordinator:
         wire = transport.stage(payloads, crc)
         state["stage_cpu_ns"] = time.thread_time_ns() - stage_cpu_ns
         self._count("fleet.transport.bytes.staged", staged)
+        if transport.name == "shm" and wire[0] == WIRE_INLINE:
+            # The round did not fit the ring: it rides the pipe whole.
+            self._count("fleet.transport.payloads.inline", len(payloads))
         conn = shard.conn
         if conn is None or shard.process is None:
             self._count("fleet.transport.bytes.discarded", staged)
@@ -809,12 +809,13 @@ class FleetCoordinator:
                     f"{messages.RUN!r}"
                 )
             tag, reply_wire = conn.recv()
-            if tag == messages.ERR:
+            if tag == messages.OK:
+                reply = transport.fetch_reply(reply_wire)
+            elif not reply_wire.startswith(messages.TRANSPORT_ERR):
                 raise FleetError(
                     f"shard {shard.id} refused {messages.RUN!r}:\n"
                     f"{reply_wire}"
                 )
-            reply = transport.fetch_reply(reply_wire)
             done_ns = time.perf_counter_ns()
         except (EOFError, OSError, BrokenPipeError) as error:
             self._count("fleet.transport.bytes.discarded", staged)
@@ -834,16 +835,16 @@ class FleetCoordinator:
                 f"shard {shard.id} returned a torn reply slot: "
                 f"{error}"
             ) from error
-        except FleetError as error:
+        except FleetError:
             self._count("fleet.transport.bytes.discarded", staged)
-            if messages.TRANSPORT_ERR in str(error):
-                # Worker refused the descriptors without running
-                # anything: fall back and re-send the same round.
-                self._fallback_to_pipe(shard)
-                return self._send_round(
-                    shard, round_index, payloads, crc
-                )
             raise
+        if tag != messages.OK:
+            # A ``transport:`` ERR: the worker refused the descriptors
+            # without running anything — fall back and re-send the
+            # same round.
+            self._count("fleet.transport.bytes.discarded", staged)
+            self._fallback_to_pipe(shard)
+            return self._send_round(shard, round_index, payloads, crc)
         self._count("fleet.transport.rounds")
         self._count(
             "fleet.transport.bytes.consumed",
@@ -868,13 +869,6 @@ class FleetCoordinator:
             + int(reply.get("recv_ns", 0))
             + int(reply.get("fetch_ns", 0)),
         )
-        stats = transport.take_stats()
-        if stats.get("spills"):
-            self._count(
-                "fleet.transport.payloads.inline", stats["spills"]
-            )
-        if stats.get("wraps"):
-            self._count("fleet.transport.shm.wraps", stats["wraps"])
         return reply
 
     def _send_round(
@@ -936,17 +930,13 @@ class FleetCoordinator:
     def _round_crc(self, payloads: List[bytes]) -> Optional[int]:
         """Tag a round once at dispatch assembly (shm only).
 
-        One ``zlib.crc32`` chained across the chunks — equal to the
-        CRC of their concatenation, which is exactly what the batched
-        ring slot holds.  The transport reuses the tag across stages,
-        so the hot path never re-hashes payload bytes.
+        The :func:`~repro.fleet.transport.chain_crc` tag equals the CRC
+        of what the batched ring slot holds.  The transport reuses it
+        across stages, so the hot path never re-hashes payload bytes.
         """
         if self.config.transport != "shm":
             return None
-        crc = 0
-        for payload in payloads:
-            crc = zlib.crc32(payload, crc)
-        return crc
+        return chain_crc(payloads)
 
     def _run_shard(
         self,

@@ -12,9 +12,9 @@ drift apart.
 How those chunk payloads cross the process boundary is the transport
 layer's business (:mod:`repro.fleet.transport`): a RUN request carries
 ``(RUN, round_index, wire)`` where ``wire`` is either ``("inline",
-[payload, ...])`` (pipe transport) or ``("shm", [descriptor, ...])``
-(shared-memory ring slots, payload bytes never pickled).  Replies are
-shaped the same way.  :func:`decode_round` accepts any buffers the
+[payload, ...])`` (payloads pickled into the pipe) or ``("shm",
+sequence, [chunk lengths], crc)`` (a shared-memory slot descriptor,
+payload bytes never pickled).  Replies are shaped the same way.  :func:`decode_round` accepts any buffers the
 chunk codec accepts — bytes or zero-copy memoryviews over a ring.
 
 The vocabulary is deliberately tiny and synchronous (one request, one

@@ -1,24 +1,25 @@
-"""Pluggable coordinator <-> worker transport (docs/FLEET.md §5).
+"""Coordinator <-> worker bulk-byte transport (docs/FLEET.md §5).
 
 Round dispatches used to cross the coordinator/worker boundary as
 pickled TRACE_CHUNK payload lists inside the duplex pipe — one
 serialize and several copies per round, a tax that grows linearly with
-offered load.  This module makes the bulk-byte path pluggable:
+offered load.  One transport now moves those bytes, as a
+:class:`CoordinatorTransport` / :class:`WorkerTransport` pair:
 
-- :class:`PipeCoordinatorTransport` / :class:`PipeWorkerTransport` —
-  the original path, payloads and replies ride the pipe inside the
-  pickled request/reply tuples (portable baseline and fallback).
-- :class:`ShmCoordinatorTransport` / :class:`ShmWorkerTransport` —
-  zero-copy: one round's payloads are written **once** into a
-  per-shard :class:`ShmRing` (a ``multiprocessing.shared_memory``
-  segment) as a single batched journal-format record, and the pipe
-  carries only a tiny slot descriptor plus the per-chunk lengths.
-  The worker validates the slot (CRC + sequence — the durability
-  layer's integrity vocabulary, torn slots detected exactly like torn
-  WAL records, one contiguous CRC pass for the whole round), splits
-  it into zero-copy per-chunk views, and maps the columnar
-  TRACE_CHUNK arrays as numpy views straight over the ring.  Round
-  replies come back through a second ring the same way.
+- with rings (``FleetConfig.transport="shm"``), one round's payloads
+  are written **once** into a per-shard :class:`ShmRing` (a
+  ``multiprocessing.shared_memory`` segment) as a single batched
+  journal-format record, and the pipe carries only a tiny slot
+  descriptor plus the per-chunk lengths.  The worker validates the
+  slot (CRC + sequence — the durability layer's integrity
+  vocabulary, torn slots detected exactly like torn WAL records, one
+  contiguous CRC pass for the whole round), splits it into zero-copy
+  per-chunk views, and maps the columnar TRACE_CHUNK arrays as numpy
+  views straight over the ring.  Round replies come back through a
+  second ring the same way;
+- without rings (``transport="pipe"``, or any fallback below), every
+  wire is inline: payloads and replies ride the pipe inside the
+  pickled request/reply tuples.
 
 Control messages — PING heartbeats, HEALTH, COUNTERS, EVICT/ADOPT,
 ARM_KILL, STOP — always stay on the pipe: they are tiny, and the pipe
@@ -27,14 +28,14 @@ is the liveness channel the supervisor watches.
 Fallback matrix (never drop a round):
 
 - ring creation fails (platform without shm, exhausted ``/dev/shm``)
-  → the shard is built on the pipe transport;
-- the worker cannot attach the ring (stale name after an exec-style
-  spawn failure) → it serves with the pipe transport and answers the
-  first shm descriptor with a ``transport:`` ERR, which the
-  coordinator converts into a permanent per-shard pipe fallback and an
-  immediate re-send of the same round;
-- a round larger than the ring's free space spills inline onto the
-  pipe whole (counted per payload) — backpressure without loss;
+  → the shard is built without rings;
+- the worker cannot attach the rings (stale name after an exec-style
+  spawn failure) → it serves without rings and answers the first
+  descriptor with a ``transport:`` ERR, which the coordinator converts
+  into a permanent per-shard pipe fallback and an immediate re-send
+  of the same round;
+- a round larger than the ring spills inline onto the pipe whole
+  (counted per payload) — backpressure without loss;
 - a torn reply slot is treated like a dead shard: restart +
   reconcile, so the round is fetched (never recomputed) — exactly-once
   delivery survives transport corruption.
@@ -58,7 +59,7 @@ import os
 import pickle
 import struct
 import zlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.durability.journal import (
     read_record_from,
@@ -81,7 +82,7 @@ WIRE_INLINE = "inline"
 WIRE_SHM = "shm"
 
 #: Default per-ring capacity.  One monitoring round's payloads must fit
-#: or the remainder spills inline, so size this to the largest round.
+#: or the whole round spills inline, so size this to the largest round.
 DEFAULT_RING_BYTES = 1 << 22
 
 #: ``magic | capacity`` segment header ahead of the data region.
@@ -114,7 +115,7 @@ def _attach_untracked(name: str):
 
 
 class ShmRing:
-    """Single-producer single-consumer ring of journal-format records.
+    """One-slot shared-memory buffer holding a journal-format record.
 
     Slot layout *is* the WAL record layout::
 
@@ -122,19 +123,14 @@ class ShmRing:
 
     so torn-slot detection (CRC over the body, strictly monotonic
     sequence numbers) reuses the durability layer's validators
-    verbatim.  Descriptors — ``(sequence, offset)`` pairs — ride the
-    pipe, so the consumer seeks straight to its slots; the ring itself
-    carries no cursor state and a half-written slot can never be
-    silently consumed.
-
-    The fleet's request/reply protocol is strictly alternating (one
-    round in flight per shard), so the producer frees *all* staged
-    slots at the next round boundary (:meth:`free_all`) instead of
-    tracking per-slot acknowledgements.  Records wrap to offset 0 when
-    they would cross the end of the data region (slots stay contiguous
-    for zero-copy mapping); a record that exceeds the free space is
-    refused (:meth:`try_stage` returns ``None``) and the caller spills
-    its payloads inline — backpressure without loss.
+    verbatim.  The fleet's request/reply protocol is strictly
+    alternating (one round in flight per shard), so each direction
+    needs exactly one slot, always at offset 0: staging a round
+    overwrites the previous one, and the sequence number carried by
+    the descriptor is what tells them apart — a stale descriptor can
+    never be satisfied by a newer slot.  A record larger than the data
+    region is refused (:meth:`try_stage` returns ``None``) and the
+    caller spills its payloads inline — backpressure without loss.
     """
 
     def __init__(self, shm, capacity: int, owner: bool) -> None:
@@ -145,9 +141,6 @@ class ShmRing:
             _RING_HEADER.size:_RING_HEADER.size + capacity
         ]
         self.next_sequence = 0
-        self._write_offset = 0
-        self._used = 0
-        self.wraps = 0
         self._closed = False
 
     @property
@@ -222,78 +215,43 @@ class ShmRing:
 
     def try_stage(
         self, kind: int, payload, payload_crc: Optional[int] = None
-    ) -> Optional[Tuple[int, int]]:
-        """Write one record; returns ``(sequence, offset)`` or ``None``.
+    ) -> Optional[int]:
+        """Write one record at offset 0; returns its sequence or ``None``.
 
         ``payload`` is one buffer or a list of buffers written
         back-to-back as a single record (one header, one CRC pass for
-        a whole round's chunks).  ``None`` means the ring cannot take
-        the record before the next :meth:`free_all` — full-ring
-        backpressure; the caller spills the payloads inline instead of
-        losing them.
+        a whole round's chunks).  ``None`` means the record does not
+        fit the data region; the caller spills the payloads inline
+        instead of losing them.
 
         Slot CRCs use the payload-first composition so payloads tagged
-        once (``zlib.crc32`` chained across the parts, e.g. at
-        TRACE_CHUNK assembly) cost only a 9-byte hash to stage.
+        once (:func:`chain_crc`, e.g. at TRACE_CHUNK assembly) cost
+        only a 9-byte hash to stage.
         """
-        length = (
-            sum(len(part) for part in payload)
-            if isinstance(payload, (list, tuple))
-            else len(payload)
+        parts = (
+            payload if isinstance(payload, (list, tuple)) else (payload,)
         )
-        total = record_size(length)
-        offset = self._write_offset
-        used = self._used
-        if offset + total > self.capacity:
-            pad = self.capacity - offset
-            if used + pad + total > self.capacity:
-                return None
-            used += pad
-            offset = 0
-            self.wraps += 1
-        elif used + total > self.capacity:
+        if record_size(sum(len(part) for part in parts)) > self.capacity:
             return None
         if payload_crc is None:
             # Readers always validate the payload-first composition,
             # so untagged payloads are chained here, not in the writer.
-            parts = (
-                payload
-                if isinstance(payload, (list, tuple))
-                else (payload,)
-            )
-            payload_crc = 0
-            for part in parts:
-                payload_crc = zlib.crc32(part, payload_crc)
+            payload_crc = chain_crc(parts)
         sequence = self.next_sequence
-        write_record_into(
-            self.data, offset, sequence, kind, payload, payload_crc
-        )
+        write_record_into(self.data, 0, sequence, kind, parts, payload_crc)
         self.next_sequence += 1
-        self._write_offset = offset + total
-        self._used = used + total
-        return sequence, offset
-
-    def free_all(self) -> None:
-        """Round boundary: every staged slot has been consumed (or the
-        round was discarded) — reclaim the whole data region and park
-        the write cursor back at 0, so steady-state rounds rewrite the
-        same warm pages instead of faulting fresh ones.  Sequence
-        numbers keep advancing, so a recycled offset can never satisfy
-        a stale descriptor."""
-        self._used = 0
-        self._write_offset = 0
+        return sequence
 
     # -- consumer -----------------------------------------------------------
 
     def read(
         self,
         sequence: int,
-        offset: int,
         kind: int,
         payload_crc: Optional[int] = None,
         length: Optional[int] = None,
     ):
-        """Validate the slot at ``offset`` and return its payload view.
+        """Validate the slot and return its payload view.
 
         Zero-copy: the returned memoryview aliases the ring.  A torn
         slot — truncated header, CRC mismatch, stale sequence — raises
@@ -317,7 +275,7 @@ class ShmRing:
         try:
             got_sequence, got_kind, payload, _ = read_record_from(
                 self.data,
-                offset,
+                0,
                 expected_sequence=sequence,
                 payload_first_crc=True,
                 payload_crc=payload_crc,
@@ -325,35 +283,64 @@ class ShmRing:
             )
         except JournalCorruptionError as error:
             raise TransportError(
-                f"torn ring slot (seq {sequence}, offset {offset}): {error}"
+                f"torn ring slot (seq {sequence}): {error}"
             ) from error
         if got_kind != kind:
             raise TransportError(
-                f"ring slot at offset {offset} has kind {got_kind:#x}, "
-                f"expected {kind:#x}"
+                f"ring slot has kind {got_kind:#x}, expected {kind:#x}"
             )
         return payload
 
 
-# ---------------------------------------------------------------------------
-# Coordinator side
-# ---------------------------------------------------------------------------
+def chain_crc(parts: Sequence) -> int:
+    """``zlib.crc32`` chained across ``parts`` in order — the CRC of
+    their concatenation, which is what a batched slot's body holds."""
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    return crc
+
+
+def _open_pair(open_ring: Callable[[str], ShmRing], names: Sequence[str]):
+    """Open the ``(c2w, w2c)`` ring pair, leaking neither on failure."""
+    c2w = open_ring(names[0])
+    try:
+        return c2w, open_ring(names[1])
+    except TransportError:
+        c2w.close()
+        raise
+
+
+def _mapped(ring: Optional[ShmRing]) -> ShmRing:
+    """The ring a descriptor points into; refuse when there is none."""
+    if ring is None:
+        raise TransportError("no ring attached for a shm descriptor")
+    return ring
 
 
 class CoordinatorTransport:
-    """Coordinator half of the transport contract.
+    """Coordinator half: one round's payloads out, its reply back.
 
-    ``stage`` turns one round's TRACE_CHUNK payloads into the picklable
-    wire object that rides the RUN request; ``fetch_reply`` turns the
-    reply wire object back into the worker's reply dict.  ``spec()``
-    is the picklable descriptor handed to ``worker_main`` so the child
-    process can build its matching half.
+    ``ring_bytes`` sizes the per-direction rings (``c2w`` for
+    dispatches, ``w2c`` for replies); ``None`` builds the ring-less
+    transport, on which every wire is inline.  Creation failure raises
+    :class:`TransportError` with nothing left allocated.  ``spec`` is
+    the picklable ring-name pair (or ``None``) handed to
+    ``worker_main`` so the child can build its matching half.
     """
 
-    name = "pipe"
-
-    def spec(self) -> tuple:
-        raise NotImplementedError
+    def __init__(self, ring_bytes: Optional[int] = None) -> None:
+        self.c2w = self.w2c = None
+        if ring_bytes is not None:
+            label = f"rfleet-{os.getpid()}-{next(_RING_SERIAL)}"
+            self.c2w, self.w2c = _open_pair(
+                lambda name: ShmRing.create(name, ring_bytes),
+                (f"{label}-c2w", f"{label}-w2c"),
+            )
+        self.name = "pipe" if self.c2w is None else "shm"
+        self.spec = (
+            None if self.c2w is None else (self.c2w.name, self.w2c.name)
+        )
 
     def stage(
         self,
@@ -362,138 +349,50 @@ class CoordinatorTransport:
     ):
         """Turn one round's payloads into the RUN wire object.
 
-        ``crc`` is an optional pre-computed ``zlib.crc32`` tag chained
-        across the payloads in order (the CRC of their concatenation)
-        — computed once at dispatch assembly and reused across
-        retries, so the shm path hashes only the slot prefix on the
-        hot path.  Transports that don't tag slots ignore it.
+        With rings, the chunks are copied back-to-back into a single
+        ring record and the wire carries ``(tag, sequence, lengths,
+        crc)`` — one header write, one contiguous CRC pass on the
+        worker, and the per-chunk split costs only zero-copy view
+        slicing.  A round that does not fit the ring spills inline
+        whole.  ``crc`` is an optional pre-computed :func:`chain_crc`
+        tag over the payloads — computed once at dispatch assembly and
+        reused across retries, so staging hashes only the slot prefix.
         """
-        raise NotImplementedError
-
-    def fetch_reply(self, wire):
-        raise NotImplementedError
-
-    def take_stats(self) -> Dict[str, int]:
-        """Drain transport-internal event deltas (wraps, spills)."""
-        return {}
-
-    def close(self) -> None:
-        pass
-
-
-class PipeCoordinatorTransport(CoordinatorTransport):
-    """Original path: payloads pickled into the RUN request itself."""
-
-    name = "pipe"
-
-    def spec(self) -> tuple:
-        return ("pipe",)
-
-    def stage(
-        self,
-        payloads: Sequence[bytes],
-        crc: Optional[int] = None,
-    ):
-        return (WIRE_INLINE, list(payloads))
-
-    def fetch_reply(self, wire):
-        tag, body = wire
-        if tag != WIRE_INLINE:
-            raise TransportError(
-                f"pipe transport cannot fetch a {tag!r} reply"
-            )
-        return body
-
-
-class ShmCoordinatorTransport(CoordinatorTransport):
-    """Shared-memory rings: payloads out via ``c2w``, replies back via
-    ``w2c``; the pipe carries only descriptors."""
-
-    name = "shm"
-
-    def __init__(self, ring_bytes: int = DEFAULT_RING_BYTES) -> None:
-        label = f"rfleet-{os.getpid()}-{next(_RING_SERIAL)}"
-        self.c2w = ShmRing.create(f"{label}-c2w", ring_bytes)
-        try:
-            self.w2c = ShmRing.create(f"{label}-w2c", ring_bytes)
-        except TransportError:
-            self.c2w.close()
-            raise
-        self._spills = 0
-        self._wraps_reported = 0
-
-    def spec(self) -> tuple:
-        return ("shm", self.c2w.name, self.w2c.name)
-
-    def stage(
-        self,
-        payloads: Sequence[bytes],
-        crc: Optional[int] = None,
-    ):
-        """One batched slot per round: the chunks are copied
-        back-to-back into a single ring record, and the wire carries
-        ``(tag, sequence, offset, lengths)`` — one header write, one
-        contiguous CRC pass on the worker, and the per-chunk split
-        costs only zero-copy view slicing.  A round that does not fit
-        the ring spills inline whole."""
         payloads = list(payloads)
-        if not payloads:
+        if self.c2w is None or not payloads:
             return (WIRE_INLINE, payloads)
         if crc is None:
-            crc = 0
-            for payload in payloads:
-                crc = zlib.crc32(payload, crc)
-        self.c2w.free_all()
-        slot = self.c2w.try_stage(SLOT_KIND_CHUNK, payloads, crc)
-        if slot is None:
-            self._spills += len(payloads)
+            crc = chain_crc(payloads)
+        sequence = self.c2w.try_stage(SLOT_KIND_CHUNK, payloads, crc)
+        if sequence is None:
             return (WIRE_INLINE, payloads)
         # The payload tag rides the descriptor over the reliable pipe,
         # so the worker verifies the slot header against it instead of
         # re-hashing the payload bytes (see :meth:`ShmRing.read`).
         return (
             WIRE_SHM,
-            slot[0],
-            slot[1],
+            sequence,
             [len(payload) for payload in payloads],
             crc,
         )
 
     def fetch_reply(self, wire):
+        """Turn the OK reply's wire object back into the reply dict."""
         if wire[0] == WIRE_INLINE:
             return wire[1]
-        _, (sequence, offset), length, payload_crc = wire
-        view = self.w2c.read(
-            sequence,
-            offset,
-            SLOT_KIND_REPLY,
-            payload_crc=payload_crc,
-            length=length,
+        _, sequence, length, payload_crc = wire
+        view = _mapped(self.w2c).read(
+            sequence, SLOT_KIND_REPLY, payload_crc=payload_crc, length=length
         )
         try:
             return pickle.loads(view)
         finally:
             view.release()
 
-    def take_stats(self) -> Dict[str, int]:
-        stats = {}
-        if self._spills:
-            stats["spills"] = self._spills
-            self._spills = 0
-        wraps = self.c2w.wraps - self._wraps_reported
-        if wraps:
-            stats["wraps"] = wraps
-            self._wraps_reported = self.c2w.wraps
-        return stats
-
     def close(self) -> None:
-        self.c2w.close()
-        self.w2c.close()
-
-
-# ---------------------------------------------------------------------------
-# Worker side
-# ---------------------------------------------------------------------------
+        if self.c2w is not None:
+            self.c2w.close()
+            self.w2c.close()
 
 
 class WorkerTransport:
@@ -501,63 +400,26 @@ class WorkerTransport:
     buffers (bytes or zero-copy ring views), ``stage_reply`` turns the
     reply dict into the wire object sent back with OK.
 
-    ``stage_reply`` mirrors the request's channel (``request_tag``): a
-    round that arrived inline is answered inline even when a reply
-    ring exists, so a coordinator that fell back to the pipe mid-life
-    never receives a descriptor it can no longer map.
+    ``spec`` is the coordinator half's :attr:`CoordinatorTransport.spec`.
+    Attach failure degrades to the ring-less transport instead of
+    killing the worker: the first descriptor it cannot map draws a
+    ``transport:`` ERR, and the coordinator falls back shard-wide.
     """
 
-    name = "pipe"
-
-    def fetch(self, wire) -> List:
-        raise NotImplementedError
-
-    def stage_reply(self, reply, request_tag: str = WIRE_SHM):
-        raise NotImplementedError
-
-    def close(self) -> None:
-        pass
-
-
-class PipeWorkerTransport(WorkerTransport):
-    name = "pipe"
-
-    def fetch(self, wire) -> List:
-        if wire[0] != WIRE_INLINE:
-            raise TransportError(
-                "worker has no ring attached for a shm descriptor"
-            )
-        return list(wire[1])
-
-    def stage_reply(self, reply, request_tag: str = WIRE_SHM):
-        return (WIRE_INLINE, reply)
-
-
-class ShmWorkerTransport(WorkerTransport):
-    name = "shm"
-
-    def __init__(self, c2w: ShmRing, w2c: ShmRing) -> None:
-        self.c2w = c2w
-        self.w2c = w2c
-
-    @classmethod
-    def attach(cls, spec: tuple) -> "ShmWorkerTransport":
-        _, c2w_name, w2c_name = spec
-        c2w = ShmRing.attach(c2w_name)
-        try:
-            w2c = ShmRing.attach(w2c_name)
-        except TransportError:
-            c2w.close()
-            raise
-        return cls(c2w, w2c)
+    def __init__(self, spec: Optional[Tuple[str, str]] = None) -> None:
+        self.c2w = self.w2c = None
+        if spec is not None:
+            try:
+                self.c2w, self.w2c = _open_pair(ShmRing.attach, spec)
+            except TransportError:
+                pass
 
     def fetch(self, wire) -> List:
         if wire[0] == WIRE_INLINE:
             return list(wire[1])
-        _, sequence, offset, lengths, payload_crc = wire
-        view = self.c2w.read(
+        _, sequence, lengths, payload_crc = wire
+        view = _mapped(self.c2w).read(
             sequence,
-            offset,
             SLOT_KIND_CHUNK,
             payload_crc=payload_crc,
             length=sum(lengths),
@@ -569,32 +431,21 @@ class ShmWorkerTransport(WorkerTransport):
             start += length
         return buffers
 
-    def stage_reply(self, reply, request_tag: str = WIRE_SHM):
+    def stage_reply(self, reply, request_tag: str):
+        """Mirror the request's channel: a round that arrived inline is
+        answered inline even when a reply ring exists, so a coordinator
+        that fell back to the pipe mid-life never receives a
+        descriptor it can no longer map."""
         if request_tag == WIRE_INLINE:
             return (WIRE_INLINE, reply)
-        self.w2c.free_all()
         payload = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
         payload_crc = zlib.crc32(payload)
-        slot = self.w2c.try_stage(SLOT_KIND_REPLY, payload, payload_crc)
-        if slot is None:
+        sequence = self.w2c.try_stage(SLOT_KIND_REPLY, payload, payload_crc)
+        if sequence is None:
             return (WIRE_INLINE, reply)
-        return (WIRE_SHM, slot, len(payload), payload_crc)
+        return (WIRE_SHM, sequence, len(payload), payload_crc)
 
     def close(self) -> None:
-        self.c2w.close()
-        self.w2c.close()
-
-
-def make_worker_transport(spec: tuple) -> WorkerTransport:
-    """Build the worker half from its picklable spec.
-
-    Attach failure degrades to the pipe transport instead of killing
-    the worker: the first shm descriptor it cannot serve draws a
-    ``transport:`` ERR, and the coordinator falls back shard-wide.
-    """
-    if spec and spec[0] == "shm":
-        try:
-            return ShmWorkerTransport.attach(spec)
-        except TransportError:
-            return PipeWorkerTransport()
-    return PipeWorkerTransport()
+        if self.c2w is not None:
+            self.c2w.close()
+            self.w2c.close()

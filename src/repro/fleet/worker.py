@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 import traceback
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.durability.journal import (
     FileJournal,
@@ -31,7 +31,7 @@ from repro.durability.journal import (
 from repro.errors import TransportError
 from repro.faults.crashpoints import SigkillInjector
 from repro.fleet import messages
-from repro.fleet.transport import make_worker_transport
+from repro.fleet.transport import WorkerTransport
 from repro.obs import MetricsRegistry
 from repro.soc.manager import Deployment, SocManager
 
@@ -83,13 +83,13 @@ def worker_main(
     tenant_names: Sequence[str],
     journal_dir: str,
     manager_kwargs: Optional[dict] = None,
-    transport_spec: tuple = ("pipe",),
+    transport_spec: Optional[Tuple[str, str]] = None,
 ) -> None:
     """Child-process entry: serve requests until STOP or death."""
     manager = build_manager(
         factory, tenant_names, journal_dir, manager_kwargs
     )
-    transport = make_worker_transport(transport_spec)
+    transport = WorkerTransport(transport_spec)
     try:
         _serve(conn, manager, factory, transport)
     finally:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
-from repro.coresight.ptm import PtmConfig
 from repro.errors import SocConfigError
 from repro.igm.address_mapper import AddressMapper
 from repro.igm.vector_encoder import InputVector, VectorEncoder
@@ -217,8 +216,7 @@ def build_trace_pipeline(
     encoder: VectorEncoder,
     sink: Callable[[InputVector, float], None],
     *,
-    ptm_config: Optional[PtmConfig] = None,
-    tpiu_sync_period: int = 64,
+    frontend: "TraceFrontend",
     fifo_threshold_bytes: int = 176,
     port_clock: ClockDomain = RTAD_CLOCK,
     igm_pipe_ns: float = 24.0,
@@ -227,17 +225,14 @@ def build_trace_pipeline(
     port_capacity: int = 4,
     fault_plan: Optional["FaultPlan"] = None,
     verify_integrity: bool = True,
-    frontend: Optional["TraceFrontend"] = None,
 ) -> Pipeline:
     """Assemble the standard five-stage trace dataplane.
 
     Mirrors the wiring of :class:`repro.soc.loop.LoopDataplane`: the
-    frontend's encode + framing stages (CoreSight PTM/TPIU by
-    default), PTM-FIFO batching, address map + vector encode, and
-    delivery into ``sink`` (a tenant's schedule capture).  ``frontend``
-    selects the trace grammar; the legacy ``ptm_config`` /
-    ``tpiu_sync_period`` knobs configure the default CoreSight
-    frontend and must not be combined with an explicit one.
+    frontend's encode + framing stages (e.g. CoreSight PTM/TPIU),
+    PTM-FIFO batching, address map + vector encode, and delivery into
+    ``sink`` (a tenant's schedule capture).  ``frontend`` selects the
+    trace grammar and carries its configuration.
 
     ``fault_plan`` optionally inserts fault-injection stages: an
     event-level injector ahead of the encode stages and a
@@ -245,17 +240,6 @@ def build_trace_pipeline(
     rates (or ``None``) leaves the pipeline byte-identical to the
     fault-free build.
     """
-    if frontend is None:
-        # Deferred import: repro.frontends late-binds its builtins.
-        from repro.frontends.coresight import CoreSightFrontend
-
-        frontend = CoreSightFrontend(
-            ptm_config=ptm_config, sync_period=tpiu_sync_period
-        )
-    elif ptm_config is not None:
-        raise SocConfigError(
-            "pass ptm_config through the frontend, not alongside it"
-        )
     stages: List[Stage] = [
         *frontend.build_encode_stages(metrics=metrics),
         PtmFifoStage(

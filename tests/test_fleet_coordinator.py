@@ -16,10 +16,16 @@ import tempfile
 
 import pytest
 
-from repro.errors import FleetError, SocConfigError
+from repro.errors import FleetError, SocConfigError, TransportError
 from repro.eval.metrics import demo_events
 from repro.eval.recovery import record_signature
-from repro.fleet import FleetConfig, FleetCoordinator, demo_factory
+from repro.fleet import (
+    FleetConfig,
+    FleetCoordinator,
+    ShmRing,
+    demo_factory,
+    messages,
+)
 from repro.obs import MetricsRegistry
 from repro.serve import IngestServer, ServeClient, ServeConfig
 from repro.soc.manager import SocManager, TenantHealth
@@ -117,7 +123,11 @@ class TestEquivalence:
 
 class TestTransports:
     def _run(self, transport, num_shards=2, rounds=2):
-        config = FleetConfig(num_shards=num_shards, transport=transport)
+        # Fork (also the default) so a monkeypatched ShmRing reaches
+        # the workers.
+        config = FleetConfig(
+            num_shards=num_shards, transport=transport, start_method="fork"
+        )
         with _fleet(config=config) as fleet:
             logs = [
                 _signatures(fleet.run_events(_traces(r)))
@@ -168,6 +178,48 @@ class TestTransports:
             stats["fleet.transport.bytes.consumed"]
             + stats["fleet.transport.bytes.discarded"]
         )
+
+    def _assert_pipe_equivalent(self, fallback, refused_bytes=0):
+        """A shard-wide fallback leaves a run indistinguishable from a
+        pipe run, except for the bytes of a dispatch the workers
+        refused before consuming (staged once, then discarded)."""
+        logs, counters, stats, names = fallback
+        pipe_logs, pipe_counters, _, _ = self._run("pipe")
+        assert logs == pipe_logs
+        assert stats["fleet.transport.fallbacks"] == 2
+        assert names == {0: "pipe", 1: "pipe"}
+        assert stats["fleet.transport.bytes.staged"] == (
+            stats["fleet.transport.bytes.consumed"]
+            + stats["fleet.transport.bytes.discarded"]
+        )
+        expected = dict(pipe_counters)
+        expected["fleet.transport.bytes.staged"] += refused_bytes
+        expected["fleet.transport.bytes.discarded"] += refused_bytes
+        assert counters == expected
+
+    def test_worker_attach_failure_falls_back_and_resends(
+        self, monkeypatch
+    ):
+        """Workers that cannot map the rings answer the first
+        descriptor with a ``transport:`` ERR; the coordinator swaps
+        each shard to the pipe and re-sends the same round."""
+
+        def refuse(cls, name):
+            raise TransportError(f"cannot attach {name!r} (test)")
+
+        monkeypatch.setattr(ShmRing, "attach", classmethod(refuse))
+        fallback = self._run("shm")
+        refused = sum(
+            len(payload) for payload in messages.encode_round(0, _traces(0))
+        )
+        self._assert_pipe_equivalent(fallback, refused_bytes=refused)
+
+    def test_ring_creation_failure_builds_pipe_shards(self, monkeypatch):
+        def refuse(cls, name, capacity):
+            raise TransportError(f"cannot create {name!r} (test)")
+
+        monkeypatch.setattr(ShmRing, "create", classmethod(refuse))
+        self._assert_pipe_equivalent(self._run("shm"))
 
 
 @pytest.mark.parametrize("start_method", ["fork", "spawn"])

@@ -11,8 +11,7 @@ Three families of invariants (docs/FLEET.md §5):
   untagged (full body hash) read paths; untagged reads also catch
   payload tears.
 - **No loss, no duplication** — full-ring backpressure spills inline
-  without dropping a round, wrapped records stay readable without
-  clobbering live slots, and a recycled offset can never satisfy a
+  without dropping a round, and a rewritten slot can never satisfy a
   stale descriptor.
 """
 
@@ -30,9 +29,9 @@ from repro.fleet.transport import (
     SLOT_KIND_REPLY,
     WIRE_INLINE,
     WIRE_SHM,
-    ShmCoordinatorTransport,
+    CoordinatorTransport,
     ShmRing,
-    make_worker_transport,
+    WorkerTransport,
 )
 
 #: One bit flipped and all bits flipped — a torn byte either way.
@@ -67,9 +66,9 @@ def _release(buffers):
 
 @pytest.fixture(scope="module")
 def pair():
-    coordinator = ShmCoordinatorTransport(ring_bytes=1 << 16)
-    worker = make_worker_transport(coordinator.spec())
-    assert worker.name == "shm", "in-process attach must not fall back"
+    coordinator = CoordinatorTransport(ring_bytes=1 << 16)
+    worker = WorkerTransport(coordinator.spec)
+    assert worker.c2w is not None, "in-process attach must not fall back"
     yield coordinator, worker
     worker.close()
     coordinator.close()
@@ -144,18 +143,18 @@ class TestRoundTrip:
 
 
 class TestTornSlots:
-    def _tear_every_header_byte(self, data, offset, read):
+    def _tear_every_header_byte(self, data, read):
         """Flip each of the 17 header bytes both ways; every tear must
         raise TransportError and never surface a payload view."""
         for index in range(MIN_RECORD_BYTES):
             for mask in TEAR_MASKS:
-                original = data[offset + index]
-                data[offset + index] = original ^ mask
+                original = data[index]
+                data[index] = original ^ mask
                 try:
                     with pytest.raises(TransportError):
                         read()
                 finally:
-                    data[offset + index] = original
+                    data[index] = original
 
     def test_every_offset_chunk_header_tear_detected(self, pair):
         coordinator, worker = pair
@@ -163,7 +162,7 @@ class TestTornSlots:
         wire = coordinator.stage(payloads, _chained_crc(payloads))
         assert wire[0] == WIRE_SHM
         self._tear_every_header_byte(
-            worker.c2w.data, wire[2], lambda: worker.fetch(wire)
+            worker.c2w.data, lambda: worker.fetch(wire)
         )
         # The untouched slot still reads cleanly afterwards.
         _release(worker.fetch(wire))
@@ -173,9 +172,7 @@ class TestTornSlots:
         wire = worker.stage_reply({"records": b"z" * 64}, WIRE_SHM)
         assert wire[0] == WIRE_SHM
         self._tear_every_header_byte(
-            coordinator.w2c.data,
-            wire[1][1],
-            lambda: coordinator.fetch_reply(wire),
+            coordinator.w2c.data, lambda: coordinator.fetch_reply(wire)
         )
         assert coordinator.fetch_reply(wire) == {"records": b"z" * 64}
 
@@ -183,20 +180,20 @@ class TestTornSlots:
         """Without a descriptor tag the whole body is hashed, so
         payload tears are caught too — every byte of the record."""
         payload = os.urandom(57)
-        sequence, offset = ring.try_stage(SLOT_KIND_CHUNK, payload)
+        sequence = ring.try_stage(SLOT_KIND_CHUNK, payload)
         for index in range(record_size(len(payload))):
-            original = ring.data[offset + index]
-            ring.data[offset + index] = original ^ 0xFF
+            original = ring.data[index]
+            ring.data[index] = original ^ 0xFF
             try:
                 with pytest.raises(TransportError):
-                    ring.read(sequence, offset, SLOT_KIND_CHUNK)
+                    ring.read(sequence, SLOT_KIND_CHUNK)
             finally:
-                ring.data[offset + index] = original
+                ring.data[index] = original
 
     def test_wrong_kind_rejected(self, ring):
-        sequence, offset = ring.try_stage(SLOT_KIND_CHUNK, b"body")
+        sequence = ring.try_stage(SLOT_KIND_CHUNK, b"body")
         with pytest.raises(TransportError):
-            ring.read(sequence, offset, SLOT_KIND_REPLY)
+            ring.read(sequence, SLOT_KIND_REPLY)
 
     def test_length_tear_rejected_even_with_intact_crc(self, ring):
         """The length field sits outside the stored CRC; the tagged
@@ -204,20 +201,17 @@ class TestTornSlots:
         expected length) instead of returning a short view."""
         payload = b"p" * 64
         payload_crc = zlib.crc32(payload)
-        sequence, offset = ring.try_stage(
-            SLOT_KIND_CHUNK, payload, payload_crc
-        )
+        sequence = ring.try_stage(SLOT_KIND_CHUNK, payload, payload_crc)
         import struct
 
         # Body length claiming a 16-byte payload (9-byte prefix + 16),
         # written over the header with the stored CRC left intact.
         shrunk = record_size(16) - record_size(0) + (record_size(0) - 8)
-        stored_crc = struct.unpack_from("<I", ring.data, offset + 4)[0]
-        struct.pack_into("<II", ring.data, offset, shrunk, stored_crc)
+        stored_crc = struct.unpack_from("<I", ring.data, 4)[0]
+        struct.pack_into("<II", ring.data, 0, shrunk, stored_crc)
         with pytest.raises(TransportError):
             ring.read(
                 sequence,
-                offset,
                 SLOT_KIND_CHUNK,
                 payload_crc=payload_crc,
                 length=len(payload),
@@ -226,14 +220,16 @@ class TestTornSlots:
 
 class TestNoLossNoDuplication:
     def test_full_ring_spills_inline_without_loss(self):
-        coordinator = ShmCoordinatorTransport(ring_bytes=4096)
-        worker = make_worker_transport(coordinator.spec())
+        coordinator = CoordinatorTransport(ring_bytes=4096)
+        worker = WorkerTransport(coordinator.spec)
         try:
             oversized = [os.urandom(4096), os.urandom(64)]
             wire = coordinator.stage(oversized)
             assert wire[0] == WIRE_INLINE
+            # The whole round spills: every payload rides the pipe (the
+            # coordinator counts them as fleet.transport.payloads.inline).
+            assert len(wire[1]) == len(oversized)
             assert worker.fetch(wire) == oversized
-            assert coordinator.take_stats().get("spills") == len(oversized)
             # Backpressure is per round: the next round rides the ring.
             small = [b"tiny"]
             wire = coordinator.stage(small)
@@ -246,8 +242,8 @@ class TestNoLossNoDuplication:
             coordinator.close()
 
     def test_oversized_reply_spills_inline(self):
-        coordinator = ShmCoordinatorTransport(ring_bytes=4096)
-        worker = make_worker_transport(coordinator.spec())
+        coordinator = CoordinatorTransport(ring_bytes=4096)
+        worker = WorkerTransport(coordinator.spec)
         try:
             reply = {"records": os.urandom(8192)}
             wire = worker.stage_reply(reply, WIRE_SHM)
@@ -260,10 +256,10 @@ class TestNoLossNoDuplication:
     @given(rounds=st.lists(payload_lists, min_size=2, max_size=5))
     @COMMON_SETTINGS
     def test_recycled_offsets_reject_stale_descriptors(self, pair, rounds):
-        """Sequence numbers outlive offset reuse: after a round
-        boundary reclaims the data region, every earlier descriptor
-        is rejected — a freed slot can never be silently re-consumed
-        as the new round (exactly-once across ring reuse)."""
+        """Sequence numbers outlive slot reuse: once a round rewrites
+        the slot, every earlier descriptor is rejected — an old round
+        can never be silently re-consumed as the new one (exactly-once
+        across slot reuse)."""
         coordinator, worker = pair
         stale = []
         for payloads in rounds[:-1]:
@@ -282,37 +278,3 @@ class TestNoLossNoDuplication:
             assert [bytes(view) for view in buffers] == final
         finally:
             _release(buffers)
-
-    def test_wraparound_preserves_live_slots(self, ring):
-        """General SPSC shape: consuming the head frees space at the
-        front, so a record that would cross the end wraps to offset 0.
-        The wrap must not clobber live slots, the wrapped record must
-        read back byte-identical, and the freed head descriptor must
-        be rejected."""
-        head = os.urandom(1500)
-        live = os.urandom(1500)
-        wrapped = os.urandom(1400)
-        head_slot = ring.try_stage(SLOT_KIND_CHUNK, head)
-        live_slot = ring.try_stage(SLOT_KIND_CHUNK, live)
-        assert head_slot is not None and live_slot is not None
-        # No free space yet: the wrap candidate is refused, not lost.
-        assert ring.try_stage(SLOT_KIND_CHUNK, wrapped) is None
-        # The consumer drains the head record, reclaiming its bytes
-        # (the strictly alternating fleet protocol frees whole rounds
-        # via free_all; this reproduces the partial-free ring state).
-        ring._used -= record_size(len(head))
-        slot = ring.try_stage(SLOT_KIND_CHUNK, wrapped)
-        assert slot is not None
-        assert slot[1] == 0, "record crossing the end wraps to offset 0"
-        assert ring.wraps == 1
-        view = ring.read(slot[0], 0, SLOT_KIND_CHUNK)
-        assert bytes(view) == wrapped
-        view.release()
-        # The live middle slot is untouched by the wrap...
-        view = ring.read(live_slot[0], live_slot[1], SLOT_KIND_CHUNK)
-        assert bytes(view) == live
-        view.release()
-        # ...and the freed head offset no longer satisfies its stale
-        # descriptor (the wrapped record overwrote it).
-        with pytest.raises(TransportError):
-            ring.read(head_slot[0], head_slot[1], SLOT_KIND_CHUNK)

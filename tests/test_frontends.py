@@ -163,23 +163,6 @@ def test_loop_dataplane_driver_starts_disabled(name):
     assert plane.driver.enabled
 
 
-def test_pipeline_rejects_ptm_config_alongside_frontend():
-    from repro.igm.address_mapper import AddressMapper
-    from repro.igm.vector_encoder import VectorEncoder
-    from repro.pipeline import build_trace_pipeline
-
-    mapper = AddressMapper()
-    mapper.load([0x1000])
-    with pytest.raises(SocConfigError):
-        build_trace_pipeline(
-            mapper,
-            VectorEncoder(window=4, vocabulary_size=mapper.size + 1),
-            lambda vector, when: None,
-            ptm_config=PtmConfig(),
-            frontend=get_frontend("etrace"),
-        )
-
-
 @pytest.mark.parametrize("name", FRONTEND_NAMES)
 def test_counter_namespaces_are_declared_and_disjoint(name):
     frontend = get_frontend(name)

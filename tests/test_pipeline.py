@@ -14,6 +14,7 @@ import pytest
 from repro.coresight.ptm import Ptm, PtmConfig
 from repro.coresight.tpiu import Tpiu
 from repro.errors import SocConfigError
+from repro.frontends import get_frontend
 from repro.igm.address_mapper import AddressMapper
 from repro.igm.vector_encoder import EncoderMode, InputVector, VectorEncoder
 from repro.obs import MetricsRegistry
@@ -503,6 +504,7 @@ class TestPipeline:
             mapper,
             encoder,
             lambda v, t: delivered.append((v.sequence_number, t)),
+            frontend=get_frontend("coresight"),
             **kwargs,
         )
         pipeline.run(events)
@@ -531,6 +533,7 @@ class TestPipeline:
         encoder = VectorEncoder(window=1, vocabulary_size=mapper.size + 1)
         pipeline = build_trace_pipeline(
             mapper, encoder, lambda v, t: None,
+            frontend=get_frontend("coresight"),
             metrics=registry, chunk_events=16, port_capacity=1,
         )
         pipeline.run(events)
@@ -551,7 +554,10 @@ class TestPipeline:
         encoder = VectorEncoder(window=2, vocabulary_size=mapper.size + 1)
         delivered = []
         pipeline = build_trace_pipeline(
-            mapper, encoder, lambda v, t: delivered.append((v, t))
+            mapper,
+            encoder,
+            lambda v, t: delivered.append((v, t)),
+            frontend=get_frontend("coresight"),
         )
         pipeline.run(events)
         first = list(delivered)
