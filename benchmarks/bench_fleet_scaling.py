@@ -67,6 +67,8 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:  # script-mode imports
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.eval.report import verdict_flags  # noqa: E402
+
 RESULT_NAME = "BENCH_fleet.json"
 SEED = 0
 TENANTS = 8
@@ -82,10 +84,6 @@ TRANSPORT_GATE_SHARDS = 1
 TRANSPORT_WARMUP_ROUNDS = 2
 TRANSPORT_MEASURED_ROUNDS = 6
 SMOKE_TRANSPORT_MEASURED_ROUNDS = 2
-
-
-def _flags(records):
-    return [(bool(r.anomalous), float(r.score)) for r in records]
 
 
 def _transport_fields(stats: dict) -> dict:
@@ -172,7 +170,7 @@ def run_transport_comparison(
                     records = fleet.run_events(rounds[index])
                     leg_flags.append(
                         {
-                            name: _flags(records.get(name, []))
+                            name: verdict_flags(records.get(name, []))
                             for name in names
                         }
                     )
@@ -271,7 +269,7 @@ def run_fleet_scaling(
                 shard.id: list(shard.tenants) for shard in fleet.shards
             }
         flags_by_shards[num_shards] = {
-            name: _flags(records.get(name, [])) for name in names
+            name: verdict_flags(records.get(name, [])) for name in names
         }
         # Modeled makespan per shard: its private engine's busy span
         # over this round, in the simulation's virtual clock.

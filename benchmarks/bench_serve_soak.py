@@ -11,7 +11,7 @@ shed/admission accounting.
 Results go to ``benchmarks/results/BENCH_serve.json`` and are
 mirrored to the repository root via ``bench_io.save_result``, where
 the acceptance gate reads them.  The gates are the soak invariants
-themselves (:func:`repro.eval.soak.soak_failures`): zero dataplane
+themselves (:meth:`repro.eval.soak.SoakResult.checks`): zero dataplane
 crashes, every frame answered, admitted == drained + stale, and the
 armed overload scenario's admitted p99 bounded by the ingest deadline.
 
@@ -33,13 +33,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:  # script-mode imports
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.eval.soak import (  # noqa: E402
-    DEFAULT_CLIENTS,
-    format_soak,
-    run_soak,
-    soak_failures,
-    soak_to_json,
-)
+from repro.eval.soak import DEFAULT_CLIENTS, run_soak  # noqa: E402
 
 RESULT_NAME = "BENCH_serve.json"
 SMOKE_CLIENTS = 120
@@ -49,15 +43,15 @@ SEED = 0
 def save_and_format(soak, smoke: bool = False) -> str:
     from bench_io import save_result
 
-    save_result(RESULT_NAME, dict(soak_to_json(soak), smoke=smoke))
-    return format_soak(soak)
+    save_result(RESULT_NAME, dict(soak.to_json(), smoke=smoke))
+    return soak.format()
 
 
 def test_serve_soak():
     soak = run_soak(clients=DEFAULT_CLIENTS, seed=SEED)
     print()
     print(save_and_format(soak))
-    assert soak_failures(soak) == []
+    assert soak.failures() == []
 
 
 def main(argv) -> int:
@@ -65,7 +59,7 @@ def main(argv) -> int:
     clients = SMOKE_CLIENTS if smoke else DEFAULT_CLIENTS
     soak = run_soak(clients=clients, seed=SEED)
     print(save_and_format(soak, smoke=smoke))
-    failures = soak_failures(soak)
+    failures = soak.failures()
     for line in failures:
         print(f"FAIL: {line}")
     return 0 if not failures else 1

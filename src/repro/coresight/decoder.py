@@ -304,7 +304,15 @@ class PftDecoder:
             self._state = _State.BRANCH
             return self._maybe_finish_branch()
         if is_atom_header(byte):
-            return [DecodedAtom(taken=a) for a in decode_atom_byte(byte)]
+            try:
+                return [DecodedAtom(taken=a) for a in decode_atom_byte(byte)]
+            except PacketDecodeError:
+                # A corrupted atom byte is a decode error like any other.
+                if self.resync_hunt:
+                    return self._begin_hunt(byte)
+                if self.strict:
+                    raise
+                return []
         if byte == HEADER_ISYNC:
             self._state = _State.ISYNC
             self._scratch = []

@@ -1,9 +1,14 @@
 """Experiment harness: one module per table/figure of the paper.
 
-Every module exposes a ``run_*`` function returning structured rows
-plus a ``format_*`` helper that prints the same table the paper shows,
-side by side with the paper's published numbers.  The benchmark suite
-(``benchmarks/``) wraps these with pytest-benchmark.
+Every module exposes a ``run_*`` function.  The paper's tables and
+figures pair it with a ``format_*`` helper that prints the same table
+the paper shows, side by side with the paper's published numbers.  The
+gated experiments (``chaos``, ``recovery``, ``parity``, ``soak`` and
+the fleet sections) instead return a :class:`~repro.eval.report.Report`
+dataclass that declares its checks and renders itself to text
+(``format()``), JSON (``to_json()``) and the exit code
+(``failures()``).  The benchmark suite (``benchmarks/``) wraps these
+with pytest-benchmark.
 """
 
 from repro.eval.report import format_table

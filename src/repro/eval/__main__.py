@@ -12,6 +12,9 @@ Usage::
                                             # violated invariant
     python -m repro.eval parity --json      # cross-frontend detection
                                             # equivalence gate
+
+``--json`` prints one JSON document, so it takes exactly one of the
+JSON experiments (metrics, chaos, recovery, profile, parity, soak).
 """
 
 from __future__ import annotations
@@ -21,63 +24,114 @@ import json
 import sys
 import time
 
-from repro.eval.chaos import (
-    DEFAULT_RATES,
-    chaos_failures,
-    chaos_to_json,
-    format_chaos,
-    run_chaos,
-)
+from repro.eval.chaos import DEFAULT_RATES, run_chaos
 from repro.eval.fig6 import format_fig6, run_fig6
-from repro.eval.fleet import (
-    fleet_metrics_failures,
-    fleet_metrics_to_json,
-    format_fleet_metrics,
-    run_fleet_metrics,
-)
 from repro.eval.fig7 import format_fig7, run_fig7
 from repro.eval.fig8 import format_fig8, run_fig8
+from repro.eval.fleet import run_fleet_metrics
 from repro.eval.metrics import (
     DEMO_KINDS,
     format_metrics,
     metrics_to_json,
     run_metrics_all,
 )
-from repro.eval.parity import (
-    DEFAULT_FRONTENDS,
-    format_parity,
-    parity_failures,
-    parity_to_json,
-    run_parity,
-)
+from repro.eval.parity import DEFAULT_FRONTENDS, run_parity
 from repro.eval.profile import (
     DEFAULT_INFERENCES,
     format_profile,
     profile_to_json,
     run_profile,
 )
-from repro.eval.recovery import (
-    recovery_failures,
-    recovery_to_json,
-    format_recovery,
-    run_recovery,
-)
-from repro.eval.soak import (
-    DEFAULT_CLIENTS,
-    format_soak,
-    run_soak,
-    soak_failures,
-    soak_to_json,
-)
+from repro.eval.recovery import DEFAULT_SEEDS, run_recovery
+from repro.eval.soak import DEFAULT_CLIENTS, run_soak
 from repro.eval.table1 import format_table1, run_table1
 from repro.eval.table2 import format_table2, run_table2
 
-EXPERIMENTS = (
-    "table1", "table2", "fig6", "fig7", "fig8", "metrics", "chaos",
-    "recovery", "profile", "parity", "soak",
-)
 
-#: Experiments whose --json output must stay one valid JSON document.
+class _Output:
+    """An experiment output without a :class:`~repro.eval.report.Report`
+    (the paper tables and figures, ``profile`` and ``metrics``), with
+    the same ``format``/``to_json``/``failures`` surface."""
+
+    def __init__(self, text, document=None, failures=()):
+        self._text = text
+        self._document = document
+        self._failures = list(failures)
+
+    def format(self) -> str:
+        return self._text
+
+    def to_json(self):
+        return self._document
+
+    def failures(self):
+        return self._failures
+
+
+def _events(args, default: int = 12_000) -> int:
+    return default if args.events is None else args.events
+
+
+def _metrics(args) -> _Output:
+    results = run_metrics_all(
+        kinds=tuple(args.models or DEMO_KINDS),
+        events=_events(args),
+        seed=args.seed,
+    )
+    fleet = run_fleet_metrics(events=_events(args), seed=args.seed)
+    return _Output(
+        "\n\n".join([format_metrics(results), fleet.format()]),
+        {**metrics_to_json(results), "fleet": fleet.to_json()},
+        fleet.failures(),
+    )
+
+
+def _profile(args) -> _Output:
+    profiled = run_profile(
+        kinds=tuple(args.models or ("elm", "lstm")),
+        inferences=args.inferences,
+        seed=args.seed,
+    )
+    return _Output(format_profile(profiled), profile_to_json(profiled))
+
+
+#: Every experiment, in the default run order: ``args -> result``.
+RUNNERS = {
+    "table1": lambda a: _Output(format_table1(run_table1(seed=a.seed))),
+    "table2": lambda a: _Output(format_table2(run_table2(seed=a.seed))),
+    "fig6": lambda a: _Output(format_fig6(run_fig6())),
+    "fig7": lambda a: _Output(format_fig7(run_fig7())),
+    "fig8": lambda a: _Output(
+        format_fig8(
+            run_fig8(benchmarks=a.benchmarks, trials=a.trials, seed=a.seed)
+        )
+    ),
+    "metrics": _metrics,
+    "chaos": lambda a: run_chaos(
+        rates=tuple(a.rates or DEFAULT_RATES),
+        events=_events(a),
+        seed=a.seed,
+    ),
+    "recovery": lambda a: run_recovery(
+        seeds=tuple(DEFAULT_SEEDS if a.seeds is None else a.seeds),
+        rounds=a.rounds,
+        kills_per_seed=a.kills,
+    ),
+    "profile": _profile,
+    "parity": lambda a: run_parity(
+        kinds=tuple(a.models) if a.models else None,
+        events=_events(a, default=4_000),
+        seed=a.seed,
+        frontends=DEFAULT_FRONTENDS,
+    ),
+    "soak": lambda a: run_soak(
+        clients=a.clients, seed=a.seed, kind=(a.models or ["lstm"])[0]
+    ),
+}
+
+EXPERIMENTS = tuple(RUNNERS)
+
+#: Experiments with a JSON document; ``--json`` takes exactly one.
 _JSON_EXPERIMENTS = (
     "metrics", "chaos", "recovery", "profile", "parity", "soak",
 )
@@ -116,7 +170,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--json", action="store_true",
-        help="emit the metrics/chaos output as JSON instead of text",
+        help="emit one JSON experiment's output as JSON instead of text",
     )
     parser.add_argument(
         "--rates", nargs="*", type=float, default=None,
@@ -150,139 +204,30 @@ def main(argv=None) -> int:
         parser.error("--events must be non-negative")
     if args.clients < 1:
         parser.error("--clients must be positive")
-    events = 12_000 if args.events is None else args.events
     selected = args.experiments or list(EXPERIMENTS)
     unknown = [name for name in selected if name not in EXPERIMENTS]
     if unknown:
         parser.error(
             f"unknown experiments {unknown}; choose from {EXPERIMENTS}"
         )
+    if args.json and (
+        len(selected) != 1 or selected[0] not in _JSON_EXPERIMENTS
+    ):
+        parser.error(
+            "--json emits one JSON document: select exactly one of "
+            f"{', '.join(_JSON_EXPERIMENTS)}"
+        )
 
     failures = []
     for name in selected:
         start = time.perf_counter()
-        if name == "table1":
-            output = format_table1(run_table1(seed=args.seed))
-        elif name == "table2":
-            output = format_table2(run_table2(seed=args.seed))
-        elif name == "fig6":
-            output = format_fig6(run_fig6())
-        elif name == "fig7":
-            output = format_fig7(run_fig7())
-        elif name == "metrics":
-            results = run_metrics_all(
-                kinds=tuple(args.models or DEMO_KINDS),
-                events=events,
-                seed=args.seed,
-            )
-            fleet = run_fleet_metrics(
-                events=events, seed=args.seed
-            )
-            failures += [
-                f"metrics: {line}"
-                for line in fleet_metrics_failures(fleet)
-            ]
-            if args.json:
-                document = metrics_to_json(results)
-                document["fleet"] = fleet_metrics_to_json(fleet)
-                output = json.dumps(
-                    document, indent=2, sort_keys=True
-                )
-            else:
-                output = "\n\n".join(
-                    [format_metrics(results), format_fleet_metrics(fleet)]
-                )
-        elif name == "chaos":
-            chaos = run_chaos(
-                rates=tuple(
-                    args.rates if args.rates else DEFAULT_RATES
-                ),
-                events=events,
-                seed=args.seed,
-            )
-            failures += [
-                f"chaos: {line}" for line in chaos_failures(chaos)
-            ]
-            if args.json:
-                output = json.dumps(
-                    chaos_to_json(chaos), indent=2, sort_keys=True
-                )
-            else:
-                output = format_chaos(chaos)
-        elif name == "recovery":
-            recovery = run_recovery(
-                seeds=tuple(
-                    args.seeds if args.seeds is not None else (0, 1, 2)
-                ),
-                rounds=args.rounds,
-                kills_per_seed=args.kills,
-            )
-            failures += [
-                f"recovery: {line}"
-                for line in recovery_failures(recovery)
-            ]
-            if args.json:
-                output = json.dumps(
-                    recovery_to_json(recovery), indent=2, sort_keys=True
-                )
-            else:
-                output = format_recovery(recovery)
-        elif name == "parity":
-            parity = run_parity(
-                kinds=tuple(args.models) if args.models else None,
-                events=4_000 if args.events is None else args.events,
-                seed=args.seed,
-                frontends=DEFAULT_FRONTENDS,
-            )
-            failures += [
-                f"parity: {line}" for line in parity_failures(parity)
-            ]
-            if args.json:
-                output = json.dumps(
-                    parity_to_json(parity), indent=2, sort_keys=True
-                )
-            else:
-                output = format_parity(parity)
-        elif name == "soak":
-            soak = run_soak(
-                clients=args.clients,
-                seed=args.seed,
-                kind=(args.models or ["lstm"])[0],
-            )
-            failures += [
-                f"soak: {line}" for line in soak_failures(soak)
-            ]
-            if args.json:
-                output = json.dumps(
-                    soak_to_json(soak), indent=2, sort_keys=True
-                )
-            else:
-                output = format_soak(soak)
-        elif name == "profile":
-            profiled = run_profile(
-                kinds=tuple(args.models or ("elm", "lstm")),
-                inferences=args.inferences,
-                seed=args.seed,
-            )
-            if args.json:
-                output = json.dumps(
-                    profile_to_json(profiled), indent=2, sort_keys=True
-                )
-            else:
-                output = format_profile(profiled)
+        result = RUNNERS[name](args)
+        failures += [f"{name}: {line}" for line in result.failures()]
+        if args.json:
+            print(json.dumps(result.to_json(), indent=2, sort_keys=True))
         else:
-            output = format_fig8(
-                run_fig8(
-                    benchmarks=args.benchmarks,
-                    trials=args.trials,
-                    seed=args.seed,
-                )
-            )
-        elapsed = time.perf_counter() - start
-        print(output)
-        if not (name in _JSON_EXPERIMENTS and args.json):
-            # Keep --json output a single valid JSON document.
-            print(f"[{name}: {elapsed:.1f}s]\n")
+            print(result.format())
+            print(f"[{name}: {time.perf_counter() - start:.1f}s]\n")
     if failures:
         for line in failures:
             print(f"INVARIANT FAILED - {line}", file=sys.stderr)

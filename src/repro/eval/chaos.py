@@ -1,17 +1,15 @@
 """``python -m repro.eval chaos`` — fault-injection sweeps.
 
-Three experiments, all seeded and fully deterministic:
+Five experiments, all seeded and fully deterministic:
 
-1. **Decoder recovery** — a PTM packet stream is TPIU-framed, then
-   byte-level faults (bit flips, byte drops, frame desyncs) are
-   injected at each swept rate.  The resync-hunting deframer + decoder
-   pair reads the corrupted stream and the experiment reports how much
-   of the branch stream survives and how many re-locks that cost.
-   The same sweep runs against the RISC-V E-Trace grammar (ETP-framed
-   stream, :class:`~repro.frontends.etrace.EtraceDeframer` +
-   :class:`~repro.frontends.etrace.EtraceDecoder`), with an extra
-   truncated-tail decode per point — the byte-fault channels are
-   frontend-neutral and both grammars must recover.
+1. **Decoder recovery** — per trace grammar, the frontend's driver
+   encodes and frames a branch stream, then byte-level faults (bit
+   flips, byte drops, frame desyncs) are injected at each swept rate.
+   The frontend's resync-hunting deframer + decoder pair reads the
+   corrupted stream and the experiment reports how much of the branch
+   stream survives and how many re-locks that cost, plus a decode of
+   the same stream with its tail torn off.  The byte-fault channels
+   are frontend-neutral and every grammar must recover.
 2. **Dataplane degradation** — the demo SoC runs the same trace under
    event-drop / event-corrupt / FIFO-overflow plans at each rate; the
    anomaly judgments of surviving inferences are compared one-to-one
@@ -22,24 +20,27 @@ Three experiments, all seeded and fully deterministic:
    is re-admitted; on quarantined rounds the healthy tenants' records
    are compared *exactly* (scores, timestamps) against a fault-free
    reference manager running without the quarantined neighbour.
+4. **Connection faults** — seeded connection-level faults at the
+   ingestion front door must not poison a clean neighbour
+   (:func:`run_connection_chaos`).
+5. **Fleet kill** — a worker process is killed with ``kill -9``
+   mid-round (:func:`repro.eval.fleet.run_fleet_chaos`).
 
 The rate=0 points double as no-op proofs: a plan whose channels all
 have rate 0 must leave every output identical to no plan at all.
+:meth:`ChaosResult.checks` declares every invariant.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.coresight.decoder import DecodedBranch, PftDecoder
-from repro.coresight.ptm import Ptm, PtmConfig
-from repro.coresight.tpiu import DEFAULT_SOURCE_ID, Tpiu, TpiuDeframer
-from repro.eval.recovery import record_signature
-from repro.eval.report import format_table
+from repro.eval.fleet import FleetChaosResult, run_fleet_chaos
+from repro.eval.report import Check, Report, record_signature, verdict_flags
 from repro.faults.injectors import StreamFaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
-from repro.mcm.mcm import InferenceRecord
+from repro.frontends import TraceFrontend, get_frontend
 from repro.obs import MetricsRegistry
 from repro.soc.manager import HealthPolicy
 
@@ -70,152 +71,17 @@ class DecoderChaosPoint:
     frame_resyncs: int
     decoder_resyncs: int
     truncated: int
+    #: A decode of the same corrupted stream with its last
+    #: ``torn_tail_bytes`` chopped off: the receivers must absorb the
+    #: truncation as a counted event, never an exception.
+    torn_tail_bytes: int
+    torn_recovered_branches: int
+    torn_truncated: int
 
 
-def _framed_demo_stream(
-    events: int, seed: int
-) -> Tuple[bytes, int]:
-    """A framed PTM stream plus its clean-decode branch count."""
-    from repro.eval.metrics import demo_events
-
-    ptm = Ptm(PtmConfig(sync_interval_bytes=128))
-    tpiu = Tpiu(sync_period=4)
-    stream = bytearray()
-    for event in demo_events("lstm", seed, events, run_label="chaos-decoder"):
-        stream += tpiu.push(ptm.feed(event))
-    stream += tpiu.push(ptm.flush())
-    stream += tpiu.flush()
-    framed = bytes(stream)
-    clean = _decode_framed(framed)
-    return framed, clean.recovered_branches
-
-
-def _decode_framed(framed: bytes) -> "DecoderChaosPoint":
-    """Run the resync-hunting receiver pair over a framed stream."""
-    deframer = TpiuDeframer(
-        expected_source_id=DEFAULT_SOURCE_ID, resync_hunt=True
-    )
-    decoder = PftDecoder(strict=False, resync_hunt=True)
-    payload = deframer.push(framed)
-    items = list(decoder.feed(payload))
-    items += decoder.finish()
-    branches = sum(1 for i in items if isinstance(i, DecodedBranch))
-    return DecoderChaosPoint(
-        rate=0.0,
-        stream_bytes=len(framed),
-        clean_branches=0,
-        recovered_branches=branches,
-        recovered_fraction=0.0,
-        bytes_flipped=0,
-        bytes_dropped=0,
-        desyncs=0,
-        frame_resyncs=deframer.frame_resyncs,
-        decoder_resyncs=decoder.resyncs,
-        truncated=decoder.truncated,
-    )
-
-
-@dataclass
-class EtraceDecoderChaosPoint(DecoderChaosPoint):
-    """E-Trace sweep point: adds a torn-tail decode of the same
-    corrupted stream (last ``torn_tail_bytes`` chopped off) — the
-    deframer/decoder must absorb the truncation as a counted
-    :class:`~repro.frontends.etrace.EtraceTruncation`, never an
-    exception."""
-
-    torn_tail_bytes: int = 0
-    torn_recovered_branches: int = 0
-    torn_truncated: int = 0
-
-
-#: Bytes chopped off for the E-Trace torn-tail decode: enough to cut
-#: inside an ETP frame *and* inside the packet it carries.
-_ETRACE_TORN_TAIL = 9
-
-
-def _framed_etrace_stream(events: int, seed: int) -> Tuple[bytes, int]:
-    """A framed E-Trace stream plus its clean-decode branch count."""
-    from repro.eval.metrics import demo_events
-    from repro.frontends.etrace import (
-        EtraceConfig,
-        EtraceEncoder,
-        EtraceFramer,
-    )
-
-    encoder = EtraceEncoder(EtraceConfig(sync_interval_bytes=128))
-    framer = EtraceFramer(sync_period=4)
-    stream = bytearray()
-    for event in demo_events(
-        "lstm", seed, events, run_label="chaos-decoder"
-    ):
-        stream += framer.push(encoder.feed(event))
-    stream += framer.push(encoder.flush())
-    stream += framer.flush()
-    framed = bytes(stream)
-    clean = _decode_etrace(framed)
-    return framed, clean.recovered_branches
-
-
-def _decode_etrace(framed: bytes) -> "EtraceDecoderChaosPoint":
-    """Run the resync-hunting E-Trace receiver pair over a stream."""
-    from repro.frontends.etrace import (
-        EtraceBranch,
-        EtraceDecoder,
-        EtraceDeframer,
-    )
-
-    deframer = EtraceDeframer(resync_hunt=True)
-    decoder = EtraceDecoder(strict=False, resync_hunt=True)
-    payload = deframer.push(framed)
-    items = list(decoder.feed(payload))
-    items += decoder.finish()
-    branches = sum(1 for i in items if isinstance(i, EtraceBranch))
-    return EtraceDecoderChaosPoint(
-        rate=0.0,
-        stream_bytes=len(framed),
-        clean_branches=0,
-        recovered_branches=branches,
-        recovered_fraction=0.0,
-        bytes_flipped=0,
-        bytes_dropped=0,
-        desyncs=0,
-        frame_resyncs=deframer.frame_resyncs,
-        decoder_resyncs=decoder.resyncs,
-        truncated=decoder.truncated,
-    )
-
-
-def run_etrace_decoder_sweep(
-    rates: Sequence[float], events: int, seed: int
-) -> List[EtraceDecoderChaosPoint]:
-    """The decoder-recovery sweep, E-Trace grammar.
-
-    Same byte-fault plan as the CoreSight sweep; each point also
-    decodes the corrupted stream with its tail torn off to prove the
-    truncation path is a counted event, not a crash.
-    """
-    framed, clean_branches = _framed_etrace_stream(events, seed)
-    points = []
-    for rate in rates:
-        injector = StreamFaultInjector(byte_fault_plan(rate, seed))
-        corrupted = injector.feed(framed)
-        point = _decode_etrace(corrupted)
-        point.rate = rate
-        point.clean_branches = clean_branches
-        point.recovered_fraction = (
-            point.recovered_branches / clean_branches
-            if clean_branches
-            else 1.0
-        )
-        point.bytes_flipped = injector.flipped
-        point.bytes_dropped = injector.dropped
-        point.desyncs = injector.desyncs
-        torn = _decode_etrace(corrupted[:-_ETRACE_TORN_TAIL])
-        point.torn_tail_bytes = _ETRACE_TORN_TAIL
-        point.torn_recovered_branches = torn.recovered_branches
-        point.torn_truncated = torn.truncated
-        points.append(point)
-    return points
+#: Bytes chopped off for the torn-tail decode: enough to cut inside a
+#: frame *and* inside the packet it carries.
+_TORN_TAIL = 9
 
 
 def byte_fault_plan(rate: float, seed: int) -> FaultPlan:
@@ -232,26 +98,83 @@ def byte_fault_plan(rate: float, seed: int) -> FaultPlan:
     )
 
 
+def _sweep_frontend(name: str) -> TraceFrontend:
+    """A frontend syncing every 128 trace bytes and every 4 frames, so
+    the hunting receivers re-lock soon after damage."""
+    from repro.coresight.ptm import PtmConfig
+    from repro.frontends.etrace import EtraceConfig
+
+    configs = {
+        "coresight": {"ptm_config": PtmConfig(sync_interval_bytes=128)},
+        "etrace": {"etrace_config": EtraceConfig(sync_interval_bytes=128)},
+    }
+    return get_frontend(name, sync_period=4, **configs[name])
+
+
+def _decode(
+    frontend: TraceFrontend, stream: bytes
+) -> Tuple[int, int, int, int]:
+    """Branches, frame resyncs, decoder resyncs and truncations of the
+    resync-hunting receiver pair over ``stream``."""
+    deframer = frontend.new_deframer(resync_hunt=True)
+    decoder = frontend.new_decoder(strict=False, resync_hunt=True)
+    items = list(decoder.feed(deframer.push(stream)))
+    items += decoder.finish()
+    # Branches are the only decoded items with a syscall flag, in
+    # every grammar (the same predicate repro.serve decodes with).
+    branches = sum(1 for item in items if hasattr(item, "is_syscall"))
+    return (
+        branches,
+        deframer.frame_resyncs,
+        decoder.resyncs,
+        decoder.truncated,
+    )
+
+
 def run_decoder_sweep(
-    rates: Sequence[float], events: int, seed: int
+    frontend_name: str, rates: Sequence[float], events: int, seed: int
 ) -> List[DecoderChaosPoint]:
-    framed, clean_branches = _framed_demo_stream(events, seed)
+    """The decoder-recovery sweep over one trace grammar."""
+    from repro.eval.metrics import demo_events
+
+    frontend = _sweep_frontend(frontend_name)
+    driver = frontend.create_driver()
+    driver.enable()
+    stream = driver.trace_all(
+        demo_events("lstm", seed, events, run_label="chaos-decoder")
+    )
+    stream += driver.flush()
+    clean_branches = _decode(frontend, stream)[0]
     points = []
     for rate in rates:
         injector = StreamFaultInjector(byte_fault_plan(rate, seed))
-        corrupted = injector.feed(framed)
-        point = _decode_framed(corrupted)
-        point.rate = rate
-        point.clean_branches = clean_branches
-        point.recovered_fraction = (
-            point.recovered_branches / clean_branches
-            if clean_branches
-            else 1.0
+        corrupted = injector.feed(stream)
+        branches, frame_resyncs, decoder_resyncs, truncated = _decode(
+            frontend, corrupted
         )
-        point.bytes_flipped = injector.flipped
-        point.bytes_dropped = injector.dropped
-        point.desyncs = injector.desyncs
-        points.append(point)
+        torn_branches, _, _, torn_truncated = _decode(
+            frontend, corrupted[:-_TORN_TAIL]
+        )
+        points.append(
+            DecoderChaosPoint(
+                rate=rate,
+                stream_bytes=len(corrupted),
+                clean_branches=clean_branches,
+                recovered_branches=branches,
+                recovered_fraction=(
+                    branches / clean_branches if clean_branches else 1.0
+                ),
+                bytes_flipped=injector.flipped,
+                bytes_dropped=injector.dropped,
+                desyncs=injector.desyncs,
+                frame_resyncs=frame_resyncs,
+                decoder_resyncs=decoder_resyncs,
+                truncated=truncated,
+                torn_tail_bytes=_TORN_TAIL,
+                torn_recovered_branches=torn_branches,
+                torn_truncated=torn_truncated,
+            )
+        )
     return points
 
 
@@ -286,14 +209,6 @@ def dataplane_fault_plan(rate: float, seed: int) -> FaultPlan:
     )
 
 
-def _flag_map(records: Sequence[InferenceRecord]) -> Dict[int, bool]:
-    return {
-        r.sequence_number: bool(r.anomalous)
-        for r in records
-        if r.anomalous is not None
-    }
-
-
 def run_dataplane_sweep(
     rates: Sequence[float], events: int, seed: int, kind: str = "lstm"
 ) -> List[DataplaneChaosPoint]:
@@ -302,7 +217,17 @@ def run_dataplane_sweep(
     stream = demo_events(kind, seed, events, run_label="chaos-dataplane")
     baseline_soc = build_demo_soc(kind, seed=seed)
     baseline = list(baseline_soc.run_events(stream))
-    baseline_flags = _flag_map(baseline)
+
+    def flag_map(records) -> Dict[int, bool]:
+        # Keyed by sequence number: the sweep measures which
+        # inferences survive the faults, then how many still agree.
+        return {
+            r.sequence_number: bool(r.anomalous)
+            for r in records
+            if r.anomalous is not None
+        }
+
+    baseline_flags = flag_map(baseline)
     points = []
     for rate in rates:
         registry = MetricsRegistry()
@@ -313,10 +238,13 @@ def run_dataplane_sweep(
             fault_plan=dataplane_fault_plan(rate, seed),
         )
         records = list(soc.run_events(stream))
-        flags = _flag_map(records)
+        flags = flag_map(records)
         matched = [s for s in flags if s in baseline_flags]
         agree = sum(1 for s in matched if flags[s] == baseline_flags[s])
-        counters = registry.snapshot()["counters"]
+
+        def count(name: str) -> int:
+            return registry.counter(f"faults.{name}").value
+
         points.append(
             DataplaneChaosPoint(
                 rate=rate,
@@ -327,18 +255,10 @@ def run_dataplane_sweep(
                     agree / len(matched) if matched else 1.0
                 ),
                 interrupts=soc.mcm.interrupts.count,
-                events_dropped=int(
-                    counters.get("faults.events.dropped", 0)
-                ),
-                events_duplicated=int(
-                    counters.get("faults.events.duplicated", 0)
-                ),
-                events_corrupted=int(
-                    counters.get("faults.events.corrupted", 0)
-                ),
-                vectors_dropped=int(
-                    counters.get("faults.vectors.dropped", 0)
-                ),
+                events_dropped=count("events.dropped"),
+                events_duplicated=count("events.duplicated"),
+                events_corrupted=count("events.corrupted"),
+                vectors_dropped=count("vectors.dropped"),
             )
         )
     return points
@@ -417,6 +337,7 @@ def run_quarantine_scenario(
         stall_rate=stall_rate,
         deadline_us=deadline_us,
     )
+    skipped_rounds = registry.counter("socmgr.health.skipped_rounds")
     for round_index in range(_QUARANTINE_ROUNDS):
         traces = {
             name: demo_events(
@@ -427,18 +348,9 @@ def run_quarantine_scenario(
             )
             for name in names
         }
-        skips_before = int(
-            registry.snapshot()["counters"].get(
-                "socmgr.health.skipped_rounds", 0
-            )
-        )
+        skips_before = skipped_rounds.value
         records = manager.run_events(traces)
-        skips_after = int(
-            registry.snapshot()["counters"].get(
-                "socmgr.health.skipped_rounds", 0
-            )
-        )
-        skipped = skips_after > skips_before
+        skipped = skipped_rounds.value > skips_before
         healthy_identical: Optional[bool] = None
         if skipped:
             # The invariant under test: a quarantined neighbour is
@@ -473,16 +385,9 @@ def run_quarantine_scenario(
                 healthy_identical=healthy_identical,
             )
         )
-    counters = registry.snapshot()["counters"]
-    result.quarantines = int(
-        counters.get("socmgr.health.quarantines", 0)
-    )
-    result.readmissions = int(
-        counters.get("socmgr.health.readmissions", 0)
-    )
-    result.cancelled = int(
-        counters.get("mcm.arbiter.watchdog.cancelled", 0)
-    )
+    result.quarantines = registry.counter("socmgr.health.quarantines").value
+    result.readmissions = registry.counter("socmgr.health.readmissions").value
+    result.cancelled = registry.counter("mcm.arbiter.watchdog.cancelled").value
     return result
 
 
@@ -492,7 +397,7 @@ def run_quarantine_scenario(
 
 
 @dataclass
-class ConnectionChaosResult:
+class ConnectionChaosResult(Report):
     """One deterministic run of the front-door connection sweep.
 
     Five tenants share one :class:`~repro.serve.IngestServer`; four of
@@ -531,6 +436,45 @@ class ConnectionChaosResult:
     healthy_always_identical: bool = True
     recovered_clean: bool = True
 
+    def checks(self) -> Iterator[Check]:
+        yield self.healthy_always_identical, (
+            "connection: the clean tenant's verdict flags diverged "
+            "from the fault-free reference"
+        )
+        yield self.recovered_clean, (
+            "connection: a recovery round (clean traffic everywhere) "
+            "still diverged from the reference"
+        )
+        yield not self.dataplane_crashes, (
+            f"connection: {self.dataplane_crashes} dataplane crash(es) "
+            "during drain"
+        )
+        for label, count in (
+            ("slow-loris", self.slow_frames),
+            ("disconnect", self.disconnects),
+            ("corrupt", self.corrupted_frames),
+            ("flood", self.flood_frames),
+        ):
+            yield count >= 1, f"connection: the {label} channel never fired"
+        counters = self.server_counters
+        yield counters.get("serve.clients.disconnected_midframe", 0) >= 1, (
+            "connection: the server never observed a mid-frame "
+            "disconnect"
+        )
+        yield counters.get("serve.decode.errors", 0) >= 1, (
+            "connection: corrupted frames never reached the server's "
+            "CRC check"
+        )
+        yield self.breaker_trips >= 1, (
+            "connection: no circuit breaker ever tripped under the "
+            "flood"
+        )
+        yield self.healthy_acks == self.healthy_frames, (
+            "connection: the clean tenant saw "
+            f"{self.healthy_acks} acks for {self.healthy_frames} frames "
+            "(must be acked 1:1 — overload collateral)"
+        )
+
 
 _CONN_TENANTS = 5
 _CONN_HEALTHY = "tenant0"
@@ -563,14 +507,12 @@ def run_connection_chaos(
 
     from repro.eval.metrics import build_demo_manager, demo_events
     from repro.faults.connection import ConnectionFaultInjector
-    from repro.faults.plan import FaultSpec
     from repro.errors import ServeError
     from repro.serve import (
         IngestServer,
         ServeConfig,
         SimulatedClient,
     )
-    from repro.frontends import get_frontend
 
     per_round = max(100, events // (rounds + recovery_rounds) // 4)
     manager = build_demo_manager(_CONN_TENANTS, kind=kind, seed=seed)
@@ -706,11 +648,9 @@ def run_connection_chaos(
             ref_records = reference.run_events(
                 {_CONN_HEALTHY: healthy_stream}
             )
-            live = _flag_map(
+            identical = verdict_flags(
                 server.last_records.get(_CONN_HEALTHY, [])
-            )
-            ref = _flag_map(ref_records[_CONN_HEALTHY])
-            identical = live == ref
+            ) == verdict_flags(ref_records[_CONN_HEALTHY])
             result.healthy_round_flags.append(identical)
             result.healthy_always_identical &= identical
             if recovery and not identical:
@@ -753,24 +693,83 @@ def run_connection_chaos(
 
 
 # ----------------------------------------------------------------------
-# Driver + reporting
+# Driver
 # ----------------------------------------------------------------------
 
 
 @dataclass
-class ChaosResult:
+class ChaosResult(Report):
     rates: Tuple[float, ...]
     events: int
     seed: int
     decoder: List[DecoderChaosPoint]
     dataplane: List[DataplaneChaosPoint]
     quarantine: QuarantineChaosResult
-    decoder_etrace: List[EtraceDecoderChaosPoint] = field(
-        default_factory=list
-    )
-    quarantine_etrace: Optional[QuarantineChaosResult] = None
-    connection: Optional[ConnectionChaosResult] = None
-    fleet: Optional["FleetChaosResult"] = None
+    decoder_etrace: List[DecoderChaosPoint]
+    quarantine_etrace: QuarantineChaosResult
+    connection: ConnectionChaosResult
+    fleet: FleetChaosResult
+
+    def checks(self) -> Iterator[Check]:
+        """The invariants the experiments exist to demonstrate: rate-0
+        points are no-op proofs (perfect recovery, byte-identical
+        detection, zero injected faults), and quarantine must both
+        fire and leave healthy tenants' records untouched."""
+        for label, points in (
+            ("decoder", self.decoder),
+            ("decoder[etrace]", self.decoder_etrace),
+        ):
+            for point in points:
+                yield (
+                    point.rate != 0.0
+                    or point.recovered_branches == point.clean_branches,
+                    f"{label}: rate-0 run recovered "
+                    f"{point.recovered_branches}/{point.clean_branches} "
+                    "branches (must be all)",
+                )
+                yield (
+                    point.torn_recovered_branches
+                    <= point.recovered_branches,
+                    f"{label}: torn-tail decode recovered more "
+                    "branches than the full stream",
+                )
+        for point in self.dataplane:
+            if point.rate != 0.0:
+                continue
+            yield point.inferences == point.baseline_inferences, (
+                "dataplane: rate-0 run produced "
+                f"{point.inferences} inferences vs baseline "
+                f"{point.baseline_inferences}"
+            )
+            yield point.flag_agreement == 1.0, (
+                "dataplane: rate-0 run disagreed with baseline flags "
+                f"(agreement {point.flag_agreement:.3f})"
+            )
+            injected = (
+                point.events_dropped
+                + point.events_duplicated
+                + point.events_corrupted
+                + point.vectors_dropped
+            )
+            yield not injected, (
+                f"dataplane: rate-0 run injected {injected} faults"
+            )
+        for label, q in (
+            ("quarantine", self.quarantine),
+            ("quarantine[etrace]", self.quarantine_etrace),
+        ):
+            yield q.healthy_always_identical, (
+                f"{label}: healthy tenants' records diverged from the "
+                "fault-free reference"
+            )
+            yield q.quarantines >= 1, (
+                f"{label}: the faulty tenant was never quarantined"
+            )
+            yield q.readmissions >= 1, (
+                f"{label}: the quarantined tenant was never re-admitted"
+            )
+        yield from self.connection.checks()
+        yield from self.fleet.checks()
 
 
 def run_chaos(
@@ -788,8 +787,6 @@ def run_chaos(
     with a real ``kill -9`` mid-round and proves the supervisor's
     recovery lost and perturbed nothing.
     """
-    from repro.eval.fleet import run_fleet_chaos
-
     for rate in rates:
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"fault rate must be in [0, 1], got {rate}")
@@ -797,323 +794,13 @@ def run_chaos(
         rates=tuple(rates),
         events=events,
         seed=seed,
-        decoder=run_decoder_sweep(rates, events, seed),
+        decoder=run_decoder_sweep("coresight", rates, events, seed),
         dataplane=run_dataplane_sweep(rates, events, seed, kind=kind),
         quarantine=run_quarantine_scenario(events, seed, kind=kind),
-        decoder_etrace=run_etrace_decoder_sweep(rates, events, seed),
+        decoder_etrace=run_decoder_sweep("etrace", rates, events, seed),
         quarantine_etrace=run_quarantine_scenario(
             events, seed, kind=kind, frontend="etrace"
         ),
         connection=run_connection_chaos(events, seed, kind=kind),
         fleet=run_fleet_chaos(events, seed, kind=kind),
     )
-
-
-def format_chaos(result: ChaosResult) -> str:
-    decoder = format_table(
-        ["rate", "flip", "drop", "desync", "branches", "recovered",
-         "frame rs", "dec rs", "trunc"],
-        [
-            (
-                f"{p.rate:g}",
-                p.bytes_flipped,
-                p.bytes_dropped,
-                p.desyncs,
-                f"{p.recovered_branches}/{p.clean_branches}",
-                f"{p.recovered_fraction:.3f}",
-                p.frame_resyncs,
-                p.decoder_resyncs,
-                p.truncated,
-            )
-            for p in result.decoder
-        ],
-        title="chaos: decoder recovery under byte corruption (coresight)",
-    )
-    decoder_etrace = format_table(
-        ["rate", "flip", "drop", "desync", "branches", "recovered",
-         "frame rs", "dec rs", "trunc", "torn rec", "torn trunc"],
-        [
-            (
-                f"{p.rate:g}",
-                p.bytes_flipped,
-                p.bytes_dropped,
-                p.desyncs,
-                f"{p.recovered_branches}/{p.clean_branches}",
-                f"{p.recovered_fraction:.3f}",
-                p.frame_resyncs,
-                p.decoder_resyncs,
-                p.truncated,
-                p.torn_recovered_branches,
-                p.torn_truncated,
-            )
-            for p in result.decoder_etrace
-        ],
-        title="chaos: decoder recovery under byte corruption (etrace)",
-    )
-    dataplane = format_table(
-        ["rate", "inferences", "baseline", "matched", "agreement",
-         "ev drop", "ev dup", "ev corr", "vec drop"],
-        [
-            (
-                f"{p.rate:g}",
-                p.inferences,
-                p.baseline_inferences,
-                p.matched,
-                f"{p.flag_agreement:.3f}",
-                p.events_dropped,
-                p.events_duplicated,
-                p.events_corrupted,
-                p.vectors_dropped,
-            )
-            for p in result.dataplane
-        ],
-        title="chaos: detection degradation under dataplane faults",
-    )
-    sections = [decoder, decoder_etrace, dataplane]
-    sections.append(
-        _format_quarantine(result.quarantine, "coresight")
-    )
-    if result.quarantine_etrace is not None:
-        sections.append(
-            _format_quarantine(result.quarantine_etrace, "etrace")
-        )
-    if result.connection is not None:
-        sections.append(_format_connection(result.connection))
-    if result.fleet is not None:
-        from repro.eval.fleet import format_fleet_chaos
-
-        sections.append(format_fleet_chaos(result.fleet))
-    return "\n\n".join(sections)
-
-
-def _format_connection(c: ConnectionChaosResult) -> str:
-    counters = c.server_counters
-    rows = [
-        ("slow-loris frames (tenant1, raw coresight)", c.slow_frames),
-        ("mid-frame disconnects (tenant2, raw etrace)", c.disconnects),
-        ("corrupted frames (tenant3)", c.corrupted_frames),
-        ("burst floods (tenant4)", c.flood_frames),
-        ("server: midframe disconnects seen",
-         counters.get("serve.clients.disconnected_midframe", 0)),
-        ("server: decode errors (CRC)",
-         counters.get("serve.decode.errors", 0)),
-        ("server: frames shed (rate_limited)",
-         counters.get("serve.shed.rate_limited", 0)),
-        ("server: frames shed (sampled)",
-         counters.get("serve.shed.sampled", 0)),
-        ("server: breaker trips", c.breaker_trips),
-        ("flood responses / logical frames",
-         f"{c.flood_responses}/{c.flood_logical_frames}"),
-        ("healthy acks / frames",
-         f"{c.healthy_acks}/{c.healthy_frames}"),
-        ("dataplane crashes", c.dataplane_crashes),
-    ]
-    return format_table(
-        ["channel / invariant", "count"],
-        rows,
-        title=(
-            f"chaos: connection faults at the front door "
-            f"(rate {c.fault_rate:g}, {c.rounds}+{c.recovery_rounds} "
-            f"rounds; healthy identical: "
-            f"{'yes' if c.healthy_always_identical else 'NO'}, "
-            f"recovered clean: "
-            f"{'yes' if c.recovered_clean else 'NO'})"
-        ),
-    )
-
-
-def _format_quarantine(
-    q: QuarantineChaosResult, frontend: str
-) -> str:
-    return format_table(
-        ["round", "health", "records", "trips", "skipped", "identical"],
-        [
-            (
-                r.round,
-                " ".join(
-                    f"{name}={state}" for name, state in r.health.items()
-                ),
-                " ".join(
-                    f"{name}={count}"
-                    for name, count in r.records.items()
-                ),
-                r.watchdog_trips,
-                "yes" if r.skipped else "no",
-                "-" if r.healthy_identical is None
-                else ("yes" if r.healthy_identical else "NO"),
-            )
-            for r in q.rounds
-        ],
-        title=(
-            f"chaos: quarantine of {q.faulty_tenant} ({frontend}) "
-            f"(stall rate {q.stall_rate:g}, deadline {q.deadline_us:g} us; "
-            f"{q.quarantines} quarantines, {q.readmissions} readmissions, "
-            f"{q.cancelled} watchdog cancels, healthy identical: "
-            f"{'yes' if q.healthy_always_identical else 'NO'})"
-        ),
-    )
-
-
-def chaos_failures(result: ChaosResult) -> List[str]:
-    """Violated sweep invariants, as human-readable strings.
-
-    An empty list means the sweep passed.  The invariants are the ones
-    the experiments exist to demonstrate: rate-0 points are no-op
-    proofs (perfect recovery, byte-identical detection, zero injected
-    faults), and quarantine must both fire and leave healthy tenants'
-    records untouched.  ``python -m repro.eval chaos`` exits non-zero
-    when any of these fail.
-    """
-    failures: List[str] = []
-    for point in result.decoder:
-        if point.rate == 0.0 and (
-            point.recovered_branches != point.clean_branches
-        ):
-            failures.append(
-                "decoder: rate-0 run recovered "
-                f"{point.recovered_branches}/{point.clean_branches} "
-                "branches (must be all)"
-            )
-    for point in result.decoder_etrace:
-        if point.rate == 0.0 and (
-            point.recovered_branches != point.clean_branches
-        ):
-            failures.append(
-                "decoder[etrace]: rate-0 run recovered "
-                f"{point.recovered_branches}/{point.clean_branches} "
-                "branches (must be all)"
-            )
-        if point.torn_recovered_branches > point.recovered_branches:
-            failures.append(
-                "decoder[etrace]: torn-tail decode recovered more "
-                "branches than the full stream"
-            )
-    for point in result.dataplane:
-        if point.rate != 0.0:
-            continue
-        if point.inferences != point.baseline_inferences:
-            failures.append(
-                "dataplane: rate-0 run produced "
-                f"{point.inferences} inferences vs baseline "
-                f"{point.baseline_inferences}"
-            )
-        if point.flag_agreement != 1.0:
-            failures.append(
-                "dataplane: rate-0 run disagreed with baseline flags "
-                f"(agreement {point.flag_agreement:.3f})"
-            )
-        injected = (
-            point.events_dropped
-            + point.events_duplicated
-            + point.events_corrupted
-            + point.vectors_dropped
-        )
-        if injected:
-            failures.append(
-                f"dataplane: rate-0 run injected {injected} faults"
-            )
-    scenarios = [("quarantine", result.quarantine)]
-    if result.quarantine_etrace is not None:
-        scenarios.append(
-            ("quarantine[etrace]", result.quarantine_etrace)
-        )
-    for label, q in scenarios:
-        if not q.healthy_always_identical:
-            failures.append(
-                f"{label}: healthy tenants' records diverged from the "
-                "fault-free reference"
-            )
-        if q.quarantines < 1:
-            failures.append(
-                f"{label}: the faulty tenant was never quarantined"
-            )
-        if q.readmissions < 1:
-            failures.append(
-                f"{label}: the quarantined tenant was never re-admitted"
-            )
-    if result.connection is not None:
-        failures.extend(_connection_failures(result.connection))
-    if result.fleet is not None:
-        from repro.eval.fleet import fleet_chaos_failures
-
-        failures.extend(fleet_chaos_failures(result.fleet))
-    return failures
-
-
-def _connection_failures(c: ConnectionChaosResult) -> List[str]:
-    failures: List[str] = []
-    if not c.healthy_always_identical:
-        failures.append(
-            "connection: the clean tenant's verdict flags diverged "
-            "from the fault-free reference"
-        )
-    if not c.recovered_clean:
-        failures.append(
-            "connection: a recovery round (clean traffic everywhere) "
-            "still diverged from the reference"
-        )
-    if c.dataplane_crashes:
-        failures.append(
-            f"connection: {c.dataplane_crashes} dataplane crash(es) "
-            "during drain"
-        )
-    for label, count in (
-        ("slow-loris", c.slow_frames),
-        ("disconnect", c.disconnects),
-        ("corrupt", c.corrupted_frames),
-        ("flood", c.flood_frames),
-    ):
-        if count < 1:
-            failures.append(
-                f"connection: the {label} channel never fired"
-            )
-    counters = c.server_counters
-    if counters.get("serve.clients.disconnected_midframe", 0) < 1:
-        failures.append(
-            "connection: the server never observed a mid-frame "
-            "disconnect"
-        )
-    if counters.get("serve.decode.errors", 0) < 1:
-        failures.append(
-            "connection: corrupted frames never reached the server's "
-            "CRC check"
-        )
-    if c.breaker_trips < 1:
-        failures.append(
-            "connection: no circuit breaker ever tripped under the "
-            "flood"
-        )
-    if c.healthy_acks != c.healthy_frames:
-        failures.append(
-            "connection: the clean tenant saw "
-            f"{c.healthy_acks} acks for {c.healthy_frames} frames "
-            "(must be acked 1:1 — overload collateral)"
-        )
-    return failures
-
-
-def chaos_to_json(result: ChaosResult) -> Dict[str, object]:
-    """JSON document mirroring :func:`format_chaos`."""
-    return {
-        "rates": list(result.rates),
-        "events": result.events,
-        "seed": result.seed,
-        "decoder": [asdict(p) for p in result.decoder],
-        "decoder_etrace": [asdict(p) for p in result.decoder_etrace],
-        "dataplane": [asdict(p) for p in result.dataplane],
-        "quarantine": asdict(result.quarantine),
-        "quarantine_etrace": (
-            asdict(result.quarantine_etrace)
-            if result.quarantine_etrace is not None
-            else None
-        ),
-        "connection": (
-            asdict(result.connection)
-            if result.connection is not None
-            else None
-        ),
-        "fleet": (
-            asdict(result.fleet) if result.fleet is not None else None
-        ),
-        "failures": chaos_failures(result),
-    }

@@ -18,15 +18,22 @@ Two entry points, both deterministic:
   pid, restarts, tenants hosted), and the counter conservation law
   ``fleet.rounds.admitted == sum(per-shard fresh rounds) +
   fleet.rounds.replayed`` — violated conservation is a non-zero exit.
+
+Both results check the same two conservation laws (:func:`_laws`):
+rounds admitted == fresh + replayed, and transport bytes staged ==
+consumed + discarded.  Every fleet run journals under a temporary
+directory that is removed when the run ends.
 """
 
 from __future__ import annotations
 
+import shutil
 import tempfile
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.eval.report import format_table
+from repro.eval.report import Check, Report, verdict_flags
 
 #: Fleet-experiment shape: 4 demo tenants over 2 shards.
 FLEET_TENANTS = 4
@@ -42,14 +49,153 @@ def _tenant_names(count: int) -> List[str]:
     return [f"tenant{index}" for index in range(count)]
 
 
-def _flags(records) -> List[tuple]:
-    """Verdict flags of one tenant-round, in record order: the
-    bit-level unit the chaos invariants compare (anomalous flag and
-    exact float score).  Sequence numbers and timestamps are
-    engine-local (a shard's private engine numbers its dispatches
-    differently than the solo reference's shared engine), so they are
-    deliberately not part of the verdict."""
-    return [(bool(r.anomalous), float(r.score)) for r in records]
+@contextmanager
+def _fleet(label: str, config) -> Iterator[object]:
+    """A demo fleet journaling under a temporary directory that is
+    removed once the fleet has shut down."""
+    from repro.fleet import FleetCoordinator, demo_factory
+
+    journal_root = tempfile.mkdtemp(prefix=f"repro-fleet-{label}-")
+    try:
+        with FleetCoordinator(
+            demo_factory,
+            _tenant_names(FLEET_TENANTS),
+            journal_root,
+            config,
+        ) as fleet:
+            yield fleet
+    finally:
+        shutil.rmtree(journal_root, ignore_errors=True)
+
+
+# ----------------------------------------------------------------------
+# The two conservation laws, shared by both results
+# ----------------------------------------------------------------------
+
+
+def _ledger(transport_stats: Dict[str, int]) -> Tuple[int, int, int]:
+    """Transport bytes (staged, consumed, discarded)."""
+    staged, consumed, discarded = (
+        int(transport_stats.get(f"fleet.transport.bytes.{term}", 0))
+        for term in ("staged", "consumed", "discarded")
+    )
+    return staged, consumed, discarded
+
+
+def _laws(
+    counters: Dict[str, int], transport_stats: Dict[str, int]
+) -> Dict[str, object]:
+    """Both laws' round terms and verdicts, keyed by result field."""
+    admitted = int(counters.get("fleet.rounds.admitted", 0))
+    fresh = sum(
+        value
+        for name, value in counters.items()
+        if name.startswith("fleet.shard.") and name.endswith(".rounds")
+    )
+    replayed = int(counters.get("fleet.rounds.replayed", 0))
+    staged, consumed, discarded = _ledger(transport_stats)
+    return {
+        "rounds_admitted": admitted,
+        "shard_rounds": fresh,
+        "rounds_replayed": replayed,
+        "conservation_ok": admitted == fresh + replayed,
+        "transport_conservation_ok": staged == consumed + discarded,
+    }
+
+
+def _law_checks(
+    result, ledger: Tuple[int, int, int], during: str = ""
+) -> Iterator[Check]:
+    staged, consumed, discarded = ledger
+    yield result.conservation_ok, (
+        "fleet: counter conservation violated — admitted "
+        f"{result.rounds_admitted} != fresh {result.shard_rounds} "
+        f"+ replayed {result.rounds_replayed}"
+    )
+    yield result.transport_conservation_ok, (
+        f"fleet: transport byte conservation violated{during} — "
+        f"staged {staged} != consumed {consumed} + discarded "
+        f"{discarded}"
+    )
+
+
+# ----------------------------------------------------------------------
+# One leg: the same rounds through a solo reference and a fleet
+# ----------------------------------------------------------------------
+
+
+@dataclass
+class _Leg:
+    #: Per tenant, the rounds whose verdict flags diverged from (or
+    #: never reached) the solo fault-free reference.
+    lost_rounds: Dict[str, int]
+    #: Tenants hosted per shard before the first round.
+    shard_tenants: List[List[str]]
+    counters: Dict[str, int]
+    transport_stats: Dict[str, int]
+    transports: Dict[int, str]
+
+    def count(self, name: str) -> int:
+        return int(self.counters.get(f"fleet.{name}", 0))
+
+
+def _round_traces(
+    label: str, events: Dict[str, int], kind: str, seed: int, index: int
+) -> Dict[str, tuple]:
+    """Round ``index`` of a fleet experiment: ``events[name]`` demo
+    branch events per tenant."""
+    from repro.eval.metrics import demo_events
+
+    return {
+        name: demo_events(
+            kind, seed, count, run_label=f"fleet-{label}-{name}-r{index}"
+        )
+        for name, count in events.items()
+    }
+
+
+def _run_leg(
+    label: str,
+    config,
+    events: Dict[str, int],
+    rounds: int,
+    kind: str,
+    seed: int,
+    before_round: Optional[Callable[[object, int], None]] = None,
+) -> _Leg:
+    """Run ``rounds`` on a solo fault-free manager and on a fleet, and
+    compare each tenant-round's :func:`verdict_flags`."""
+    from repro.eval.metrics import build_demo_manager
+
+    names = _tenant_names(FLEET_TENANTS)
+    traces = [
+        _round_traces(label, events, kind, seed, index)
+        for index in range(rounds)
+    ]
+    reference = build_demo_manager(FLEET_TENANTS, kind=kind, seed=seed)
+    solo = []
+    for round_traces in traces:
+        records = reference.run_events(round_traces)
+        solo.append({n: verdict_flags(records.get(n, [])) for n in names})
+    lost = dict.fromkeys(names, 0)
+    with _fleet(label, config) as fleet:
+        shard_tenants = [list(shard.tenants) for shard in fleet.shards]
+        for round_index in range(rounds):
+            if before_round is not None:
+                before_round(fleet, round_index)
+            records = fleet.run_events(traces[round_index])
+            for name in names:
+                lost[name] += (
+                    verdict_flags(records.get(name, []))
+                    != solo[round_index][name]
+                )
+        return _Leg(
+            lost_rounds=lost,
+            shard_tenants=shard_tenants,
+            counters=fleet.counters(),
+            transport_stats=fleet.transport_stats(),
+            transports=fleet.transport_names(),
+        )
 
 
 # ----------------------------------------------------------------------
@@ -58,7 +204,7 @@ def _flags(records) -> List[tuple]:
 
 
 @dataclass
-class FleetChaosResult:
+class FleetChaosResult(Report):
     shards: int
     tenants: int
     rounds: int
@@ -98,6 +244,49 @@ class FleetChaosResult:
     rebalance_tenants_moved: int = 0
     rebalance_identical: bool = True
 
+    def checks(self) -> Iterator[Check]:
+        yield self.restarts >= 1, (
+            "fleet: the killed worker was never restarted"
+        )
+        yield self.survivors_identical, (
+            "fleet: surviving tenants' verdict flags diverged from "
+            "the solo fault-free reference"
+        )
+        yield self.killed_resumed_identical, (
+            "fleet: the killed shard's tenants lost admitted rounds "
+            f"({self.lost_rounds})"
+        )
+        yield self.rounds_refed + self.rounds_reconciled >= 1, (
+            "fleet: the interrupted round was neither re-fed nor "
+            "reconciled"
+        )
+        yield from _law_checks(
+            self,
+            (
+                self.transport_bytes_staged,
+                self.transport_bytes_consumed,
+                self.transport_bytes_discarded,
+            ),
+            during=" across the kill",
+        )
+        shm = "shm" in self.transports.values()
+        yield not shm or self.ring_reinits >= 1, (
+            "fleet: the killed shard's shm ring was never "
+            "re-initialized after recovery"
+        )
+        yield not shm or self.transport_bytes_discarded >= 1, (
+            "fleet: the mid-round kill discarded no staged bytes "
+            "(the in-flight shm slot was not accounted)"
+        )
+        yield self.rebalances >= 1, (
+            "fleet: the load-aware placer never rebalanced the "
+            "imbalanced leg"
+        )
+        yield self.rebalance_identical, (
+            "fleet: rebalanced verdict flags diverged from the solo "
+            "fault-free reference"
+        )
+
 
 def run_fleet_chaos(
     events: int = 6_000,
@@ -115,55 +304,51 @@ def run_fleet_chaos(
     site index dies on every run), rounds are fixed-seed CFG walks,
     and every comparison is exact — no timers, no races.
     """
-    from repro.eval.metrics import build_demo_manager, demo_events
-    from repro.fleet import FleetConfig, FleetCoordinator, demo_factory
+    from repro.fleet import FleetConfig
 
     names = _tenant_names(FLEET_TENANTS)
     per_round = max(200, events // rounds // FLEET_TENANTS)
 
-    def round_traces(round_index: int) -> Dict[str, tuple]:
-        return {
-            name: demo_events(
-                kind,
-                seed,
-                per_round,
-                run_label=f"fleet-chaos-{name}-r{round_index}",
-            )
-            for name in names
-        }
+    def arm(fleet, round_index: int) -> None:
+        if round_index == kill_round:
+            fleet.arm_kill(killed_shard, kill_site, 0)
 
-    # Solo fault-free reference: one manager, all tenants, no fleet,
-    # no kill.  Verdict flags (sequence, anomalous, score) are
-    # engine-topology independent, so this is the reference the
-    # surviving AND recovered tenants must match bit-for-bit.
-    reference = build_demo_manager(FLEET_TENANTS, kind=kind, seed=seed)
-    ref_flags: Dict[str, List[List[tuple]]] = {n: [] for n in names}
-    for round_index in range(rounds):
-        ref_records = reference.run_events(round_traces(round_index))
-        for name in names:
-            ref_flags[name].append(_flags(ref_records.get(name, [])))
-
-    journal_root = tempfile.mkdtemp(prefix="repro-fleet-chaos-")
-    live_flags: Dict[str, List[List[tuple]]] = {n: [] for n in names}
-    with FleetCoordinator(
-        demo_factory,
-        names,
-        journal_root,
+    # Kill leg: the solo reference runs every tenant on one manager
+    # with no kill; the surviving AND recovered tenants must match it
+    # bit-for-bit.
+    kill = _run_leg(
+        "chaos",
         FleetConfig(num_shards=shards),
-    ) as fleet:
-        killed = list(fleet.shards[killed_shard].tenants)
-        survivors = [n for n in names if n not in killed]
-        for round_index in range(rounds):
-            if round_index == kill_round:
-                fleet.arm_kill(killed_shard, kill_site, 0)
-            records = fleet.run_events(round_traces(round_index))
-            for name in names:
-                live_flags[name].append(_flags(records.get(name, [])))
-        counters = fleet.counters()
-        transport_stats = fleet.transport_stats()
-        transports = fleet.transport_names()
-
-    result = FleetChaosResult(
+        dict.fromkeys(names, per_round),
+        rounds,
+        kind,
+        seed,
+        before_round=arm,
+    )
+    # Rebalance leg: load-aware placement under deliberately imbalanced
+    # load.  tenant0 offers 4x the events of its peers, so its shard's
+    # modeled-makespan EWMA exceeds the coldest shard's by far more
+    # than the rebalance ratio once warm-up passes; the placer must
+    # migrate a tenant at a round boundary via the same checkpoint
+    # handoff the crash path uses, and the verdict flags of *every*
+    # tenant must stay bit-identical to the solo reference.
+    rebalance = _run_leg(
+        "rebalance",
+        FleetConfig(
+            num_shards=shards,
+            rebalance_ratio=1.2,
+            rebalance_warmup_rounds=1,
+            rebalance_cooldown_rounds=1,
+        ),
+        {name: 1200 if name == names[0] else 300 for name in names},
+        4,
+        kind,
+        seed,
+    )
+    killed = kill.shard_tenants[killed_shard]
+    stats = kill.transport_stats
+    staged, consumed, discarded = _ledger(stats)
+    return FleetChaosResult(
         shards=shards,
         tenants=FLEET_TENANTS,
         rounds=rounds,
@@ -171,252 +356,27 @@ def run_fleet_chaos(
         kill_site=kill_site,
         killed_shard=killed_shard,
         killed_tenants=killed,
-        surviving_tenants=survivors,
-        restarts=int(counters.get("fleet.restarts", 0)),
-        workers_spawned=int(counters.get("fleet.workers.spawned", 0)),
-        heartbeat_misses=int(
-            counters.get("fleet.heartbeat.misses", 0)
+        surviving_tenants=[n for n in names if n not in killed],
+        restarts=kill.count("restarts"),
+        workers_spawned=kill.count("workers.spawned"),
+        heartbeat_misses=kill.count("heartbeat.misses"),
+        rounds_refed=kill.count("rounds.refed"),
+        rounds_reconciled=kill.count("rounds.reconciled"),
+        lost_rounds=kill.lost_rounds,
+        survivors_identical=not any(
+            kill.lost_rounds[n] for n in names if n not in killed
         ),
-        rounds_refed=int(counters.get("fleet.rounds.refed", 0)),
-        rounds_reconciled=int(
-            counters.get("fleet.rounds.reconciled", 0)
-        ),
-        rounds_replayed=int(counters.get("fleet.rounds.replayed", 0)),
-        rounds_admitted=int(counters.get("fleet.rounds.admitted", 0)),
-        shard_rounds=sum(
-            value
-            for name, value in counters.items()
-            if name.startswith("fleet.shard.")
-            and name.endswith(".rounds")
-        ),
+        killed_resumed_identical=not any(kill.lost_rounds[n] for n in killed),
+        transports=kill.transports,
+        transport_bytes_staged=staged,
+        transport_bytes_consumed=consumed,
+        transport_bytes_discarded=discarded,
+        ring_reinits=int(stats.get("fleet.transport.shm.reinits", 0)),
+        rebalances=rebalance.count("placement.rebalances"),
+        rebalance_tenants_moved=rebalance.count("placement.tenants_moved"),
+        rebalance_identical=not any(rebalance.lost_rounds.values()),
+        **_laws(kill.counters, stats),
     )
-    result.conservation_ok = (
-        result.rounds_admitted
-        == result.shard_rounds + result.rounds_replayed
-    )
-    result.transports = transports
-    result.transport_bytes_staged = int(
-        transport_stats.get("fleet.transport.bytes.staged", 0)
-    )
-    result.transport_bytes_consumed = int(
-        transport_stats.get("fleet.transport.bytes.consumed", 0)
-    )
-    result.transport_bytes_discarded = int(
-        transport_stats.get("fleet.transport.bytes.discarded", 0)
-    )
-    result.transport_conservation_ok = (
-        result.transport_bytes_staged
-        == result.transport_bytes_consumed
-        + result.transport_bytes_discarded
-    )
-    result.ring_reinits = int(
-        transport_stats.get("fleet.transport.shm.reinits", 0)
-    )
-    for name in names:
-        lost = sum(
-            1
-            for round_index in range(rounds)
-            if live_flags[name][round_index]
-            != ref_flags[name][round_index]
-        )
-        result.lost_rounds[name] = lost
-        if lost:
-            if name in survivors:
-                result.survivors_identical = False
-            else:
-                result.killed_resumed_identical = False
-    _run_rebalance_leg(result, seed=seed, kind=kind, shards=shards)
-    return result
-
-
-def _run_rebalance_leg(
-    result: FleetChaosResult,
-    seed: int,
-    kind: str,
-    shards: int,
-    rounds: int = 4,
-    base_events: int = 300,
-) -> None:
-    """Load-aware placement under deliberately imbalanced load.
-
-    ``tenant0`` offers 4x the events of its peers, so its shard's
-    modeled-makespan EWMA exceeds the coldest shard's by far more than
-    the rebalance ratio once warm-up passes; the placer must migrate a
-    tenant at a round boundary via the same checkpoint handoff the
-    crash path uses — and the verdict flags of *every* tenant must
-    stay bit-identical to a solo fault-free reference fed the same
-    traces.
-    """
-    from repro.eval.metrics import build_demo_manager, demo_events
-    from repro.fleet import FleetConfig, FleetCoordinator, demo_factory
-
-    names = _tenant_names(FLEET_TENANTS)
-
-    def round_traces(round_index: int) -> Dict[str, tuple]:
-        return {
-            name: demo_events(
-                kind,
-                seed,
-                base_events * (4 if name == names[0] else 1),
-                run_label=f"fleet-rebalance-{name}-r{round_index}",
-            )
-            for name in names
-        }
-
-    reference = build_demo_manager(FLEET_TENANTS, kind=kind, seed=seed)
-    ref_flags: Dict[str, List[List[tuple]]] = {n: [] for n in names}
-    for round_index in range(rounds):
-        ref_records = reference.run_events(round_traces(round_index))
-        for name in names:
-            ref_flags[name].append(_flags(ref_records.get(name, [])))
-
-    journal_root = tempfile.mkdtemp(prefix="repro-fleet-rebalance-")
-    live_flags: Dict[str, List[List[tuple]]] = {n: [] for n in names}
-    with FleetCoordinator(
-        demo_factory,
-        names,
-        journal_root,
-        FleetConfig(
-            num_shards=shards,
-            rebalance_ratio=1.2,
-            rebalance_warmup_rounds=1,
-            rebalance_cooldown_rounds=1,
-        ),
-    ) as fleet:
-        for round_index in range(rounds):
-            records = fleet.run_events(round_traces(round_index))
-            for name in names:
-                live_flags[name].append(_flags(records.get(name, [])))
-        counters = fleet.counters()
-    result.rebalances = int(
-        counters.get("fleet.placement.rebalances", 0)
-    )
-    result.rebalance_tenants_moved = int(
-        counters.get("fleet.placement.tenants_moved", 0)
-    )
-    result.rebalance_identical = live_flags == ref_flags
-
-
-def format_fleet_chaos(result: FleetChaosResult) -> str:
-    rows = [
-        ("workers spawned", result.workers_spawned),
-        ("restarts", result.restarts),
-        ("heartbeat misses", result.heartbeat_misses),
-        ("rounds re-fed", result.rounds_refed),
-        ("rounds reconciled", result.rounds_reconciled),
-        ("rounds replayed (WAL)", result.rounds_replayed),
-        ("rounds admitted", result.rounds_admitted),
-        ("per-shard fresh rounds", result.shard_rounds),
-        (
-            "conservation (admitted == fresh + replayed)",
-            "yes" if result.conservation_ok else "NO",
-        ),
-        (
-            "lost rounds",
-            " ".join(
-                f"{name}={count}"
-                for name, count in result.lost_rounds.items()
-            ),
-        ),
-        (
-            "transports after recovery",
-            " ".join(
-                f"shard{shard}={name}"
-                for shard, name in sorted(result.transports.items())
-            ),
-        ),
-        (
-            "transport bytes staged/consumed/discarded",
-            f"{result.transport_bytes_staged}/"
-            f"{result.transport_bytes_consumed}/"
-            f"{result.transport_bytes_discarded}",
-        ),
-        (
-            "transport conservation (staged == consumed + discarded)",
-            "yes" if result.transport_conservation_ok else "NO",
-        ),
-        ("shm rings re-initialized", result.ring_reinits),
-        ("load rebalances (imbalanced leg)", result.rebalances),
-        (
-            "tenants moved by the placer",
-            result.rebalance_tenants_moved,
-        ),
-        (
-            "rebalanced verdicts identical to solo",
-            "yes" if result.rebalance_identical else "NO",
-        ),
-    ]
-    return format_table(
-        ["supervision event / invariant", "value"],
-        rows,
-        title=(
-            f"chaos: fleet kill -9 of shard {result.killed_shard} at "
-            f"{result.kill_site!r} in round {result.kill_round} "
-            f"({result.shards} shards, {result.tenants} tenants; "
-            f"survivors identical: "
-            f"{'yes' if result.survivors_identical else 'NO'}, "
-            f"killed resumed identical: "
-            f"{'yes' if result.killed_resumed_identical else 'NO'})"
-        ),
-    )
-
-
-def fleet_chaos_failures(result: FleetChaosResult) -> List[str]:
-    failures: List[str] = []
-    if result.restarts < 1:
-        failures.append(
-            "fleet: the killed worker was never restarted"
-        )
-    if not result.survivors_identical:
-        failures.append(
-            "fleet: surviving tenants' verdict flags diverged from "
-            "the solo fault-free reference"
-        )
-    if not result.killed_resumed_identical:
-        failures.append(
-            "fleet: the killed shard's tenants lost admitted rounds "
-            f"({result.lost_rounds})"
-        )
-    if not result.conservation_ok:
-        failures.append(
-            "fleet: counter conservation violated — "
-            f"admitted {result.rounds_admitted} != fresh "
-            f"{result.shard_rounds} + replayed {result.rounds_replayed}"
-        )
-    if result.rounds_refed + result.rounds_reconciled < 1:
-        failures.append(
-            "fleet: the interrupted round was neither re-fed nor "
-            "reconciled"
-        )
-    if not result.transport_conservation_ok:
-        failures.append(
-            "fleet: transport byte conservation violated across the "
-            f"kill — staged {result.transport_bytes_staged} != "
-            f"consumed {result.transport_bytes_consumed} + discarded "
-            f"{result.transport_bytes_discarded}"
-        )
-    if "shm" in result.transports.values():
-        if result.ring_reinits < 1:
-            failures.append(
-                "fleet: the killed shard's shm ring was never "
-                "re-initialized after recovery"
-            )
-        if result.transport_bytes_discarded < 1:
-            failures.append(
-                "fleet: the mid-round kill discarded no staged bytes "
-                "(the in-flight shm slot was not accounted)"
-            )
-    if result.rebalances < 1:
-        failures.append(
-            "fleet: the load-aware placer never rebalanced the "
-            "imbalanced leg"
-        )
-    if not result.rebalance_identical:
-        failures.append(
-            "fleet: rebalanced verdict flags diverged from the solo "
-            "fault-free reference"
-        )
-    return failures
 
 
 # ----------------------------------------------------------------------
@@ -425,7 +385,7 @@ def fleet_chaos_failures(result: FleetChaosResult) -> List[str]:
 
 
 @dataclass
-class FleetMetricsResult:
+class FleetMetricsResult(Report):
     shards: int
     tenants: int
     rounds: int
@@ -449,6 +409,11 @@ class FleetMetricsResult:
     routing: Dict[str, int] = field(default_factory=dict)
     placement_epoch: int = 0
 
+    def checks(self) -> Iterator[Check]:
+        yield from _law_checks(self, _ledger(self.transport_stats))
+        dead = [row for row in self.liveness if not row["alive"]]
+        yield not dead, f"fleet: {len(dead)} shard(s) not alive at report time"
+
 
 def run_fleet_metrics(
     events: int = 4_000,
@@ -458,181 +423,40 @@ def run_fleet_metrics(
     rounds: int = 2,
 ) -> FleetMetricsResult:
     """A short fault-free fleet run for the metrics report."""
-    from repro.eval.metrics import demo_events
-    from repro.fleet import FleetConfig, FleetCoordinator, demo_factory
+    from repro.fleet import FleetConfig
 
-    names = _tenant_names(FLEET_TENANTS)
     per_round = max(200, events // rounds // FLEET_TENANTS)
-    journal_root = tempfile.mkdtemp(prefix="repro-fleet-metrics-")
+    workload = dict.fromkeys(_tenant_names(FLEET_TENANTS), per_round)
     verdicts = 0
-    with FleetCoordinator(
-        demo_factory,
-        names,
-        journal_root,
-        FleetConfig(num_shards=shards),
-    ) as fleet:
-        for round_index in range(rounds):
+    with _fleet("metrics", FleetConfig(num_shards=shards)) as fleet:
+        for index in range(rounds):
             records = fleet.run_events(
-                {
-                    name: demo_events(
-                        kind,
-                        seed,
-                        per_round,
-                        run_label=f"fleet-metrics-{name}-r{round_index}",
-                    )
-                    for name in names
-                }
+                _round_traces("metrics", workload, kind, seed, index)
             )
             verdicts += sum(len(r) for r in records.values())
-        counters = fleet.counters()
-        liveness = fleet.liveness()
-        health = {
-            name: state.value for name, state in fleet.health().items()
+        counters = {
+            name: int(value)
+            for name, value in sorted(fleet.counters().items())
         }
         transport_stats = {
             name: int(value)
             for name, value in sorted(fleet.transport_stats().items())
         }
-        transports = fleet.transport_names()
-        routing = dict(fleet.routing_table())
-        placement_epoch = fleet.placement_epoch
-    result = FleetMetricsResult(
-        shards=shards,
-        tenants=FLEET_TENANTS,
-        rounds=rounds,
-        events=per_round * FLEET_TENANTS * rounds,
-        verdicts=verdicts,
-        counters={name: int(v) for name, v in sorted(counters.items())},
-        liveness=liveness,
-        health=health,
-        rounds_admitted=int(counters.get("fleet.rounds.admitted", 0)),
-        shard_rounds=sum(
-            value
-            for name, value in counters.items()
-            if name.startswith("fleet.shard.")
-            and name.endswith(".rounds")
-        ),
-        rounds_replayed=int(
-            counters.get("fleet.rounds.replayed", 0)
-        ),
-        transports=transports,
-        transport_stats=transport_stats,
-        routing=routing,
-        placement_epoch=placement_epoch,
-    )
-    result.conservation_ok = (
-        result.rounds_admitted
-        == result.shard_rounds + result.rounds_replayed
-    )
-    result.transport_conservation_ok = transport_stats.get(
-        "fleet.transport.bytes.staged", 0
-    ) == transport_stats.get(
-        "fleet.transport.bytes.consumed", 0
-    ) + transport_stats.get(
-        "fleet.transport.bytes.discarded", 0
-    )
-    return result
-
-
-def format_fleet_metrics(result: FleetMetricsResult) -> str:
-    liveness = format_table(
-        ["shard", "pid", "alive", "restarts", "tenants hosted"],
-        [
-            (
-                row["shard"],
-                row["pid"],
-                "yes" if row["alive"] else "NO",
-                row["restarts"],
-                " ".join(row["tenants"]),
-            )
-            for row in result.liveness
-        ],
-        title=(
-            f"fleet: per-shard liveness ({result.shards} shards, "
-            f"{result.tenants} tenants, {result.rounds} rounds, "
-            f"{result.events} events, {result.verdicts} verdicts; "
-            "conservation admitted == fresh + replayed: "
-            f"{result.rounds_admitted} == {result.shard_rounds} + "
-            f"{result.rounds_replayed}: "
-            f"{'yes' if result.conservation_ok else 'NO'})"
-        ),
-    )
-    fleet_rows = [
-        (name, value)
-        for name, value in result.counters.items()
-        if name.startswith("fleet.")
-    ]
-    merged = format_table(
-        ["counter", "count"],
-        fleet_rows,
-        title="fleet: merged fleet.* counters (coordinator + workers)",
-    )
-    staged = result.transport_stats.get(
-        "fleet.transport.bytes.staged", 0
-    )
-    consumed = result.transport_stats.get(
-        "fleet.transport.bytes.consumed", 0
-    )
-    discarded = result.transport_stats.get(
-        "fleet.transport.bytes.discarded", 0
-    )
-    transport = format_table(
-        ["transport counter", "value"],
-        list(result.transport_stats.items()),
-        title=(
-            "fleet: transport ledger ("
-            + " ".join(
-                f"shard{shard}={name}"
-                for shard, name in sorted(result.transports.items())
-            )
-            + f"; conservation {staged} == {consumed} + {discarded}: "
-            f"{'yes' if result.transport_conservation_ok else 'NO'})"
-        ),
-    )
-    routing = format_table(
-        ["tenant", "shard"],
-        sorted(result.routing.items()),
-        title=(
-            "fleet: sticky routing table "
-            f"(placement epoch {result.placement_epoch})"
-        ),
-    )
-    return "\n\n".join([liveness, merged, transport, routing])
-
-
-def fleet_metrics_failures(result: FleetMetricsResult) -> List[str]:
-    failures: List[str] = []
-    if not result.conservation_ok:
-        failures.append(
-            "fleet: counter conservation violated — admitted "
-            f"{result.rounds_admitted} != fresh {result.shard_rounds} "
-            f"+ replayed {result.rounds_replayed}"
+        return FleetMetricsResult(
+            shards=shards,
+            tenants=FLEET_TENANTS,
+            rounds=rounds,
+            events=per_round * FLEET_TENANTS * rounds,
+            verdicts=verdicts,
+            counters=counters,
+            liveness=fleet.liveness(),
+            health={
+                name: state.value
+                for name, state in fleet.health().items()
+            },
+            transports=fleet.transport_names(),
+            transport_stats=transport_stats,
+            routing=dict(fleet.routing_table()),
+            placement_epoch=fleet.placement_epoch,
+            **_laws(counters, transport_stats),
         )
-    dead = [row for row in result.liveness if not row["alive"]]
-    if dead:
-        failures.append(
-            f"fleet: {len(dead)} shard(s) not alive at report time"
-        )
-    if not result.transport_conservation_ok:
-        staged = result.transport_stats.get(
-            "fleet.transport.bytes.staged", 0
-        )
-        consumed = result.transport_stats.get(
-            "fleet.transport.bytes.consumed", 0
-        )
-        discarded = result.transport_stats.get(
-            "fleet.transport.bytes.discarded", 0
-        )
-        failures.append(
-            "fleet: transport byte conservation violated — staged "
-            f"{staged} != consumed {consumed} + discarded {discarded}"
-        )
-    return failures
-
-
-def fleet_metrics_to_json(
-    result: FleetMetricsResult,
-) -> Dict[str, object]:
-    document = asdict(result)
-    document["failures"] = fleet_metrics_failures(result)
-    return document

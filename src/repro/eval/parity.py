@@ -19,16 +19,17 @@ Two comparisons per model kind:
    sequence is digested (sequence number, trigger address/cycle,
    vector values) and compared byte-for-byte.
 
-``python -m repro.eval parity`` exits non-zero on any mismatch.
+``python -m repro.eval parity`` exits non-zero on any mismatch
+(:meth:`ParityResult.checks`).
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Optional, Sequence
 
-from repro.eval.report import format_table
+from repro.eval.report import Check, Report
 from repro.igm.vector_encoder import EncoderMode, InputVector, VectorEncoder
 
 #: The grammars compared by default — every registered frontend.
@@ -68,7 +69,7 @@ class ParityKindResult:
 
 
 @dataclass
-class ParityResult:
+class ParityResult(Report):
     seed: int
     events: int
     frontends: Sequence[str]
@@ -77,6 +78,41 @@ class ParityResult:
     @property
     def parity(self) -> bool:
         return all(kind.parity for kind in self.kinds)
+
+    def checks(self) -> Iterator[Check]:
+        frontends = list(self.frontends)
+        for kind in self.kinds:
+            drops = ", ".join(
+                f"{run.frontend}={run.dropped_vectors}"
+                for run in kind.runs
+                if run.dropped_vectors > 0
+            )
+            yield not drops, (
+                f"{kind.kind}: workload overdrives the MCM "
+                f"(dropped vectors: {drops}) — verdict parity is "
+                "undefined under queue pressure, reduce --events"
+            )
+            # Verdict parity is undefined (not violated) under drops.
+            yield bool(drops) or kind.verdicts_match, (
+                f"{kind.kind}: detection verdicts diverge across "
+                f"frontends {frontends}"
+            )
+            yield kind.vectors_match, (
+                f"{kind.kind}: IGM vector streams diverge across "
+                f"frontends {frontends}"
+            )
+            for run in kind.runs:
+                yield run.inferences != 0, (
+                    f"{kind.kind}: frontend {run.frontend} produced "
+                    "no inferences (parity would be vacuous)"
+                )
+
+    def to_json(self) -> Dict[str, object]:
+        document = super().to_json()
+        document["parity"] = self.parity
+        for kind, entry in zip(self.kinds, document["kinds"]):
+            entry["parity"] = kind.parity
+        return document
 
 
 def _digest(lines: Sequence[str]) -> str:
@@ -147,8 +183,6 @@ def run_parity(
             kind, seed, events, run_label=f"parity-{kind}"
         )
         kind_result = ParityKindResult(kind=kind, events=len(stream))
-        verdict_digests = []
-        vector_digests = []
         for name in frontends:
             soc = build_demo_soc(kind, seed=seed, frontend=name)
             records = soc.run_events(stream)
@@ -169,103 +203,8 @@ def run_parity(
                 dropped_vectors=soc.mcm.dropped_vectors,
             )
             kind_result.runs.append(run)
-            verdict_digests.append(run.verdict_digest)
-            vector_digests.append(run.vector_digest)
-        kind_result.verdicts_match = len(set(verdict_digests)) == 1
-        kind_result.vectors_match = len(set(vector_digests)) == 1
+        runs = kind_result.runs
+        kind_result.verdicts_match = len({r.verdict_digest for r in runs}) == 1
+        kind_result.vectors_match = len({r.vector_digest for r in runs}) == 1
         result.kinds.append(kind_result)
     return result
-
-
-def parity_failures(result: ParityResult) -> List[str]:
-    """Violated parity invariants, as human-readable strings."""
-    failures: List[str] = []
-    for kind in result.kinds:
-        overloaded = [
-            run for run in kind.runs if run.dropped_vectors > 0
-        ]
-        if overloaded:
-            drops = ", ".join(
-                f"{run.frontend}={run.dropped_vectors}"
-                for run in overloaded
-            )
-            failures.append(
-                f"{kind.kind}: workload overdrives the MCM "
-                f"(dropped vectors: {drops}) — verdict parity is "
-                "undefined under queue pressure, reduce --events"
-            )
-        elif not kind.verdicts_match:
-            failures.append(
-                f"{kind.kind}: detection verdicts diverge across "
-                f"frontends {list(result.frontends)}"
-            )
-        if not kind.vectors_match:
-            failures.append(
-                f"{kind.kind}: IGM vector streams diverge across "
-                f"frontends {list(result.frontends)}"
-            )
-        for run in kind.runs:
-            if run.inferences == 0:
-                failures.append(
-                    f"{kind.kind}: frontend {run.frontend} produced "
-                    "no inferences (parity would be vacuous)"
-                )
-    return failures
-
-
-def format_parity(result: ParityResult) -> str:
-    rows = []
-    for kind in result.kinds:
-        for run in kind.runs:
-            rows.append(
-                (
-                    kind.kind,
-                    run.frontend,
-                    run.inferences,
-                    run.anomalous,
-                    run.dropped_vectors,
-                    run.vectors,
-                    run.verdict_digest[:12],
-                    run.vector_digest[:12],
-                )
-            )
-        rows.append(
-            (
-                kind.kind,
-                "== parity",
-                "",
-                "",
-                "",
-                "",
-                "yes" if kind.verdicts_match else "NO",
-                "yes" if kind.vectors_match else "NO",
-            )
-        )
-    return format_table(
-        ["kind", "frontend", "inferences", "anomalous", "dropped",
-         "vectors", "verdicts", "igm vectors"],
-        rows,
-        title=(
-            f"parity: frontend detection equivalence "
-            f"({result.events} events, seed {result.seed}, "
-            f"parity: {'yes' if result.parity else 'NO'})"
-        ),
-    )
-
-
-def parity_to_json(result: ParityResult) -> Dict[str, object]:
-    """JSON document mirroring :func:`format_parity`."""
-    return {
-        "seed": result.seed,
-        "events": result.events,
-        "frontends": list(result.frontends),
-        "kinds": [
-            {
-                **asdict(kind),
-                "parity": kind.parity,
-            }
-            for kind in result.kinds
-        ],
-        "parity": result.parity,
-        "failures": parity_failures(result),
-    }

@@ -26,45 +26,23 @@ The harness, per dataplane (``batched`` and ``loop``) and per seed:
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import tempfile
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.durability.journal import FileJournal, MIN_RECORD_BYTES
 from repro.errors import JournalCorruptionError, ProcessCrashError
-from repro.eval.report import format_table
+from repro.eval.report import Check, Report, record_signature
 from repro.faults.crashpoints import CrashPointInjector
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
-from repro.mcm.mcm import InferenceRecord
 from repro.obs import MetricsRegistry
 from repro.soc.manager import SocManager
 
 DEFAULT_SEEDS = (0, 1, 2)
 DEFAULT_KILLS_PER_SEED = 3
 _DATAPLANES = ("batched", "loop")
-
-
-def record_signature(record: InferenceRecord) -> str:
-    """One record as a canonical JSON string (the byte-level unit of
-    comparison — any drift in any field breaks equality)."""
-    return json.dumps(
-        {
-            "seq": int(record.sequence_number),
-            "trigger": int(record.trigger_cycle),
-            "arrival": float(record.arrival_ns),
-            "start": float(record.start_ns),
-            "done": float(record.done_ns),
-            "score": float(record.score),
-            "anomalous": record.anomalous,
-            "gpu_cycles": int(record.gpu_cycles),
-            "divergent": record.divergent,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
 
 
 def _record_log(manager: SocManager) -> Dict[str, List[str]]:
@@ -100,7 +78,7 @@ class DataplaneRecoveryResult:
 
 
 @dataclass
-class RecoveryResult:
+class RecoveryResult(Report):
     kind: str
     rounds: int
     events_per_round: int
@@ -109,6 +87,23 @@ class RecoveryResult:
     runs: List[DataplaneRecoveryResult] = field(default_factory=list)
     flip_trials: int = 0
     flips_detected: int = 0
+
+    def checks(self) -> Iterator[Check]:
+        for run in self.runs:
+            where = f"{run.dataplane}/seed{run.seed}"
+            yield run.journaled_identical, (
+                f"{where}: journaling perturbed the record stream"
+            )
+            for trial in run.trials:
+                yield trial.identical, (
+                    f"{where}: kill at site {trial.kill_at} "
+                    f"({trial.site}) recovered to a divergent record "
+                    "log"
+                )
+        yield self.flips_detected >= self.flip_trials, (
+            f"journal byte flips: only {self.flips_detected}/"
+            f"{self.flip_trials} detected"
+        )
 
 
 class _Scenario:
@@ -132,8 +127,10 @@ class _Scenario:
             kind=kind,
             dataplane=dataplane,
         )
-        self.journal_chunk_events = journal_chunk_events
-        self.checkpoint_interval_events = checkpoint_interval_events
+        self._options = dict(
+            checkpoint_interval_events=checkpoint_interval_events,
+            journal_chunk_events=journal_chunk_events,
+        )
         self.traces = [
             {
                 f"tenant{index}": demo_events(
@@ -154,18 +151,13 @@ class _Scenario:
             self._build(),
             metrics=MetricsRegistry(),
             journal=journal,
-            checkpoint_interval_events=self.checkpoint_interval_events,
-            journal_chunk_events=self.journal_chunk_events,
             crash_points=crash_points,
+            **self._options,
         )
 
     def recover(self, journal) -> SocManager:
         return SocManager.recover(
-            journal,
-            self._build(),
-            metrics=MetricsRegistry(),
-            checkpoint_interval_events=self.checkpoint_interval_events,
-            journal_chunk_events=self.journal_chunk_events,
+            journal, self._build(), metrics=MetricsRegistry(), **self._options
         )
 
 
@@ -352,82 +344,3 @@ def run_recovery(
     finally:
         shutil.rmtree(root, ignore_errors=True)
     return result
-
-
-def recovery_failures(result: RecoveryResult) -> List[str]:
-    """Violated invariants, as human-readable strings (empty = pass)."""
-    failures: List[str] = []
-    for run in result.runs:
-        where = f"{run.dataplane}/seed{run.seed}"
-        if not run.journaled_identical:
-            failures.append(
-                f"{where}: journaling perturbed the record stream"
-            )
-        for trial in run.trials:
-            if not trial.identical:
-                failures.append(
-                    f"{where}: kill at site {trial.kill_at} "
-                    f"({trial.site}) recovered to a divergent record "
-                    "log"
-                )
-    if result.flips_detected < result.flip_trials:
-        failures.append(
-            f"journal byte flips: only {result.flips_detected}/"
-            f"{result.flip_trials} detected"
-        )
-    return failures
-
-
-def format_recovery(result: RecoveryResult) -> str:
-    rows = []
-    for run in result.runs:
-        for trial in run.trials:
-            rows.append(
-                (
-                    run.dataplane,
-                    run.seed,
-                    f"{trial.kill_at}/{run.total_sites}",
-                    trial.site,
-                    trial.crashed_round,
-                    trial.resumed_round,
-                    "yes" if trial.identical else "NO",
-                )
-            )
-    table = format_table(
-        ["dataplane", "seed", "kill", "site", "crashed", "resumed",
-         "identical"],
-        rows,
-        title=(
-            f"recovery: kill-and-replay ({result.kind}, "
-            f"{result.rounds} rounds x {result.events_per_round} events "
-            f"x {result.tenants} tenants; journaled==baseline: "
-            + (
-                "yes"
-                if all(r.journaled_identical for r in result.runs)
-                else "NO"
-            )
-            + f"; byte flips detected: {result.flips_detected}/"
-            f"{result.flip_trials})"
-        ),
-    )
-    failures = recovery_failures(result)
-    if failures:
-        table += "\n\nFAILURES:\n" + "\n".join(
-            f"  - {line}" for line in failures
-        )
-    return table
-
-
-def recovery_to_json(result: RecoveryResult) -> Dict[str, object]:
-    """JSON document mirroring :func:`format_recovery`."""
-    return {
-        "kind": result.kind,
-        "rounds": result.rounds,
-        "events_per_round": result.events_per_round,
-        "tenants": result.tenants,
-        "seeds": list(result.seeds),
-        "runs": [asdict(run) for run in result.runs],
-        "flip_trials": result.flip_trials,
-        "flips_detected": result.flips_detected,
-        "failures": recovery_failures(result),
-    }

@@ -23,18 +23,18 @@ a thousand-plus concurrent clients cost no file descriptors:
    bucket; refusals must come back as SHED frames with positive
    retry-after hints.
 
-``soak_failures`` turns the scenario gates into exit-code-1 failures
-(the CI smoke runs it with a reduced fleet).
+:meth:`SoakResult.checks` declares the scenario gates; any failure is
+a non-zero exit (the CI smoke runs them with a reduced fleet).
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.eval.report import format_table
+from repro.eval.report import Check, Report
 from repro.frontends import frontend_names, get_frontend
 from repro.serve import IngestServer, ServeClient, ServeConfig
 from repro.serve import protocol
@@ -77,7 +77,7 @@ class SoakScenario:
 
 
 @dataclass
-class SoakResult:
+class SoakResult(Report):
     clients: int
     seed: int
     kind: str
@@ -87,6 +87,63 @@ class SoakResult:
     overload_armed: SoakScenario
     overload_unarmed: SoakScenario
     ratelimit: SoakScenario
+
+    def checks(self) -> Iterator[Check]:
+        for s in (
+            self.steady,
+            self.overload_armed,
+            self.overload_unarmed,
+            self.ratelimit,
+        ):
+            yield not s.dataplane_crashes, (
+                f"{s.name}: {s.dataplane_crashes} dataplane crashes"
+            )
+            answered = s.acks + s.sheds + s.errors
+            yield answered == s.frames_sent, (
+                f"{s.name}: {answered} responses for {s.frames_sent} "
+                "data frames (every frame must be answered)"
+            )
+            yield s.admitted_events == s.drained_events + s.stale_events, (
+                f"{s.name}: {s.admitted_events} admitted events != "
+                f"{s.drained_events} drained + {s.stale_events} stale "
+                "(shed work must be accounted, not lost)"
+            )
+        steady = self.steady
+        yield steady.clients >= self.clients, (
+            f"steady: only {steady.clients} clients ran "
+            f"(requested {self.clients})"
+        )
+        yield not steady.errors, (
+            f"steady: {steady.errors} protocol errors on a clean fleet"
+        )
+        yield steady.latency_samples > 0, (
+            "steady: no ingest-to-verdict latency samples"
+        )
+        armed, unarmed = self.overload_armed, self.overload_unarmed
+        yield (
+            armed.shed_counters.get("deadline", 0)
+            + armed.shed_counters.get("stale", 0) > 0,
+            "overload-armed: deadline/stale shedding never fired",
+        )
+        deadline_ms = self.deadline_us / 1e3
+        yield armed.p99_ms <= 2 * deadline_ms, (
+            f"overload-armed: admitted p99 {armed.p99_ms:.1f} ms is "
+            f"not bounded by the {deadline_ms:g} ms deadline"
+        )
+        yield (
+            unarmed.p99_ms <= 2 * deadline_ms
+            or armed.p99_ms <= unarmed.p99_ms,
+            f"overload: armed p99 {armed.p99_ms:.1f} ms exceeds "
+            f"unarmed p99 {unarmed.p99_ms:.1f} ms — the deadline did "
+            "not bound the admitted tail",
+        )
+        limited = self.ratelimit
+        yield limited.shed_counters.get("rate_limited", 0) > 0, (
+            "ratelimit: the token bucket never refused"
+        )
+        yield not limited.sheds or limited.min_retry_after_ms > 0, (
+            "ratelimit: SHED responses carried no positive retry-after"
+        )
 
 
 def _percentile_ms(samples_ns: Sequence[int], q: float) -> float:
@@ -194,39 +251,14 @@ async def _run_fleet(
     )
 
 
-def _steady_specs(
-    tenants: Sequence[str],
-    events: Sequence[BranchEvent],
-    clients: int,
-    frames_per_client: int,
-    frontends: Sequence[str],
-) -> List[_ClientSpec]:
-    """Mix raw and events clients over both grammars, round-robin."""
-    raw_chunks = {
-        name: _raw_chunks(name, events, frames_per_client)
-        for name in frontends
-    }
-    per_frame = max(1, len(events) // frames_per_client)
-    event_frames = tuple(
+def _event_frames(
+    events: Sequence[BranchEvent], frames: int
+) -> Tuple[Tuple[BranchEvent, ...], ...]:
+    per_frame = max(1, len(events) // frames)
+    return tuple(
         tuple(events[i * per_frame:(i + 1) * per_frame])
-        for i in range(frames_per_client)
+        for i in range(frames)
     )
-    specs: List[_ClientSpec] = []
-    for index in range(clients):
-        tenant = tenants[index % len(tenants)]
-        if index % 2 == 0:
-            frontend = frontends[(index // 2) % len(frontends)]
-            specs.append(
-                _ClientSpec(
-                    tenant, protocol.MODE_RAW, frontend,
-                    raw_chunks[frontend],
-                )
-            )
-        else:
-            specs.append(
-                _ClientSpec(tenant, protocol.MODE_EVENTS, None, event_frames)
-            )
-    return specs
 
 
 def _events_specs(
@@ -235,11 +267,7 @@ def _events_specs(
     clients: int,
     frames_per_client: int,
 ) -> List[_ClientSpec]:
-    per_frame = max(1, len(events) // frames_per_client)
-    event_frames = tuple(
-        tuple(events[i * per_frame:(i + 1) * per_frame])
-        for i in range(frames_per_client)
-    )
+    event_frames = _event_frames(events, frames_per_client)
     return [
         _ClientSpec(
             tenants[index % len(tenants)],
@@ -249,6 +277,29 @@ def _events_specs(
         )
         for index in range(clients)
     ]
+
+
+def _steady_specs(
+    tenants: Sequence[str],
+    events: Sequence[BranchEvent],
+    clients: int,
+    frames_per_client: int,
+    frontends: Sequence[str],
+) -> List[_ClientSpec]:
+    """Every other client streams raw bytes, the grammars round-robin;
+    the rest send event batches."""
+    raw_chunks = {
+        name: _raw_chunks(name, events, frames_per_client)
+        for name in frontends
+    }
+    specs = _events_specs(tenants, events, clients, frames_per_client)
+    for index in range(0, clients, 2):
+        frontend = frontends[(index // 2) % len(frontends)]
+        specs[index] = _ClientSpec(
+            specs[index].tenant, protocol.MODE_RAW, frontend,
+            raw_chunks[frontend],
+        )
+    return specs
 
 
 def run_soak(
@@ -348,141 +399,3 @@ def run_soak(
         overload_unarmed=unarmed,
         ratelimit=limited,
     )
-
-
-def soak_failures(result: SoakResult) -> List[str]:
-    """Violated soak invariants; empty means the run passed."""
-    failures: List[str] = []
-    scenarios = (
-        result.steady,
-        result.overload_armed,
-        result.overload_unarmed,
-        result.ratelimit,
-    )
-    for s in scenarios:
-        if s.dataplane_crashes:
-            failures.append(
-                f"{s.name}: {s.dataplane_crashes} dataplane crashes"
-            )
-        answered = s.acks + s.sheds + s.errors
-        if answered != s.frames_sent:
-            failures.append(
-                f"{s.name}: {answered} responses for {s.frames_sent} "
-                "data frames (every frame must be answered)"
-            )
-        if s.admitted_events != s.drained_events + s.stale_events:
-            failures.append(
-                f"{s.name}: {s.admitted_events} admitted events != "
-                f"{s.drained_events} drained + {s.stale_events} stale "
-                "(shed work must be accounted, not lost)"
-            )
-    if result.steady.clients < result.clients:
-        failures.append(
-            f"steady: only {result.steady.clients} clients ran "
-            f"(requested {result.clients})"
-        )
-    if result.steady.errors:
-        failures.append(
-            f"steady: {result.steady.errors} protocol errors on a "
-            "clean fleet"
-        )
-    if result.steady.latency_samples == 0:
-        failures.append("steady: no ingest-to-verdict latency samples")
-    armed, unarmed = result.overload_armed, result.overload_unarmed
-    deadline_sheds = (
-        armed.shed_counters.get("deadline", 0)
-        + armed.shed_counters.get("stale", 0)
-    )
-    if deadline_sheds == 0:
-        failures.append(
-            "overload-armed: deadline/stale shedding never fired"
-        )
-    deadline_ms = result.deadline_us / 1e3
-    if armed.p99_ms > 2 * deadline_ms:
-        failures.append(
-            f"overload-armed: admitted p99 {armed.p99_ms:.1f} ms is "
-            f"not bounded by the {deadline_ms:g} ms deadline"
-        )
-    if (
-        unarmed.p99_ms > 2 * deadline_ms
-        and armed.p99_ms > unarmed.p99_ms
-    ):
-        failures.append(
-            f"overload: armed p99 {armed.p99_ms:.1f} ms exceeds "
-            f"unarmed p99 {unarmed.p99_ms:.1f} ms — the deadline did "
-            "not bound the admitted tail"
-        )
-    if result.ratelimit.shed_counters.get("rate_limited", 0) == 0:
-        failures.append("ratelimit: the token bucket never refused")
-    if (
-        result.ratelimit.sheds
-        and result.ratelimit.min_retry_after_ms <= 0
-    ):
-        failures.append(
-            "ratelimit: SHED responses carried no positive retry-after"
-        )
-    return failures
-
-
-def format_soak(result: SoakResult) -> str:
-    rows = []
-    for s in (
-        result.steady,
-        result.overload_armed,
-        result.overload_unarmed,
-        result.ratelimit,
-    ):
-        shed_bits = " ".join(
-            f"{reason}={count}"
-            for reason, count in s.shed_counters.items()
-            if count
-        )
-        rows.append(
-            (
-                s.name,
-                s.clients,
-                s.frames_sent,
-                s.acks,
-                s.sheds,
-                s.errors,
-                s.admitted_events,
-                s.rounds,
-                f"{s.p50_ms:.2f}",
-                f"{s.p99_ms:.2f}",
-                f"{s.wall_s:.2f}",
-                shed_bits or "-",
-            )
-        )
-    table = format_table(
-        ["scenario", "clients", "frames", "acks", "sheds", "errs",
-         "events", "rounds", "p50 ms", "p99 ms", "wall s", "shed detail"],
-        rows,
-        title=(
-            f"soak: {result.clients} clients, kind={result.kind}, "
-            f"frontends={'/'.join(result.frontends)}, overload deadline "
-            f"{result.deadline_us / 1e3:g} ms"
-        ),
-    )
-    failures = soak_failures(result)
-    verdict = (
-        "soak: PASS"
-        if not failures
-        else "soak: FAIL\n" + "\n".join(f"  - {f}" for f in failures)
-    )
-    return f"{table}\n\n{verdict}"
-
-
-def soak_to_json(result: SoakResult) -> Dict[str, object]:
-    """JSON document mirroring :func:`format_soak`."""
-    return {
-        "clients": result.clients,
-        "seed": result.seed,
-        "kind": result.kind,
-        "frontends": list(result.frontends),
-        "deadline_us": result.deadline_us,
-        "steady": asdict(result.steady),
-        "overload_armed": asdict(result.overload_armed),
-        "overload_unarmed": asdict(result.overload_unarmed),
-        "ratelimit": asdict(result.ratelimit),
-        "failures": soak_failures(result),
-    }

@@ -5,12 +5,11 @@ import json
 import pytest
 
 from repro.eval.chaos import (
-    chaos_to_json,
-    format_chaos,
     run_chaos,
     run_decoder_sweep,
     run_quarantine_scenario,
 )
+from repro.frontends import frontend_names
 
 RATES = (0.0, 0.01)
 EVENTS = 900
@@ -57,7 +56,7 @@ class TestChaosSweep:
         assert quarantine.healthy_always_identical
 
     def test_json_round_trip(self, chaos):
-        payload = chaos_to_json(chaos)
+        payload = chaos.to_json()
         decoded = json.loads(json.dumps(payload, sort_keys=True))
         assert decoded["rates"] == list(RATES)
         assert decoded["events"] == EVENTS
@@ -66,7 +65,7 @@ class TestChaosSweep:
         assert decoded["quarantine"]["rounds"]
 
     def test_text_report_mentions_every_section(self, chaos):
-        text = format_chaos(chaos)
+        text = chaos.format()
         assert "decoder" in text.lower()
         assert "dataplane" in text.lower()
         assert "quarantine" in text.lower()
@@ -80,8 +79,20 @@ class TestChaosValidation:
             run_chaos(rates=(-0.1,), events=100, seed=0)
 
     def test_decoder_sweep_monotone_damage(self):
-        points = run_decoder_sweep((0.0, 0.02), events=EVENTS, seed=0)
-        assert points[0].recovered_fraction >= points[1].recovered_fraction
+        for frontend in frontend_names():
+            points = run_decoder_sweep(
+                frontend, (0.0, 0.02), events=EVENTS, seed=0
+            )
+            assert points[0].recovered_fraction == 1.0
+            assert (
+                points[0].recovered_fraction
+                >= points[1].recovered_fraction
+            )
+            # the torn tail is a counted truncation, never a gain
+            assert all(
+                p.torn_recovered_branches <= p.recovered_branches
+                for p in points
+            )
 
     def test_quarantine_full_lifecycle(self):
         # larger rounds make the stall plan trip in round 0, so the

@@ -31,7 +31,7 @@ from repro.durability.checkpoint import (
 )
 from repro.errors import JournalCorruptionError
 from repro.eval.metrics import build_demo_deployments, demo_events
-from repro.eval.recovery import record_signature
+from repro.eval.report import record_signature
 from repro.fleet import demo_factory
 from repro.obs import MetricsRegistry
 from repro.soc.manager import SocManager, TenantHealth

@@ -130,6 +130,21 @@ class TestResyncHunt:
             b.address for b in clean[-40:]
         ]
 
+    @pytest.mark.parametrize("atom", (0x04, 0x0C))  # no stop bit / 0 atoms
+    def test_malformed_atom_byte_is_a_decode_error(self, atom):
+        stream, events = make_stream()
+        hit = len(stream) // 2
+        corrupted = stream[:hit] + bytes([atom]) + stream[hit:]
+        decoder = PftDecoder(strict=False, resync_hunt=True)
+        items = decoder.feed(corrupted)
+        branches = [i for i in items if isinstance(i, DecodedBranch)]
+        assert decoder.resyncs == 1
+        assert len(branches) > 0.8 * len(events)
+        # lenient mode skips the byte in place; strict mode raises
+        assert PftDecoder(strict=False).feed(bytes([atom])) == []
+        with pytest.raises(PacketDecodeError):
+            PftDecoder().feed(bytes([atom]))
+
     def test_initial_lock_is_not_a_resync(self):
         stream, _ = make_stream()
         decoder = PftDecoder(strict=False, resync_hunt=True)

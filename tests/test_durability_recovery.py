@@ -16,7 +16,7 @@ from repro.errors import (
     SocConfigError,
 )
 from repro.eval.metrics import build_demo_deployments, demo_events
-from repro.eval.recovery import record_signature
+from repro.eval.report import record_signature
 from repro.faults.crashpoints import CrashPointInjector
 from repro.obs import MetricsRegistry
 from repro.soc.manager import SocManager, TenantHealth

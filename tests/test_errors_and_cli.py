@@ -67,3 +67,18 @@ class TestEvalCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "403.gcc" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["parity", "recovery", "--json"],  # two documents
+            ["fig7", "--json"],  # no JSON form
+            ["--json"],  # every experiment
+        ),
+    )
+    def test_json_needs_exactly_one_json_experiment(self, capsys, argv):
+        from repro.eval.__main__ import main
+
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert "--json" in capsys.readouterr().err

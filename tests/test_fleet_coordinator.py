@@ -18,7 +18,7 @@ import pytest
 
 from repro.errors import FleetError, SocConfigError, TransportError
 from repro.eval.metrics import demo_events
-from repro.eval.recovery import record_signature
+from repro.eval.report import record_signature
 from repro.fleet import (
     FleetConfig,
     FleetCoordinator,

@@ -15,6 +15,7 @@ import functools
 import tempfile
 
 from repro.eval.metrics import demo_events
+from repro.eval.report import verdict_flags
 from repro.faults import FaultKind, FaultPlan, FaultSpec
 from repro.fleet import FleetConfig, FleetCoordinator, demo_factory
 from repro.obs import MetricsRegistry
@@ -54,10 +55,6 @@ def _fleet(factory=demo_factory, **overrides):
     )
 
 
-def _flags(records):
-    return [(bool(r.anomalous), float(r.score)) for r in records]
-
-
 class TestLoadAwarePlacer:
     def test_imbalanced_load_rebalances_and_flags_match_reference(self):
         # tenant0 carries 4x the events: its shard's makespan EWMA
@@ -80,7 +77,9 @@ class TestLoadAwarePlacer:
         assert epoch == counts["fleet.placement.epoch"] > 0
         for log, reference in zip(logs, references):
             for name in NAMES:
-                assert _flags(log[name]) == _flags(reference[name])
+                assert verdict_flags(log[name]) == verdict_flags(
+                    reference[name]
+                )
 
     def test_balanced_load_holds_still(self):
         with _fleet(**REBALANCE) as fleet:

@@ -24,7 +24,7 @@ import pytest
 
 from repro.errors import Backoff
 from repro.eval.metrics import demo_events
-from repro.eval.recovery import record_signature
+from repro.eval.report import record_signature, verdict_flags
 from repro.faults import FaultKind, FaultPlan, FaultSpec
 from repro.fleet import FleetConfig, FleetCoordinator, demo_factory
 from repro.obs import MetricsRegistry
@@ -68,10 +68,6 @@ def _fleet(factory=demo_factory, config=CONFIG):
         tempfile.mkdtemp(prefix="repro-fleet-sup-"),
         config,
     )
-
-
-def _flags(records):
-    return [(bool(r.anomalous), float(r.score)) for r in records]
 
 
 def _kill_worker(shard):
@@ -188,7 +184,9 @@ class TestCrashLoopMigration:
             counters = fleet.counters()
         for log, reference in zip(logs, references):
             for name in _names():
-                assert _flags(log[name]) == _flags(reference[name])
+                assert verdict_flags(log[name]) == verdict_flags(
+                    reference[name]
+                )
         assert liveness[0]["restarts"] == 2
         assert liveness[0]["alive"] and liveness[1]["alive"]
         assert liveness[1]["tenants"] == shard1.tenants

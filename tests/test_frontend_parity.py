@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.eval.metrics import build_demo_soc, demo_events
-from repro.eval.parity import parity_failures, run_parity
+from repro.eval.parity import run_parity
 
 EVENTS = 4_000
 
@@ -69,7 +69,7 @@ def test_run_parity_reports_no_failures():
     """The eval-level gate (what CI's parity smoke runs) is clean."""
     result = run_parity(kinds=("lstm",), events=EVENTS, seed=0)
     assert result.parity
-    assert parity_failures(result) == []
+    assert result.failures() == []
     digests = {
         (run.verdict_digest, run.vector_digest)
         for kind in result.kinds
