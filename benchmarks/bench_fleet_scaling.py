@@ -151,10 +151,9 @@ def run_transport_comparison(
         legs = {}
         flags = {}
         for transport in ("pipe", "shm"):
-            journal_root = tempfile.mkdtemp(
+            with tempfile.TemporaryDirectory(
                 prefix="repro-bench-transport-"
-            )
-            with FleetCoordinator(
+            ) as journal_root, FleetCoordinator(
                 demo_factory,
                 names,
                 journal_root,
@@ -253,8 +252,9 @@ def run_fleet_scaling(
     points = []
     flags_by_shards = {}
     for num_shards in SHARD_COUNTS:
-        journal_root = tempfile.mkdtemp(prefix="repro-bench-fleet-")
-        with FleetCoordinator(
+        with tempfile.TemporaryDirectory(
+            prefix="repro-bench-fleet-"
+        ) as journal_root, FleetCoordinator(
             demo_factory,
             names,
             journal_root,

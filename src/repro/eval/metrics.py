@@ -7,46 +7,25 @@ reports the per-stage breakdown: counters for every pipeline stage
 inferences, kernel launches) and p50/p95/p99 latency histograms
 mirroring Fig. 7's read/vectorize/copy decomposition.
 
-The demo deployments are deliberately small (they train in seconds);
-the same builders back ``tests/test_golden_trace.py``, so the metrics
-command exercises exactly the configuration the golden regression
-pins down.
+The demo model (:mod:`repro.soc.demo`) is deliberately small (it
+trains in seconds); the same builders back
+``tests/test_golden_trace.py``, so the metrics command exercises
+exactly the configuration the golden regression pins down.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
-from repro.eval.prep import get_program
 from repro.eval.report import format_snapshot, format_table
-from repro.mcm.driver import MlMiaowDriver
-from repro.mcm.engines import ProtocolConverter
-from repro.miaow.gpu import Gpu
-from repro.ml.detector import ThresholdDetector
-from repro.ml.elm import ExtremeLearningMachine
-from repro.ml.features import PatternDictionary
-from repro.ml.kernels import DeployedElm, DeployedLstm
-from repro.ml.lstm import LstmModel
 from repro.faults.plan import FaultPlan
+from repro.miaow.gpu import Gpu
 from repro.obs import MetricsRegistry
+from repro.soc.demo import DEMO_KINDS, demo_events, demo_factory, demo_model
 from repro.soc.manager import Deployment, HealthPolicy, SocManager
-from repro.soc.rtad import RtadConfig, RtadSoc
-from repro.workloads.dataset import (
-    Vocabulary,
-    build_dataset,
-    sliding_windows,
-)
-
-#: Fixed demo configuration — also pinned by the golden-trace test.
-DEMO_BENCHMARK = "403.gcc"
-DEMO_ELM_WINDOW = 16
-DEMO_MAPPER_SIZE = 30
-DEMO_KINDS = ("elm", "lstm")
+from repro.soc.rtad import RtadSoc
 
 #: Histograms worth surfacing in the condensed per-stage table.
 _LATENCY_METRICS = (
@@ -123,103 +102,6 @@ PERF_COUNTERS = (
     "miaow.batch.fallback.replayed",
 )
 
-_DEMO_PARTS: Dict[Tuple[str, int], dict] = {}
-
-
-def _demo_parts(kind: str, seed: int) -> dict:
-    """Train (once per process) the small demo model for ``kind``."""
-    key = (kind, seed)
-    if key in _DEMO_PARTS:
-        return _DEMO_PARTS[key]
-    program = get_program(DEMO_BENCHMARK, seed=seed)
-    if kind == "elm":
-        # Syscalls are far too sparse for a short full-path trace, so
-        # the demo ELM scores n-gram patterns over monitored *call*
-        # targets — same kernel, same dictionary machinery, but the
-        # mapper hits often enough that a few-thousand-event trace
-        # completes many windows.  Separate CFG walks land in
-        # different phase behaviour, so training pools windows from
-        # many walks and the detector is calibrated on *held-out*
-        # walks (cross-walk variance, not same-walk residuals).
-        monitored = program.monitored_call_targets(count=DEMO_MAPPER_SIZE)
-        vocabulary = Vocabulary.from_addresses(monitored)
-
-        def walk_windows(label: str) -> np.ndarray:
-            trace = program.run(30_000, run_label=label)
-            ids = vocabulary.encode_events(trace.events)
-            return sliding_windows(ids, DEMO_ELM_WINDOW)
-
-        train_windows = np.concatenate(
-            [
-                windows
-                for index in range(20)
-                if len(windows := walk_windows(f"elm-train-{index}"))
-            ]
-        )
-        dictionary = PatternDictionary(n=2, capacity=255, unseen_gain=2)
-        dictionary.fit(train_windows)
-        model = ExtremeLearningMachine(
-            input_dim=dictionary.size, hidden_dim=64, seed=seed + 7
-        ).fit(dictionary.features(train_windows))
-        calibration = np.concatenate(
-            [
-                windows
-                for index in range(6)
-                if len(windows := walk_windows(f"elm-cal-{index}"))
-            ]
-        )
-        detector = ThresholdDetector(0.995).fit(
-            model.score_mahalanobis_f32(dictionary.features(calibration))
-        )
-        parts = {
-            "kind": kind,
-            "program": program,
-            "monitored": monitored,
-            "model": model,
-            "dictionary": dictionary,
-            "detector": detector,
-            "window": DEMO_ELM_WINDOW,
-            "smoothing": 1,
-        }
-    elif kind == "lstm":
-        dataset = build_dataset(
-            program,
-            feature="call",
-            window=8,
-            train_events=60_000,
-            test_events=25_000,
-            num_attacks=4,
-            seed=seed,
-            mapper_size=DEMO_MAPPER_SIZE,
-        )
-        model = LstmModel(
-            vocabulary_size=dataset.vocabulary.size,
-            hidden_size=16,
-            seed=seed + 7,
-        )
-        model.fit(dataset.train_windows[:2500], epochs=4, seed=seed + 7)
-        reference = DeployedLstm(model).make_reference()
-        stream = dataset.test_normal[::8].ravel()[:600]
-        detector = ThresholdDetector(0.99).fit(
-            [reference.infer(int(b)) for b in stream]
-        )
-        parts = {
-            "kind": kind,
-            "program": program,
-            "monitored": program.monitored_call_targets(
-                count=DEMO_MAPPER_SIZE
-            ),
-            "model": model,
-            "detector": detector,
-            "window": 1,
-            "smoothing": 1,
-        }
-    else:
-        raise ValueError(f"unknown demo model kind {kind!r}")
-    _DEMO_PARTS[key] = parts
-    return parts
-
-
 def build_demo_soc(
     kind: str = "lstm",
     seed: int = 0,
@@ -228,169 +110,63 @@ def build_demo_soc(
     num_cus: int = 5,
     fifo_depth: int = 64,
     fault_plan: Optional[FaultPlan] = None,
-    frontend: Optional[str] = None,
+    frontend: str = "coresight",
     dataplane: str = "batched",
     chunk_events: int = 32768,
 ) -> RtadSoc:
     """A small, deterministic, fully assembled SoC for short traces.
 
     ``frontend`` selects the trace grammar (``"coresight"`` or
-    ``"etrace"``).  When None it falls back to the ``REPRO_FRONTEND``
-    environment variable, defaulting to CoreSight — so CI can re-run
-    the whole demo surface under the other grammar without touching
-    call sites.  ``dataplane`` and ``chunk_events`` are forwarded into
-    :class:`RtadConfig`.
+    ``"etrace"``); ``dataplane`` and ``chunk_events`` are forwarded
+    into :class:`RtadConfig`.
     """
-    if frontend is None:
-        frontend = os.environ.get("REPRO_FRONTEND", "coresight")
-    parts = _demo_parts(kind, seed)
-    if kind == "elm":
-        deployment = DeployedElm(
-            parts["model"], parts["dictionary"], parts["window"]
-        )
-        converter = ProtocolConverter("elm", parts["dictionary"])
-    else:
-        deployment = DeployedLstm(parts["model"])
-        converter = ProtocolConverter("lstm")
-    driver = MlMiaowDriver(
-        deployment,
+    program, trained = demo_model(kind, seed)
+    [deployment] = trained.deploy(
+        ["rtad"],
         Gpu(num_cus=num_cus, name="ML-MIAOW"),
         execute_on_gpu=execute_on_gpu,
-    )
-    config = RtadConfig(
-        model_kind=kind,
-        window=parts["window"],
+        fault_plans={"rtad": fault_plan},
+        frontends={"rtad": frontend},
         fifo_depth=fifo_depth,
-        score_smoothing=parts["smoothing"],
-        fault_plan=fault_plan,
-        frontend=frontend,
         dataplane=dataplane,
         chunk_events=chunk_events,
     )
-    return RtadSoc(
-        program=parts["program"],
-        driver=driver,
-        converter=converter,
-        monitored_addresses=parts["monitored"],
-        detector=parts["detector"],
-        config=config,
-        metrics=metrics,
-    )
-
-
-def demo_events(
-    kind: str, seed: int, count: int, run_label: Optional[str] = None
-):
-    """The fixed branch-event stream the metrics run replays.
-
-    ``run_label`` selects a different (deterministic) CFG walk of the
-    *same* demo program — distinct traces that still hit the demo
-    monitored addresses, which is what multi-tenant tests need.
-    """
-    program = _demo_parts(kind, seed)["program"]
-    return program.run(
-        count, run_label=run_label or f"metrics-{kind}"
-    ).events
+    return RtadSoc(program, deployment, metrics=metrics)
 
 
 def build_demo_deployments(
-    num_tenants: int = 4,
-    kind: str = "lstm",
-    seed: int = 0,
-    num_cus: int = 5,
-    fifo_depth: int = 64,
-    fault_plans: Optional[Dict[str, FaultPlan]] = None,
-    dataplane: str = "batched",
-    dual_run: bool = False,
-    execute_on_gpu: bool = False,
-    frontends: Optional[Dict[str, str]] = None,
+    num_tenants: int = 4, **options
 ) -> List[Deployment]:
-    """Fresh demo deployments sharing one engine (see build_demo_manager).
+    """Demo tenants ``tenant0..N-1`` around one new engine.
 
-    Called a second time with the same arguments this returns an
-    equivalent tenant set around a *new* Gpu — exactly what
-    :meth:`SocManager.recover` needs to re-supply models and drivers
-    after a simulated process crash.  ``execute_on_gpu=True`` builds
-    exact-mode drivers (every inference really dispatches), the mode
-    cross-tenant batched dispatch requires.
+    ``options`` are :func:`repro.soc.demo.demo_factory`'s.
     """
-    parts = _demo_parts(kind, seed)
-    gpu = Gpu(num_cus=num_cus, name="ML-MIAOW")
-    deployments = []
-    for index in range(num_tenants):
-        if kind == "elm":
-            deployed = DeployedElm(
-                parts["model"], parts["dictionary"], parts["window"]
-            )
-            converter = ProtocolConverter("elm", parts["dictionary"])
-        else:
-            deployed = DeployedLstm(parts["model"])
-            converter = ProtocolConverter("lstm")
-        driver = MlMiaowDriver(deployed, gpu, execute_on_gpu=execute_on_gpu)
-        name = f"tenant{index}"
-        deployments.append(
-            Deployment(
-                name=name,
-                driver=driver,
-                converter=converter,
-                monitored_addresses=parts["monitored"],
-                detector=parts["detector"],
-                config=RtadConfig(
-                    model_kind=kind,
-                    window=parts["window"],
-                    fifo_depth=fifo_depth,
-                    score_smoothing=parts["smoothing"],
-                    fault_plan=(fault_plans or {}).get(name),
-                    dataplane=dataplane,
-                    dual_run=dual_run,
-                    frontend=(frontends or {}).get(name, "coresight"),
-                ),
-            )
-        )
-    return deployments
+    return demo_factory(
+        [f"tenant{index}" for index in range(num_tenants)], **options
+    )
 
 
 def build_demo_manager(
     num_tenants: int = 4,
-    kind: str = "lstm",
-    seed: int = 0,
     metrics: Optional[MetricsRegistry] = None,
-    num_cus: int = 5,
-    fifo_depth: int = 64,
-    fault_plans: Optional[Dict[str, FaultPlan]] = None,
     deadline_us: Optional[float] = None,
     health_policy: Optional[HealthPolicy] = None,
-    dataplane: str = "batched",
-    dual_run: bool = False,
     batch_limit: int = 1,
-    execute_on_gpu: bool = False,
-    frontends: Optional[Dict[str, str]] = None,
     journal=None,
     checkpoint_interval_events: Optional[int] = None,
     journal_chunk_events: int = 8192,
     crash_points=None,
+    **options,
 ) -> SocManager:
     """A multi-tenant manager: N demo deployments, one shared engine.
 
     Every tenant monitors the same demo program configuration (its own
     mapper/encoder/detector instances), and every driver wraps the
-    *same* calibrated-mode Gpu — the arbitration configuration the
-    SocManager tests exercise.
+    *same* Gpu — the arbitration configuration the SocManager tests
+    exercise.  ``options`` are :func:`repro.soc.demo.demo_factory`'s.
     """
-    deployments = build_demo_deployments(
-        num_tenants=num_tenants,
-        kind=kind,
-        seed=seed,
-        num_cus=num_cus,
-        fifo_depth=fifo_depth,
-        fault_plans=fault_plans,
-        dataplane=dataplane,
-        dual_run=dual_run,
-        execute_on_gpu=execute_on_gpu,
-        frontends=frontends,
-    )
     return SocManager(
-        deployments,
+        build_demo_deployments(num_tenants, **options),
         metrics=metrics,
         deadline_us=deadline_us,
         health_policy=health_policy,

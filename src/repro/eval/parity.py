@@ -140,12 +140,12 @@ def _capture_vectors(
     fresh encoder, so the capture matches the detection run's mapper
     configuration exactly.
     """
-    from repro.frontends import make_frontend
+    from repro.frontends import get_frontend
     from repro.pipeline import build_trace_pipeline
 
     encoder = VectorEncoder(
         mode=EncoderMode.SEQUENCE,
-        window=soc.config.window,
+        window=soc.encoder.window,
         vocabulary_size=soc.mapper.size + 1,
     )
     captured: List[InputVector] = []
@@ -153,7 +153,7 @@ def _capture_vectors(
         soc.mapper,
         encoder,
         lambda vector, _deliver_ns: captured.append(vector),
-        frontend=make_frontend(frontend_name),
+        frontend=get_frontend(frontend_name),
     )
     pipeline.run(events)
     return captured

@@ -13,15 +13,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.mcm.driver import MlMiaowDriver
-from repro.mcm.engines import ProtocolConverter
 from repro.miaow.gpu import Gpu
 from repro.ml.detector import ThresholdDetector
 from repro.ml.elm import ExtremeLearningMachine
 from repro.ml.features import PatternDictionary
-from repro.ml.kernels import DeployedElm, DeployedLstm
+from repro.ml.kernels import DeployedLstm
 from repro.ml.lstm import LstmModel
-from repro.soc.rtad import RtadConfig, RtadSoc
+from repro.soc.deploy import TrainedModel
+from repro.soc.rtad import RtadSoc
 from repro.workloads.dataset import build_dataset
 from repro.workloads.profiles import get_profile
 from repro.workloads.program import SyntheticProgram
@@ -98,15 +97,19 @@ class ModelBundle:
     dictionary: Optional[PatternDictionary] = None
     lstm: Optional[LstmModel] = None
 
-    def make_deployment(self):
-        if self.kind == "elm":
-            return DeployedElm(self.elm, self.dictionary, self.window)
-        return DeployedLstm(self.lstm)
+    @property
+    def trained(self) -> TrainedModel:
+        return TrainedModel(
+            model=self.elm if self.kind == "elm" else self.lstm,
+            monitored_addresses=self.monitored_addresses,
+            detector=self.detector,
+            dictionary=self.dictionary,
+            window=self.window,
+            score_smoothing=self.score_smoothing,
+        )
 
-    def make_converter(self) -> ProtocolConverter:
-        if self.kind == "elm":
-            return ProtocolConverter("elm", self.dictionary)
-        return ProtocolConverter("lstm")
+    def make_deployment(self):
+        return self.trained.deployed()
 
     def make_soc(
         self,
@@ -114,23 +117,10 @@ class ModelBundle:
         execute_on_gpu: bool = False,
         fifo_depth: int = 16,
     ) -> RtadSoc:
-        driver = MlMiaowDriver(
-            self.make_deployment(), gpu, execute_on_gpu=execute_on_gpu
+        [deployment] = self.trained.deploy(
+            ["rtad"], gpu, execute_on_gpu=execute_on_gpu, fifo_depth=fifo_depth
         )
-        config = RtadConfig(
-            model_kind=self.kind,
-            window=self.window if self.kind == "elm" else 1,
-            fifo_depth=fifo_depth,
-            score_smoothing=self.score_smoothing,
-        )
-        return RtadSoc(
-            program=self.program,
-            driver=driver,
-            converter=self.make_converter(),
-            monitored_addresses=self.monitored_addresses,
-            detector=self.detector,
-            config=config,
-        )
+        return RtadSoc(self.program, deployment)
 
 
 _BUNDLE_CACHE: Dict[Tuple[str, str, int], ModelBundle] = {}

@@ -26,7 +26,7 @@ from repro.fleet.coordinator import (
     FleetConfig,
     FleetCoordinator,
 )
-from repro.fleet.demo import demo_factory
+from repro.soc.demo import demo_factory
 from repro.fleet.transport import (
     ShmRing,
     TRANSPORT_NAMES,

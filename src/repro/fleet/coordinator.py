@@ -1194,7 +1194,7 @@ class FleetCoordinator:
     def transport_stats(self) -> Dict[str, int]:
         """The full transport + placement counter view, timings included.
 
-        This is what the bench harness and ``repro.eval metrics`` read:
+        This is what the bench harness and the metrics report read:
         ``fleet.transport.ns`` / ``fleet.transport.stage_ns`` are
         wall-clock sums across dispatches, alongside the deterministic
         byte/event counters (which must satisfy ``bytes.staged ==

@@ -13,7 +13,6 @@ from repro.frontends.base import (
     TraceFrontend,
     frontend_names,
     get_frontend,
-    make_frontend,
     register_frontend,
 )
 from repro.frontends.coresight import CoreSightFrontend
@@ -24,6 +23,5 @@ __all__ = [
     "TraceFrontend",
     "frontend_names",
     "get_frontend",
-    "make_frontend",
     "register_frontend",
 ]

@@ -154,24 +154,6 @@ def get_frontend(name: str, **kwargs) -> TraceFrontend:
     return factory(**kwargs)  # type: ignore[call-arg]
 
 
-def make_frontend(
-    name: str, ptm_config=None, **kwargs
-) -> TraceFrontend:
-    """Resolve a frontend selector plus optional legacy PTM config.
-
-    ``Deployment.ptm_config`` predates the frontend interface; it only
-    makes sense for the CoreSight grammar, so passing it alongside any
-    other frontend is a configuration error rather than a silent drop.
-    """
-    if ptm_config is not None:
-        if name != "coresight":
-            raise SocConfigError(
-                f"ptm_config is CoreSight-specific (frontend={name!r})"
-            )
-        return get_frontend(name, ptm_config=ptm_config, **kwargs)
-    return get_frontend(name, **kwargs)
-
-
 def _ensure_builtins() -> None:
     """Late-register the built-in frontends (avoids import cycles)."""
     if "coresight" not in _REGISTRY:

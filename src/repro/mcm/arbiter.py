@@ -1,8 +1,10 @@
 """Round-robin arbitration of one ML-MIAOW across MCM lanes.
 
-Multi-tenant deployments give every tenant its own MCM lane — FIFO,
-interrupt manager, score smoothing, records — while a single GPU
-engine serves them all.  :class:`ArbitratedMcm` owns the shared busy
+The one MCM service path.  Multi-tenant deployments give every tenant
+its own MCM lane — FIFO, interrupt manager, score smoothing, records —
+while a single GPU engine serves them all; the solo
+:class:`repro.soc.rtad.RtadSoc` is the one-lane case.
+:class:`ArbitratedMcm` owns the shared busy
 window: whenever the engine is free, the lane heads compete and the
 grant goes to the earliest-ready head, ties broken round-robin from
 the lane after the last grant (no lane can starve under sustained
@@ -25,18 +27,14 @@ session reset — the failure mode the watchdog exists to prevent.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.errors import McmError
 from repro.faults.service import ServiceFaultInjector
 from repro.igm.vector_encoder import InputVector
-from repro.mcm.driver import DriverResult, MlMiaowDriver
-from repro.mcm.mcm import InferenceRecord, Mcm
+from repro.mcm.driver import MlMiaowDriver
+from repro.mcm.mcm import InferenceRecord, Mcm, Prepared
 from repro.obs import MetricsRegistry, NULL_REGISTRY
-
-#: One coalesced-but-not-yet-served inference: the head's converted
-#: input plus the DriverResult the fused dispatch already produced.
-_Prepared = Tuple[object, DriverResult]
 
 
 class ArbitratedMcm:
@@ -78,7 +76,7 @@ class ArbitratedMcm:
         )
         self.watchdog_trips: List[int] = [0] * len(self.lanes)
         self.batch_eligible: List[bool] = [True] * len(self.lanes)
-        self._prepared: List[Optional[_Prepared]] = [None] * len(self.lanes)
+        self._prepared: List[Optional[Prepared]] = [None] * len(self.lanes)
         self.hung = False
         self._busy_until_ns = 0.0
         self._next_lane = 0
@@ -103,10 +101,6 @@ class ArbitratedMcm:
         )
         self._lane_seq += 1
         return counter
-
-    @property
-    def busy_until_ns(self) -> float:
-        return self._busy_until_ns
 
     # ------------------------------------------------------------------
     # Lane membership (tenant removal / re-admission)
@@ -240,25 +234,13 @@ class ArbitratedMcm:
                     self._busy_until_ns = best_start + deadline_ns
                     self._next_lane = (best_lane + 1) % count
                     continue
-                prepared = self._prepared[best_lane]
-                if prepared is None and self.batch_limit > 1:
+                if self._prepared[best_lane] is None and self.batch_limit > 1:
                     self._fuse(best_lane, best_start)
-                    prepared = self._prepared[best_lane]
-                if prepared is not None:
-                    self._prepared[best_lane] = None
-                    converted, result = prepared
-                    self._busy_until_ns = self.lanes[
-                        best_lane
-                    ].serve_head_prepared(
-                        best_start,
-                        converted,
-                        result,
-                        extra_service_ns=extra_ns,
-                    )
-                else:
-                    self._busy_until_ns = self.lanes[best_lane].serve_head(
-                        best_start, extra_service_ns=extra_ns
-                    )
+                prepared = self._prepared[best_lane]
+                self._prepared[best_lane] = None
+                self._busy_until_ns = self.lanes[best_lane].serve_head(
+                    best_start, extra_service_ns=extra_ns, prepared=prepared
+                )
                 self._m_grants[best_lane].inc()
                 served[best_lane] += 1
                 self._next_lane = (best_lane + 1) % count

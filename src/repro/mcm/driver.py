@@ -1,7 +1,8 @@
 """ML-MIAOW driver: the kernel-sequencing layer of the MCM.
 
-Binds one deployed model to one GPU engine and runs inferences.  Two
-execution modes:
+Binds one deployed model to one GPU engine and runs inferences.  The
+deployed model fixes the driver's ``kind`` and, with it, the MCM's
+protocol conversion (``converter``).  Two execution modes:
 
 - **exact** (``execute_on_gpu=True``): every inference actually runs
   on the GPU simulator.  When the engine's fast path is eligible the
@@ -24,11 +25,15 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import McmError
+from repro.mcm.engines import ProtocolConverter
 from repro.miaow.gpu import Gpu
 from repro.ml.kernels import (
     DeployedElm,
     DeployedLstm,
     DeployedMlp,
+    ElmInferenceResult,
+    LstmInferenceResult,
+    MlpInferenceResult,
     elm_infer_indices_batch,
     lstm_infer_batch,
     mlp_infer_batch,
@@ -58,6 +63,30 @@ class DriverResult:
     phases: InferencePhases
 
 
+def _driver_result(
+    result: Union[ElmInferenceResult, LstmInferenceResult, MlpInferenceResult],
+) -> DriverResult:
+    """A kernel-level inference result as the MCM sees it."""
+    if isinstance(result, ElmInferenceResult):
+        return DriverResult(
+            score=result.score,
+            phases=InferencePhases(
+                names=("elm_score",), cycles=(result.dispatch.cycles,)
+            ),
+        )
+    return DriverResult(
+        score=(
+            result.surprisal
+            if isinstance(result, LstmInferenceResult)
+            else result.score
+        ),
+        phases=InferencePhases(
+            names=tuple(d.kernel for d in result.dispatches),
+            cycles=tuple(d.cycles for d in result.dispatches),
+        ),
+    )
+
+
 class MlMiaowDriver:
     """Host-side sequencing of kernel dispatches per inference."""
 
@@ -79,6 +108,10 @@ class MlMiaowDriver:
             self.kind = "mlp"
         else:
             self.kind = "lstm"
+        self.converter = ProtocolConverter(
+            self.kind,
+            deployment.dictionary if self.kind == "elm" else None,
+        )
         deployment.load(gpu)
         self._reference = None
         self._cached_phases = self._measure_phases()
@@ -120,28 +153,18 @@ class MlMiaowDriver:
         """
         if self.kind == "elm":
             indices = np.ones(self.deployment.positions, dtype=np.int64)
-            result = self.deployment.infer_indices(indices)
-            phases = InferencePhases(
-                names=("elm_score",), cycles=(result.dispatch.cycles,)
-            )
-        elif self.kind == "mlp":
+            return _driver_result(
+                self.deployment.infer_indices(indices)
+            ).phases
+        if self.kind == "mlp":
             features = np.full(
                 self.deployment.model.input_dim,
                 1.0 / self.deployment.model.input_dim,
                 dtype=np.float32,
             )
-            result = self.deployment.infer(features)
-            phases = InferencePhases(
-                names=tuple(d.kernel for d in result.dispatches),
-                cycles=tuple(d.cycles for d in result.dispatches),
-            )
-        else:
-            result = self.deployment.infer(0)
-            phases = InferencePhases(
-                names=tuple(d.kernel for d in result.dispatches),
-                cycles=tuple(d.cycles for d in result.dispatches),
-            )
-            self.deployment.reset_state()
+            return _driver_result(self.deployment.infer(features)).phases
+        phases = _driver_result(self.deployment.infer(0)).phases
+        self.deployment.reset_state()
         return phases
 
     def _make_reference(self):
@@ -184,25 +207,14 @@ class MlMiaowDriver:
 
     def _run_mlp(self, features: np.ndarray) -> DriverResult:
         if self.execute_on_gpu:
-            result = self.deployment.infer(features)
-            return DriverResult(
-                score=result.score,
-                phases=InferencePhases(
-                    names=tuple(d.kernel for d in result.dispatches),
-                    cycles=tuple(d.cycles for d in result.dispatches),
-                ),
-            )
+            return _driver_result(self.deployment.infer(features))
         score = self.deployment.reference_score(features)
         return DriverResult(score=score, phases=self._cached_phases)
 
     def _run_elm(self, pattern_indices: np.ndarray) -> DriverResult:
         if self.execute_on_gpu:
-            result = self.deployment.infer_indices(pattern_indices)
-            return DriverResult(
-                score=result.score,
-                phases=InferencePhases(
-                    names=("elm_score",), cycles=(result.dispatch.cycles,)
-                ),
+            return _driver_result(
+                self.deployment.infer_indices(pattern_indices)
             )
         # Calibrated mode: score via the f32 reference on dense features.
         dictionary = self.deployment.dictionary
@@ -217,14 +229,7 @@ class MlMiaowDriver:
 
     def _run_lstm(self, branch_id: int) -> DriverResult:
         if self.execute_on_gpu:
-            result = self.deployment.infer(int(branch_id))
-            return DriverResult(
-                score=result.surprisal,
-                phases=InferencePhases(
-                    names=tuple(d.kernel for d in result.dispatches),
-                    cycles=tuple(d.cycles for d in result.dispatches),
-                ),
-            )
+            return _driver_result(self.deployment.infer(int(branch_id)))
         score = self._reference.infer(int(branch_id))
         return DriverResult(score=score, phases=self._cached_phases)
 
@@ -283,43 +288,14 @@ class MlMiaowDriver:
         deployments = [driver.deployment for driver in drivers]
         if first.kind == "elm":
             results = elm_infer_indices_batch(deployments, converted_inputs)
-            outputs = [
-                DriverResult(
-                    score=result.score,
-                    phases=InferencePhases(
-                        names=("elm_score",),
-                        cycles=(result.dispatch.cycles,),
-                    ),
-                )
-                for result in results
-            ]
         elif first.kind == "mlp":
             results = mlp_infer_batch(deployments, converted_inputs)
-            outputs = [
-                DriverResult(
-                    score=result.score,
-                    phases=InferencePhases(
-                        names=tuple(d.kernel for d in result.dispatches),
-                        cycles=tuple(d.cycles for d in result.dispatches),
-                    ),
-                )
-                for result in results
-            ]
         else:
             results = lstm_infer_batch(
                 deployments,
                 [int(branch_id) for branch_id in converted_inputs],
             )
-            outputs = [
-                DriverResult(
-                    score=result.surprisal,
-                    phases=InferencePhases(
-                        names=tuple(d.kernel for d in result.dispatches),
-                        cycles=tuple(d.cycles for d in result.dispatches),
-                    ),
-                )
-                for result in results
-            ]
+        outputs = [_driver_result(result) for result in results]
         for driver, output in zip(drivers, outputs):
             driver._m_inferences.inc()
             driver._m_launches.inc(output.phases.num_dispatches)

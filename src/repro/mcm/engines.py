@@ -94,11 +94,3 @@ class ProtocolConverter:
         if self.kind == "lstm":
             return 1
         return int(np.asarray(converted).size)
-
-    def input_words(self, values: np.ndarray) -> int:
-        """Worst-case words per vector (for buffer sizing)."""
-        if self.kind == "lstm":
-            return 1
-        if self.kind == "mlp":
-            return int(np.asarray(values).size)
-        return self.dictionary.max_indices(int(np.asarray(values).size))

@@ -16,20 +16,24 @@ for branch-heavy workloads under the untrimmed engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import McmError
 from repro.igm.vector_encoder import InputVector
-from repro.mcm.driver import MlMiaowDriver
-from repro.mcm.engines import ProtocolConverter, RxEngine, TxEngine
+from repro.mcm.driver import DriverResult, MlMiaowDriver
+from repro.mcm.engines import RxEngine, TxEngine
 from repro.mcm.fifo import InternalFifo
 from repro.mcm.fsm import ControlFsm
 from repro.mcm.interrupt import InterruptManager
 from repro.ml.detector import ThresholdDetector
 from repro.obs import MetricsRegistry, NULL_REGISTRY
+
+#: One inference computed ahead of its service by a fused dispatch: the
+#: head's protocol-converted input plus the DriverResult it produced.
+Prepared = Tuple[object, DriverResult]
 
 RTAD_CLOCK_HZ = 125_000_000
 GPU_CLOCK_HZ = 50_000_000
@@ -84,18 +88,12 @@ class Mcm:
     def __init__(
         self,
         driver: MlMiaowDriver,
-        converter: ProtocolConverter,
         detector: Optional[ThresholdDetector] = None,
         config: Optional[McmConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if converter.kind != driver.kind:
-            raise McmError(
-                f"converter kind {converter.kind!r} does not match "
-                f"driver kind {driver.kind!r}"
-            )
         self.driver = driver
-        self.converter = converter
+        self.converter = driver.converter
         self.detector = detector
         self.config = config or McmConfig()
         self.fifo: InternalFifo[InputVector] = InternalFifo(
@@ -149,35 +147,15 @@ class Mcm:
         return cycles / self.config.gpu_clock_hz * 1e9
 
     # ------------------------------------------------------------------
-    # Ingest
-    # ------------------------------------------------------------------
-
-    def push(self, vector: InputVector, arrival_ns: float) -> bool:
-        """Vector arrival from the IGM; returns False if dropped."""
-        self._drain(until_ns=arrival_ns)
-        self._m_vectors_in.inc()
-        accepted = self.fifo.push(vector, arrival_ns)
-        if accepted:
-            self._m_fifo_depth.set(len(self.fifo))
-        else:
-            self._m_drops.inc()
-        return accepted
-
-    def finalize(self) -> List[InferenceRecord]:
-        """Process everything still queued; returns all records."""
-        self._drain(until_ns=float("inf"))
-        return self.records
-
-    # ------------------------------------------------------------------
-    # Arbitrated mode (multi-tenant sharing of one engine)
+    # Ingest and service (driven by repro.mcm.arbiter.ArbitratedMcm)
     # ------------------------------------------------------------------
 
     def enqueue(self, vector: InputVector, arrival_ns: float) -> bool:
         """FIFO admission only — no service.
 
-        Used when an external arbiter owns the shared busy window and
-        decides when each lane's head is served
-        (:class:`repro.mcm.arbiter.ArbitratedMcm`).
+        The arbiter (:class:`repro.mcm.arbiter.ArbitratedMcm`) owns the
+        engine's busy window and decides when each lane's head is
+        served.
         """
         self._m_vectors_in.inc()
         accepted = self.fifo.push(vector, arrival_ns)
@@ -188,57 +166,38 @@ class Mcm:
         return accepted
 
     def serve_head(
-        self, start_ns: float, extra_service_ns: float = 0.0
+        self,
+        start_ns: float,
+        extra_service_ns: float = 0.0,
+        prepared: Optional[Prepared] = None,
     ) -> float:
         """Serve the queued head starting at ``start_ns``; return the
         completion time.  The caller (arbiter) owns start-time policy;
         all timing math, scoring, smoothing, and interrupt behaviour
         are this lane's own.  ``extra_service_ns`` models an injected
-        service stall (fault testing): it extends this one service."""
+        service stall (fault testing): it extends this one service.
+
+        ``prepared`` is the ``(converted input, DriverResult)`` pair the
+        arbiter's fused dispatch already computed for this head
+        (bit-identical to :meth:`MlMiaowDriver.run_inference`), so the
+        service is timing math, scoring, and records only.
+        """
         entry = self.fifo.pop()
         if entry is None:
             raise McmError("serve_head on an empty FIFO")
         self._m_fifo_depth.set(len(self.fifo))
         self._serve(
             entry.item, entry.arrival_ns, start_ns,
-            extra_ns=extra_service_ns,
-        )
-        return self._busy_until_ns
-
-    def serve_head_prepared(
-        self,
-        start_ns: float,
-        converted,
-        result,
-        extra_service_ns: float = 0.0,
-    ) -> float:
-        """Serve the queued head with an already-computed inference.
-
-        Used by the arbiter's batched dispatch path: the fused GPU run
-        already produced this head's :class:`~repro.mcm.driver.DriverResult`
-        (bit-identical to what :meth:`~repro.mcm.driver.MlMiaowDriver.run_inference`
-        would return), so service here is timing math, scoring, and
-        records only.  ``converted`` is the protocol-converted input —
-        the TX word count still depends on it.
-        """
-        entry = self.fifo.pop()
-        if entry is None:
-            raise McmError("serve_head_prepared on an empty FIFO")
-        self._m_fifo_depth.set(len(self.fifo))
-        self._serve(
-            entry.item, entry.arrival_ns, start_ns,
-            extra_ns=extra_service_ns,
-            converted=converted, result=result,
+            extra_ns=extra_service_ns, prepared=prepared,
         )
         return self._busy_until_ns
 
     def record_drain_batch(self, served: int) -> None:
-        """Observe one externally-driven drain burst.
+        """Observe one drain burst.
 
-        Arbitrated lanes are drained by :class:`ArbitratedMcm`, which
-        bypasses :meth:`_drain`; the arbiter reports each lane's
-        per-burst serve count here so ``mcm.drain.batch_vectors`` sums
-        to the lane's total served inferences in every mode.
+        The arbiter reports each lane's per-burst serve count here, so
+        ``mcm.drain.batch_vectors`` sums to the lane's total served
+        inferences.
         """
         if served:
             self._m_drain_batch.observe(served)
@@ -271,31 +230,18 @@ class Mcm:
     # Service
     # ------------------------------------------------------------------
 
-    def _drain(self, until_ns: float) -> None:
-        """Start (and finish) services that begin before ``until_ns``."""
-        served = 0
-        while not self.fifo.empty:
-            head = self.fifo.peek()
-            start_ns = max(head.arrival_ns, self._busy_until_ns)
-            if start_ns >= until_ns:
-                break
-            entry = self.fifo.pop()
-            self._serve(entry.item, entry.arrival_ns, start_ns)
-            served += 1
-        if served:
-            self._m_drain_batch.observe(served)
-
     def _serve(
         self,
         vector: InputVector,
         arrival_ns: float,
         start_ns: float,
         extra_ns: float = 0.0,
-        converted=None,
-        result=None,
+        prepared: Optional[Prepared] = None,
     ) -> None:
         divergent: Optional[bool] = None
-        if result is None:
+        if prepared is not None:
+            converted, result = prepared
+        else:
             converted = self.converter.convert(vector.values)
             pre_state = (
                 self.driver.export_model_state()
@@ -377,7 +323,7 @@ class Mcm:
         """Lifetime + session state for checkpointing.
 
         Requires a quiescent MCM (empty FIFO — guaranteed at round
-        boundaries after ``finalize``): queued vectors hold live numpy
+        boundaries after the arbiter's ``finalize``): queued vectors hold live numpy
         arrays that a checkpoint deliberately does not carry.
         """
         if not self.fifo.empty:

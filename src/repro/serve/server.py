@@ -43,7 +43,7 @@ from repro.serve.windows import IngestBatch, TenantWindow
 from repro.soc.manager import SocManager
 from repro.workloads.cfg import BranchEvent, BranchKind
 
-#: Canonical ``serve.*`` counters, surfaced by ``repro.eval metrics``
+#: Canonical ``serve.*`` counters, surfaced by the metrics report
 #: with a stable shape (0 when the front door never ran).
 SERVE_COUNTERS = (
     "serve.connections.opened",

@@ -36,7 +36,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.coresight.ptm import PtmConfig
 from repro.durability.journal import (
     MIN_RECORD_BYTES,
     Journal,
@@ -58,7 +57,6 @@ from repro.igm.address_mapper import AddressMapper
 from repro.igm.vector_encoder import EncoderMode, InputVector, VectorEncoder
 from repro.mcm.arbiter import ArbitratedMcm
 from repro.mcm.driver import MlMiaowDriver
-from repro.mcm.engines import ProtocolConverter
 from repro.mcm.mcm import InferenceRecord, Mcm, McmConfig
 from repro.ml.detector import ThresholdDetector
 from repro.obs import MetricsRegistry, NULL_REGISTRY
@@ -108,16 +106,16 @@ class Deployment:
     """One tenant: a monitored program's model bound to the shared SoC.
 
     The ``driver`` must wrap the *shared* GPU engine — SocManager
-    refuses mixed engines; arbitration is the whole point.
+    refuses mixed engines; arbitration is the whole point.  The
+    driver's deployed model fixes the model kind, the MCM's protocol
+    conversion and the vector encoder's window.
     """
 
     name: str
     driver: MlMiaowDriver
-    converter: ProtocolConverter
     monitored_addresses: Sequence[int]
     detector: Optional[ThresholdDetector] = None
     config: RtadConfig = field(default_factory=RtadConfig)
-    ptm_config: Optional[PtmConfig] = None
 
 
 class TenantRuntime:
@@ -139,18 +137,24 @@ class TenantRuntime:
         self.deployment = deployment
         self.metrics = metrics
         config = deployment.config
+        driver = deployment.driver
+        if driver.kind not in ("elm", "lstm"):
+            raise SocConfigError(
+                f"RTAD deploys ELM or LSTM models, not {driver.kind!r}"
+            )
         self.fault_plan = config.fault_plan
         self.mapper = AddressMapper(metrics=metrics)
         self.mapper.load(deployment.monitored_addresses)
         self.encoder = VectorEncoder(
             mode=EncoderMode.SEQUENCE,
-            window=config.window,
+            window=(
+                driver.deployment.window if driver.kind == "elm" else 1
+            ),
             vocabulary_size=self.mapper.size + 1,
             metrics=metrics,
         )
         self.mcm = Mcm(
-            driver=deployment.driver,
-            converter=deployment.converter,
+            driver=driver,
             detector=deployment.detector,
             config=McmConfig(
                 fifo_depth=config.fifo_depth,
@@ -166,13 +170,11 @@ class TenantRuntime:
         # and repro.frontends late-binds its builtins; module-level
         # imports here would be circular through the repro.soc package
         # __init__.
-        from repro.frontends import make_frontend
+        from repro.frontends import get_frontend
         from repro.pipeline import build_trace_pipeline
         from repro.soc.loop import LoopDataplane
 
-        self.frontend = make_frontend(
-            config.frontend, ptm_config=deployment.ptm_config
-        )
+        self.frontend = get_frontend(config.frontend)
         if config.dataplane == "loop":
             self.pipeline = LoopDataplane(
                 self.mapper,

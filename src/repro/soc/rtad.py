@@ -29,10 +29,8 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import SocConfigError
-from repro.mcm.driver import MlMiaowDriver
-from repro.mcm.engines import ProtocolConverter
+from repro.mcm.arbiter import ArbitratedMcm
 from repro.mcm.mcm import InferenceRecord
-from repro.ml.detector import ThresholdDetector
 from repro.obs import MetricsRegistry, NULL_REGISTRY
 from repro.soc.clocks import CPU_CLOCK
 from repro.soc.metrics import rtad_transfer_breakdown
@@ -42,14 +40,13 @@ from repro.workloads.program import SyntheticProgram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.plan import FaultPlan
+    from repro.soc.manager import Deployment
 
 
 @dataclass(frozen=True)
 class RtadConfig:
     """SoC-level configuration."""
 
-    model_kind: str = "lstm"            # "elm" | "lstm"
-    window: int = 1                     # VE window (1 for lstm, 16 for elm)
     fifo_depth: int = 16
     igm_pipe_ns: float = 24.0           # decode + 2-cycle vectorize
     score_smoothing: int = 1            # interrupt-manager accumulator
@@ -75,10 +72,6 @@ class RtadConfig:
     frontend: str = "coresight"
 
     def __post_init__(self) -> None:
-        if self.model_kind not in ("elm", "lstm"):
-            raise SocConfigError(f"unknown model kind {self.model_kind!r}")
-        if self.model_kind == "lstm" and self.window != 1:
-            raise SocConfigError("LSTM deployment uses window=1 vectors")
         if self.dataplane not in ("batched", "loop"):
             raise SocConfigError(f"unknown dataplane {self.dataplane!r}")
         if self.chunk_events < 1:
@@ -112,47 +105,37 @@ class RtadSoc:
 
     A one-tenant facade over :class:`repro.soc.manager.TenantRuntime`,
     which assembles the address mapper, vector encoder, MCM lane and
-    the trace dataplane ``config.dataplane`` selects.  The tenant's
-    parts are exposed under their usual names.
+    the trace dataplane ``deployment.config.dataplane`` selects.  The
+    lane is served through a one-lane
+    :class:`repro.mcm.arbiter.ArbitratedMcm`, the same service path
+    :class:`repro.soc.manager.SocManager` uses; like the paper's SoC
+    it injects no service faults.  The tenant's parts are exposed
+    under their usual names.
     """
 
     def __init__(
         self,
         program: SyntheticProgram,
-        driver: MlMiaowDriver,
-        converter: ProtocolConverter,
-        monitored_addresses: Sequence[int],
-        detector: Optional[ThresholdDetector] = None,
-        config: Optional[RtadConfig] = None,
+        deployment: "Deployment",
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         # Deferred import: repro.soc.manager imports RtadConfig from
         # this module.
-        from repro.soc.manager import Deployment, TenantRuntime
+        from repro.soc.manager import TenantRuntime
 
         self.program = program
-        self.config = config or RtadConfig()
+        self.config = deployment.config
         self.metrics = metrics or NULL_REGISTRY
         if self.metrics.enabled:
             # The driver (and its GPU) are built by the caller; adopt
             # them into this SoC's registry so kernel launches and
             # wavefront cycles land in the same snapshot.
-            driver.bind_metrics(self.metrics)
-        self.tenant = TenantRuntime(
-            0,
-            Deployment(
-                name="rtad",
-                driver=driver,
-                converter=converter,
-                monitored_addresses=monitored_addresses,
-                detector=detector,
-                config=self.config,
-            ),
-            metrics=self.metrics,
-        )
+            deployment.driver.bind_metrics(self.metrics)
+        self.tenant = TenantRuntime(0, deployment, metrics=self.metrics)
         self.mapper = self.tenant.mapper
         self.encoder = self.tenant.encoder
         self.mcm = self.tenant.mcm
+        self.arbiter = ArbitratedMcm([self.mcm], metrics=self.metrics)
         self.pipeline = self.tenant.pipeline
         self.frontend = self.tenant.frontend
         self._m_events = self.metrics.counter("soc.events")
@@ -179,18 +162,22 @@ class RtadSoc:
         tenant = self.tenant
         with self.metrics.trace("soc.run_events", events=len(events)):
             self._m_events.inc(len(events))
-            tenant.reset()
-            tenant.mcm.reset_session()
+            self._reset_session()
             if len(events):
                 tenant.pipeline.run(events)
             # One lane: delivering the captured schedule after the run
             # is the same as pushing from inside the dataplane's sink.
             for vector, deliver_ns in tenant.schedule:
-                tenant.mcm.push(vector, deliver_ns)
+                self.arbiter.push(0, vector, deliver_ns)
             with self.metrics.trace("mcm.finalize"):
-                records = tenant.mcm.finalize()
+                [records] = self.arbiter.finalize()
             self._observe_records()
             return records
+
+    def _reset_session(self) -> None:
+        """Start a trace session: every per-session state back to fresh."""
+        self.tenant.reset()
+        self.arbiter.reset_session()
 
     def _observe_records(self) -> None:
         """End-to-end latency of every inference not yet observed."""
@@ -205,7 +192,7 @@ class RtadSoc:
     def path_latency_ns(self) -> float:
         """Analytic trace-path latency for this benchmark (Fig. 7)."""
         breakdown = rtad_transfer_breakdown(
-            self.program.profile, window=self.config.window
+            self.program.profile, window=self.encoder.window
         )
         # Transfer step (3) and queueing are already modeled inside the
         # MCM; the path latency covers steps (1) and (2).
@@ -217,7 +204,11 @@ class RtadSoc:
         times_ns: Sequence[float],
         path_latency_ns: Optional[float] = None,
     ) -> List[InferenceRecord]:
-        """Feed already-filtered monitored branch IDs with timestamps."""
+        """Feed already-filtered monitored branch IDs with timestamps.
+
+        Like :meth:`run_events`, every call is an independent trace
+        session; the returned list is the lifetime log.
+        """
         if len(ids) != len(times_ns):
             raise SocConfigError("ids/times length mismatch")
         latency = (
@@ -229,6 +220,7 @@ class RtadSoc:
             "soc.run_monitored_stream", ids=len(ids)
         ):
             self._m_monitored_ids.inc(len(ids))
+            self._reset_session()
             for branch_id, time_ns in zip(ids, times_ns):
                 vector = self.encoder.push(
                     index=int(branch_id),
@@ -237,8 +229,8 @@ class RtadSoc:
                 )
                 if vector is not None:
                     self._m_read.observe(latency)
-                    self.mcm.push(vector, time_ns + latency)
-            records = self.mcm.finalize()
+                    self.arbiter.push(0, vector, time_ns + latency)
+            [records] = self.arbiter.finalize()
             self._observe_records()
             return records
 
@@ -294,9 +286,15 @@ class RtadSoc:
                 normal_times[onset_index:] + shift,
             ]
         )
-        records = self.run_monitored_stream(ids, times)
-
-        interrupts = self.mcm.interrupts.fired
+        # Judge only this trial: the MCM's records, interrupts and FIFO
+        # drops are lifetime logs on a reused SoC.
+        mcm = self.mcm
+        seen_records = len(mcm.records)
+        seen_interrupts = len(mcm.interrupts.fired)
+        seen_drops = mcm.dropped_vectors
+        records = self.run_monitored_stream(ids, times)[seen_records:]
+        interrupts = mcm.interrupts.fired[seen_interrupts:]
+        dropped = mcm.dropped_vectors - seen_drops
         false_before = sum(1 for i in interrupts if i.time_ns < onset_ns)
         # One deadline for the whole trial: the window filter below and
         # the judgment check further down must use the same instant, so
@@ -311,7 +309,7 @@ class RtadSoc:
         # vector with sequence number onset_index - (window - 1); if
         # the FIFO dropped it (overflow), the next surviving inference
         # carries the evidence.
-        target_sequence = onset_index - (self.config.window - 1)
+        target_sequence = onset_index - (self.encoder.window - 1)
         judgment = next(
             (
                 r for r in records
@@ -332,7 +330,7 @@ class RtadSoc:
             detection_latency_us=latency_us,
             interrupts=len(interrupts),
             inferences=len(records),
-            dropped_vectors=self.mcm.dropped_vectors,
-            overflowed=self.mcm.overflowed,
+            dropped_vectors=dropped,
+            overflowed=dropped > 0,
             false_interrupts_before_onset=false_before,
         )

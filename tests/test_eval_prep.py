@@ -71,8 +71,8 @@ class TestBundles:
     def test_elm_soc_wiring(self):
         bundle = get_bundle("403.gcc", "elm")
         soc = bundle.make_soc(make_ml_miaow(), execute_on_gpu=False)
-        assert soc.config.model_kind == "elm"
-        assert soc.config.window == ELM_WINDOW
+        assert soc.mcm.driver.kind == "elm"
+        assert soc.encoder.window == ELM_WINDOW
         assert soc.mcm.converter.kind == "elm"
         assert soc.mapper.size == len(bundle.monitored_addresses)
 

@@ -12,6 +12,7 @@ duck surface as a solo manager.
 """
 
 import asyncio
+import functools
 import tempfile
 
 import pytest
@@ -48,14 +49,27 @@ def _traces(round_index, names=None):
     }
 
 
-def _fleet(num_shards=2, names=None, config=None, **kwargs):
+def _fleet(
+    root, num_shards=2, names=None, config=None, factory=demo_factory,
+    **kwargs,
+):
     return FleetCoordinator(
-        demo_factory,
+        factory,
         names or _names(),
-        tempfile.mkdtemp(prefix="repro-fleet-test-"),
+        root,
         config or FleetConfig(num_shards=num_shards),
         **kwargs,
     )
+
+
+@pytest.fixture
+def make_fleet(tmp_path):
+    """Fleet builder whose journals live under this test's ``tmp_path``."""
+
+    def build(*args, **kwargs):
+        return _fleet(tempfile.mkdtemp(dir=tmp_path), *args, **kwargs)
+
+    return build
 
 
 def _signatures(records):
@@ -66,9 +80,9 @@ def _signatures(records):
 
 
 class TestEquivalence:
-    def test_records_byte_identical_to_same_topology_solo(self):
+    def test_records_byte_identical_to_same_topology_solo(self, make_fleet):
         rounds = [_traces(r) for r in range(2)]
-        with _fleet(num_shards=2) as fleet:
+        with make_fleet(num_shards=2) as fleet:
             placement = {
                 shard.id: list(shard.tenants) for shard in fleet.shards
             }
@@ -99,7 +113,34 @@ class TestEquivalence:
                         == fleet_log[name]
                     )
 
-    def test_verdict_flags_match_all_tenants_reference(self):
+    def test_exact_mode_records_match_same_topology_solo(self, make_fleet):
+        # Exact mode (every inference dispatched on the modeled engine)
+        # is reachable through the fleet's factory.
+        factory = functools.partial(demo_factory, execute_on_gpu=True)
+        traces = {
+            name: demo_events(KIND, 0, 1_500, run_label=f"exact-{name}")
+            for name in _names()
+        }
+        registry = MetricsRegistry()
+        with make_fleet(
+            num_shards=2, factory=factory, metrics=registry
+        ) as fleet:
+            placement = [list(shard.tenants) for shard in fleet.shards]
+            fleet_log = _signatures(fleet.run_events(traces))
+            counters = fleet.counters()
+        assert counters["miaow.fastpath.dispatches"] > 0
+        for tenant_subset in placement:
+            solo = SocManager(
+                demo_factory(tenant_subset, kind=KIND, execute_on_gpu=True)
+            )
+            solo_log = _signatures(
+                solo.run_events({name: traces[name] for name in tenant_subset})
+            )
+            for name in tenant_subset:
+                assert fleet_log[name] == solo_log[name]
+        assert min(len(log) for log in fleet_log.values()) > 5
+
+    def test_verdict_flags_match_all_tenants_reference(self, make_fleet):
         # Scores and anomaly verdicts do not depend on which engine a
         # tenant lands on — only engine-local bookkeeping (timestamps,
         # sequence numbers) does.
@@ -109,7 +150,7 @@ class TestEquivalence:
         )
         reference = solo.run_events(traces)
         for num_shards in (1, 2, 4):
-            with _fleet(num_shards=num_shards) as fleet:
+            with make_fleet(num_shards=num_shards) as fleet:
                 records = fleet.run_events(traces)
             for name in _names():
                 assert [
@@ -122,13 +163,17 @@ class TestEquivalence:
 
 
 class TestTransports:
+    @pytest.fixture(autouse=True)
+    def _bind_fleet_builder(self, make_fleet):
+        self.make_fleet = make_fleet
+
     def _run(self, transport, num_shards=2, rounds=2):
         # Fork (also the default) so a monkeypatched ShmRing reaches
         # the workers.
         config = FleetConfig(
             num_shards=num_shards, transport=transport, start_method="fork"
         )
-        with _fleet(config=config) as fleet:
+        with self.make_fleet(config=config) as fleet:
             logs = [
                 _signatures(fleet.run_events(_traces(r)))
                 for r in range(rounds)
@@ -162,14 +207,14 @@ class TestTransports:
                 + stats["fleet.transport.bytes.discarded"]
             )
 
-    def test_undersized_ring_spills_inline_without_loss(self):
+    def test_undersized_ring_spills_inline_without_loss(self, make_fleet):
         """A round bigger than the ring rides the pipe whole — same
         records, spill counted, conservation intact."""
         reference, _, _, _ = self._run("pipe", rounds=1)
         config = FleetConfig(
             num_shards=2, transport="shm", shm_ring_bytes=4096
         )
-        with _fleet(config=config) as fleet:
+        with make_fleet(config=config) as fleet:
             logs = [_signatures(fleet.run_events(_traces(0)))]
             stats = fleet.transport_stats()
         assert logs == reference
@@ -229,14 +274,14 @@ class TestStartMethods:
     tenant list, journal dir, transport spec).  Keyed so CI can select
     the portable path alone with ``-k spawn``."""
 
-    def test_round_trip_matches_solo_reference(self, start_method):
+    def test_round_trip_matches_solo_reference(self, start_method, make_fleet):
         traces = _traces(0)
         solo = SocManager(
             demo_factory(_names(), kind=KIND), metrics=MetricsRegistry()
         )
         reference = solo.run_events(traces)
         config = FleetConfig(num_shards=2, start_method=start_method)
-        with _fleet(config=config) as fleet:
+        with make_fleet(config=config) as fleet:
             records = fleet.run_events(traces)
             counters = fleet.counters()
             names = fleet.transport_names()
@@ -254,9 +299,9 @@ class TestStartMethods:
 
 
 class TestCountersAndSurface:
-    def test_counters_merge_and_conserve(self):
+    def test_counters_merge_and_conserve(self, make_fleet):
         registry = MetricsRegistry()
-        with _fleet(num_shards=2, metrics=registry) as fleet:
+        with make_fleet(num_shards=2, metrics=registry) as fleet:
             first = fleet.run_events(_traces(0))
             fleet.run_events(_traces(1))
             counters = fleet.counters()
@@ -290,8 +335,8 @@ class TestCountersAndSurface:
         assert snapshot["fleet.rounds"] == 3
         assert counters["fleet.records.delivered"] >= delivered
 
-    def test_idle_shards_get_heartbeats(self):
-        with _fleet(num_shards=2) as fleet:
+    def test_idle_shards_get_heartbeats(self, make_fleet):
+        with make_fleet(num_shards=2) as fleet:
             shard0_only = {
                 name: trace
                 for name, trace in _traces(0).items()
@@ -304,8 +349,8 @@ class TestCountersAndSurface:
         assert counters["fleet.heartbeats"] == 1  # idle shard pinged
         assert counters["fleet.heartbeat.misses"] == 0
 
-    def test_manager_duck_surface(self):
-        with _fleet(num_shards=2) as fleet:
+    def test_manager_duck_surface(self, make_fleet):
+        with make_fleet(num_shards=2) as fleet:
             assert [t.name for t in fleet.tenants] == [
                 "tenant0", "tenant2", "tenant1", "tenant3",
             ]
@@ -321,15 +366,15 @@ class TestCountersAndSurface:
             assert all(row["alive"] for row in rows)
             assert all(row["restarts"] == 0 for row in rows)
 
-    def test_run_after_close_refused(self):
-        fleet = _fleet(num_shards=2)
+    def test_run_after_close_refused(self, make_fleet):
+        fleet = make_fleet(num_shards=2)
         fleet.close()
         fleet.close()  # idempotent
         with pytest.raises(FleetError, match="closed"):
             fleet.run_events(_traces(0))
 
-    def test_unknown_tenant_traffic_refused(self):
-        with _fleet(num_shards=2) as fleet:
+    def test_unknown_tenant_traffic_refused(self, make_fleet):
+        with make_fleet(num_shards=2) as fleet:
             with pytest.raises(SocConfigError, match="nobody"):
                 fleet.run_events({"nobody": _traces(0)["tenant0"]})
 
@@ -370,12 +415,12 @@ class TestValidation:
 
 
 class TestServeOverFleet:
-    def test_front_door_runs_unchanged_over_a_fleet(self):
+    def test_front_door_runs_unchanged_over_a_fleet(self, make_fleet):
         # Swapping the solo manager for a coordinator is a constructor
         # change: HELLO validation, ingestion, drain, and verdict
         # accounting all ride the same duck surface.
         async def scenario():
-            fleet = _fleet(num_shards=2)
+            fleet = make_fleet(num_shards=2)
             clock = {"ns": 0}
             server = IngestServer(
                 fleet, ServeConfig(), clock_ns=lambda: clock["ns"]
@@ -406,9 +451,9 @@ class TestServeOverFleet:
         assert counts["fleet.rounds"] == 1
         assert counts["fleet.rounds.admitted"] == 1  # one busy shard
 
-    def test_unknown_tenant_hello_refused_by_fleet(self):
+    def test_unknown_tenant_hello_refused_by_fleet(self, make_fleet):
         async def scenario():
-            fleet = _fleet(num_shards=2)
+            fleet = make_fleet(num_shards=2)
             server = IngestServer(fleet, ServeConfig())
             try:
                 client = ServeClient.local(server)

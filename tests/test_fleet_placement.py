@@ -14,6 +14,8 @@ import asyncio
 import functools
 import tempfile
 
+import pytest
+
 from repro.eval.metrics import demo_events
 from repro.eval.report import verdict_flags
 from repro.faults import FaultKind, FaultPlan, FaultSpec
@@ -46,17 +48,29 @@ def _traces(round_index, heavy=None, factor=4):
     }
 
 
-def _fleet(factory=demo_factory, **overrides):
+def _fleet(root, factory=demo_factory, **overrides):
     return FleetCoordinator(
         factory,
         NAMES,
-        tempfile.mkdtemp(prefix="repro-fleet-place-"),
+        root,
         FleetConfig(num_shards=2, **overrides),
     )
 
 
+@pytest.fixture
+def make_fleet(tmp_path):
+    """Fleet builder whose journals live under this test's ``tmp_path``."""
+
+    def build(*args, **kwargs):
+        return _fleet(tempfile.mkdtemp(dir=tmp_path), *args, **kwargs)
+
+    return build
+
+
 class TestLoadAwarePlacer:
-    def test_imbalanced_load_rebalances_and_flags_match_reference(self):
+    def test_imbalanced_load_rebalances_and_flags_match_reference(
+        self, make_fleet
+    ):
         # tenant0 carries 4x the events: its shard's makespan EWMA
         # pulls ahead, the placer moves a co-tenant off the hot shard,
         # and the verdicts still match a solo all-tenants manager.
@@ -65,7 +79,7 @@ class TestLoadAwarePlacer:
             demo_factory(NAMES, kind=KIND), metrics=MetricsRegistry()
         )
         references = [solo.run_events(traces) for traces in rounds]
-        with _fleet(**REBALANCE) as fleet:
+        with make_fleet(**REBALANCE) as fleet:
             before = fleet.routing_table()
             logs = [fleet.run_events(traces) for traces in rounds]
             counts = dict(fleet.counts)
@@ -81,8 +95,8 @@ class TestLoadAwarePlacer:
                     reference[name]
                 )
 
-    def test_balanced_load_holds_still(self):
-        with _fleet(**REBALANCE) as fleet:
+    def test_balanced_load_holds_still(self, make_fleet):
+        with make_fleet(**REBALANCE) as fleet:
             before = fleet.routing_table()
             for round_index in range(4):
                 fleet.run_events(_traces(round_index))
@@ -93,10 +107,10 @@ class TestLoadAwarePlacer:
         assert counts["fleet.placement.rebalances"] == 0
         assert counts["fleet.placement.skipped"] >= 3
 
-    def test_static_placement_by_default(self):
+    def test_static_placement_by_default(self, make_fleet):
         # rebalance_ratio=None (the default) disables the placer
         # entirely — imbalance or not, placement never changes.
-        with _fleet() as fleet:
+        with make_fleet() as fleet:
             before = fleet.routing_table()
             for round_index in range(2):
                 fleet.run_events(_traces(round_index, heavy="tenant0"))
@@ -105,7 +119,7 @@ class TestLoadAwarePlacer:
         assert counts["fleet.placement.rounds"] == 0
         assert counts["fleet.placement.rebalances"] == 0
 
-    def test_quarantined_tenants_are_not_rebalanced(self):
+    def test_quarantined_tenants_are_not_rebalanced(self, make_fleet):
         # tenant2 crashes in round 0 and is QUARANTINED.  The placer
         # may still level load by moving HEALTHY tenants around it,
         # but the sick tenant itself stays pinned to its shard — a
@@ -117,7 +131,7 @@ class TestLoadAwarePlacer:
         factory = functools.partial(
             demo_factory, fault_plans={"tenant2": crash}
         )
-        with _fleet(factory, **REBALANCE) as fleet:
+        with make_fleet(factory, **REBALANCE) as fleet:
             assert fleet.shards[0].tenants == ["tenant0", "tenant2"]
             home = fleet.routing_table()["tenant2"]
             for round_index in range(4):
@@ -129,9 +143,9 @@ class TestLoadAwarePlacer:
 
 
 class TestServeStickyRouting:
-    def test_routes_follow_placement_epoch(self):
+    def test_routes_follow_placement_epoch(self, make_fleet):
         async def scenario():
-            fleet = _fleet(**REBALANCE)
+            fleet = make_fleet(**REBALANCE)
             server = IngestServer(fleet, ServeConfig())
             try:
                 stats = server.stats()

@@ -61,13 +61,23 @@ def _traces(round_index):
     }
 
 
-def _fleet(factory=demo_factory, config=CONFIG):
+def _fleet(root, factory=demo_factory, config=CONFIG):
     return FleetCoordinator(
         factory,
         _names(),
-        tempfile.mkdtemp(prefix="repro-fleet-sup-"),
+        root,
         config,
     )
+
+
+@pytest.fixture
+def make_fleet(tmp_path):
+    """Fleet builder whose journals live under this test's ``tmp_path``."""
+
+    def build(*args, **kwargs):
+        return _fleet(tempfile.mkdtemp(dir=tmp_path), *args, **kwargs)
+
+    return build
 
 
 def _kill_worker(shard):
@@ -91,10 +101,10 @@ def _assert_conservation(counters):
 class TestMidRoundKill:
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_armed_sigkill_recovers_without_losing_the_round(
-        self, start_method
+        self, start_method, make_fleet
     ):
         rounds = [_traces(r) for r in range(3)]
-        with _fleet(config=_config(start_method=start_method)) as fleet:
+        with make_fleet(config=_config(start_method=start_method)) as fleet:
             placement = {
                 shard.id: list(shard.tenants) for shard in fleet.shards
             }
@@ -146,13 +156,13 @@ class TestMidRoundKill:
 
 
 class TestCrashLoopMigration:
-    def test_repeated_kills_migrate_healthy_tenants(self):
+    def test_repeated_kills_migrate_healthy_tenants(self, make_fleet):
         rounds = [_traces(r) for r in range(2)]
         solo = SocManager(
             demo_factory(_names(), kind=KIND), metrics=MetricsRegistry()
         )
         references = [solo.run_events(traces) for traces in rounds]
-        with _fleet() as fleet:
+        with make_fleet() as fleet:
             shard0, shard1 = fleet.shards
             logs = [fleet.run_events(rounds[0])]
             # Two consecutive heartbeat deaths exhaust max_restarts=1;
@@ -192,7 +202,7 @@ class TestCrashLoopMigration:
         assert liveness[1]["tenants"] == shard1.tenants
         _assert_conservation(counters)
 
-    def test_quarantined_tenants_stay_pinned(self):
+    def test_quarantined_tenants_stay_pinned(self, make_fleet):
         # tenant0 crashes in round 0 and is quarantined; when its
         # shard later crash-loops, only the HEALTHY co-tenant moves —
         # a sick tenant is not spread to healthy shards.
@@ -203,7 +213,7 @@ class TestCrashLoopMigration:
         factory = functools.partial(
             demo_factory, fault_plans={"tenant0": crash}
         )
-        with _fleet(factory) as fleet:
+        with make_fleet(factory) as fleet:
             shard0, shard1 = fleet.shards
             assert shard0.tenants == ["tenant0", "tenant2"]
             fleet.run_events(_traces(0))

@@ -7,14 +7,11 @@ Pins the contracts ``docs/FRONTENDS.md`` documents:
   protocol and the created-disabled session lifecycle — in particular
   the regression that no trace bytes exist before a session starts
   (an eagerly enabled driver leaks the encoder's lazy sync burst into
-  the pre-session stream);
-- ``make_frontend`` refuses CoreSight-specific configuration for
-  other grammars instead of silently dropping it.
+  the pre-session stream).
 """
 
 import pytest
 
-from repro.coresight.ptm import PtmConfig
 from repro.errors import SocConfigError
 from repro.eval.metrics import demo_events
 from repro.frontends import (
@@ -23,7 +20,6 @@ from repro.frontends import (
     TraceFrontend,
     frontend_names,
     get_frontend,
-    make_frontend,
 )
 from repro.frontends.etrace import EtraceFrontend
 
@@ -49,17 +45,6 @@ def test_get_frontend_returns_the_right_types():
 def test_unknown_frontend_name_is_rejected():
     with pytest.raises(SocConfigError):
         get_frontend("nexus")
-
-
-def test_make_frontend_routes_ptm_config_to_coresight():
-    config = PtmConfig(context_id=9)
-    frontend = make_frontend("coresight", ptm_config=config)
-    assert frontend.ptm_config is config
-
-
-def test_make_frontend_rejects_ptm_config_for_etrace():
-    with pytest.raises(SocConfigError):
-        make_frontend("etrace", ptm_config=PtmConfig())
 
 
 def test_rtad_config_validates_frontend_name():

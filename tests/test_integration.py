@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from repro.mcm.driver import MlMiaowDriver
-from repro.mcm.engines import ProtocolConverter
 from repro.miaow.gpu import Gpu
 from repro.ml.detector import ThresholdDetector
 from repro.ml.kernels import DeployedElm, DeployedLstm
+from repro.soc.manager import Deployment
 from repro.soc.rtad import RtadConfig, RtadSoc
 from repro.workloads.attacks import AttackInjector
 
@@ -23,12 +23,13 @@ def lstm_soc(small_program, tiny_lstm, call_dataset):
     detector.fit([reference.infer(int(b)) for b in stream])
     driver = MlMiaowDriver(deployment, Gpu(num_cus=5), execute_on_gpu=False)
     return RtadSoc(
-        program=small_program,
-        driver=driver,
-        converter=ProtocolConverter("lstm"),
-        monitored_addresses=monitored,
-        detector=detector,
-        config=RtadConfig(model_kind="lstm", window=1),
+        small_program,
+        Deployment(
+            name="rtad",
+            driver=driver,
+            monitored_addresses=monitored,
+            detector=detector,
+        ),
     )
 
 
@@ -65,14 +66,16 @@ class TestFullPath:
         driver = MlMiaowDriver(deployment, Gpu(num_cus=5),
                                execute_on_gpu=False)
         soc = RtadSoc(
-            program=small_program,
-            driver=driver,
-            converter=ProtocolConverter("lstm"),
-            monitored_addresses=monitored,
-            detector=detector,
-            config=RtadConfig(model_kind="lstm", window=1,
-                              score_smoothing=3, fifo_depth=64,
-                              gpu_clock_hz=2e9),
+            small_program,
+            Deployment(
+                name="rtad",
+                driver=driver,
+                monitored_addresses=monitored,
+                detector=detector,
+                config=RtadConfig(
+                    score_smoothing=3, fifo_depth=64, gpu_clock_hz=2e9
+                ),
+            ),
         )
         events = small_program.run(40_000, run_label="victim").events
         # choose rarely-used monitored functions as the gadget targets
@@ -122,14 +125,15 @@ class TestAttackTrials:
             driver = MlMiaowDriver(deployment, Gpu(num_cus=cus),
                                    execute_on_gpu=False)
             soc = RtadSoc(
-                program=small_program,
-                driver=driver,
-                converter=ProtocolConverter("lstm"),
-                monitored_addresses=small_program.monitored_call_targets(
-                    count=30
+                small_program,
+                Deployment(
+                    name="rtad",
+                    driver=driver,
+                    monitored_addresses=small_program.monitored_call_targets(
+                        count=30
+                    ),
+                    detector=None,
                 ),
-                detector=None,
-                config=RtadConfig(model_kind="lstm", window=1),
             )
             ids = (np.arange(300) % 20) + 1
             result = soc.run_attack_trial(
@@ -149,14 +153,16 @@ class TestAttackTrials:
         driver = MlMiaowDriver(deployment, Gpu(num_cus=1),
                                execute_on_gpu=False)
         soc = RtadSoc(
-            program=small_program,
-            driver=driver,
-            converter=ProtocolConverter("lstm"),
-            monitored_addresses=small_program.monitored_call_targets(
-                count=30
+            small_program,
+            Deployment(
+                name="rtad",
+                driver=driver,
+                monitored_addresses=small_program.monitored_call_targets(
+                    count=30
+                ),
+                detector=None,
+                config=RtadConfig(fifo_depth=4),
             ),
-            detector=None,
-            config=RtadConfig(model_kind="lstm", window=1, fifo_depth=4),
         )
         ids = (np.arange(600) % 20) + 1
         result = soc.run_attack_trial(
@@ -187,14 +193,15 @@ class TestExactGpuLstmTrial:
         driver = MlMiaowDriver(deployment, Gpu(num_cus=5),
                                execute_on_gpu=True)
         soc = RtadSoc(
-            program=small_program,
-            driver=driver,
-            converter=ProtocolConverter("lstm"),
-            monitored_addresses=small_program.monitored_call_targets(
-                count=30
+            small_program,
+            Deployment(
+                name="rtad",
+                driver=driver,
+                monitored_addresses=small_program.monitored_call_targets(
+                    count=30
+                ),
+                detector=None,
             ),
-            detector=None,
-            config=RtadConfig(model_kind="lstm", window=1),
         )
         ids = (np.arange(60) % 15) + 1
         result = soc.run_attack_trial(
@@ -225,12 +232,13 @@ class TestElmPath:
         driver = MlMiaowDriver(deployment, Gpu(num_cus=5),
                                execute_on_gpu=False)
         soc = RtadSoc(
-            program=small_program,
-            driver=driver,
-            converter=ProtocolConverter("elm", tiny_dictionary),
-            monitored_addresses=small_program.syscall_targets(),
-            detector=detector,
-            config=RtadConfig(model_kind="elm", window=12),
+            small_program,
+            Deployment(
+                name="rtad",
+                driver=driver,
+                monitored_addresses=small_program.syscall_targets(),
+                detector=detector,
+            ),
         )
         normal = syscall_dataset.test_normal[::12].ravel()[:400]
         rng = np.random.default_rng(0)

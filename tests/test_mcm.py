@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import FifoOverflowError, FsmProtocolError, McmError
 from repro.igm.vector_encoder import InputVector
+from repro.mcm.arbiter import ArbitratedMcm
 from repro.mcm.driver import MlMiaowDriver
 from repro.mcm.engines import ProtocolConverter, RxEngine, TxEngine
 from repro.mcm.fifo import InternalFifo
@@ -196,71 +197,68 @@ class TestDriver:
 
 
 class TestMcmQueueing:
+    """One MCM lane served through a one-lane arbiter (the solo SoC's
+    service path)."""
+
     def make_mcm(self, tiny_lstm, fifo_depth=4, detector=None, smoothing=1):
         driver = MlMiaowDriver(DeployedLstm(tiny_lstm), Gpu(),
                                execute_on_gpu=False)
-        return Mcm(
-            driver=driver,
-            converter=ProtocolConverter("lstm"),
-            detector=detector,
-            config=McmConfig(fifo_depth=fifo_depth,
-                             score_smoothing=smoothing),
-        )
-
-    def test_kind_mismatch_rejected(self, tiny_elm, tiny_dictionary):
-        driver = MlMiaowDriver(
-            DeployedElm(tiny_elm, tiny_dictionary, window=12),
-            Gpu(), execute_on_gpu=False,
-        )
-        with pytest.raises(McmError):
-            Mcm(driver=driver, converter=ProtocolConverter("lstm"))
+        return ArbitratedMcm([
+            Mcm(
+                driver=driver,
+                detector=detector,
+                config=McmConfig(fifo_depth=fifo_depth,
+                                 score_smoothing=smoothing),
+            )
+        ])
 
     def test_serial_service(self, tiny_lstm):
-        mcm = self.make_mcm(tiny_lstm)
-        mcm.push(vector([1], seq=0), arrival_ns=0.0)
-        mcm.push(vector([2], seq=1), arrival_ns=1.0)
-        records = mcm.finalize()
+        arb = self.make_mcm(tiny_lstm)
+        arb.push(0, vector([1], seq=0), arrival_ns=0.0)
+        arb.push(0, vector([2], seq=1), arrival_ns=1.0)
+        [records] = arb.finalize()
         assert len(records) == 2
         assert records[1].start_ns >= records[0].done_ns
 
     def test_idle_arrivals_no_queueing(self, tiny_lstm):
-        mcm = self.make_mcm(tiny_lstm)
-        service = None
+        arb = self.make_mcm(tiny_lstm)
         gap = 1e9  # 1 second apart
         for i in range(3):
-            mcm.push(vector([1], seq=i), arrival_ns=i * gap)
-        records = mcm.finalize()
+            arb.push(0, vector([1], seq=i), arrival_ns=i * gap)
+        [records] = arb.finalize()
         assert all(r.queue_ns == 0.0 for r in records)
 
     def test_burst_queues(self, tiny_lstm):
-        mcm = self.make_mcm(tiny_lstm, fifo_depth=8)
+        arb = self.make_mcm(tiny_lstm, fifo_depth=8)
         for i in range(4):
-            mcm.push(vector([1], seq=i), arrival_ns=float(i))
-        records = mcm.finalize()
+            arb.push(0, vector([1], seq=i), arrival_ns=float(i))
+        [records] = arb.finalize()
         assert records[-1].queue_ns > 0
 
     def test_overflow_drops_and_counts(self, tiny_lstm):
-        mcm = self.make_mcm(tiny_lstm, fifo_depth=2)
+        arb = self.make_mcm(tiny_lstm, fifo_depth=2)
         for i in range(10):
-            mcm.push(vector([1], seq=i), arrival_ns=float(i))
-        records = mcm.finalize()
+            arb.push(0, vector([1], seq=i), arrival_ns=float(i))
+        [records] = arb.finalize()
+        mcm = arb.lanes[0]
         assert mcm.overflowed
         assert mcm.dropped_vectors == 10 - len(records)
         assert len(records) < 10
 
     def test_service_breakdown_positive(self, tiny_lstm):
-        mcm = self.make_mcm(tiny_lstm)
-        mcm.push(vector([1]), arrival_ns=0.0)
-        record = mcm.finalize()[0]
+        arb = self.make_mcm(tiny_lstm)
+        arb.push(0, vector([1]), arrival_ns=0.0)
+        record = arb.finalize()[0][0]
         assert record.service_ns > record.gpu_cycles / 50e6 * 1e9 * 0.9
         assert record.done_ns > record.start_ns
 
     def test_detector_fires_interrupt(self, tiny_lstm):
         detector = ThresholdDetector(0.5)
         detector._threshold = -1.0  # everything is anomalous
-        mcm = self.make_mcm(tiny_lstm, detector=detector)
-        mcm.push(vector([1], seq=3), arrival_ns=0.0)
-        mcm.finalize()
+        arb = self.make_mcm(tiny_lstm, detector=detector)
+        arb.push(0, vector([1], seq=3), arrival_ns=0.0)
+        arb.finalize()
+        mcm = arb.lanes[0]
         assert mcm.interrupts.count == 1
         assert mcm.interrupts.first.sequence_number == 3
 
@@ -270,15 +268,14 @@ class TestMcmQueueing:
         plain = self.make_mcm(tiny_lstm, detector=detector, smoothing=1)
         smooth = self.make_mcm(tiny_lstm, detector=detector, smoothing=3)
         for i, branch in enumerate((1, 2, 3, 1, 2)):
-            plain.push(vector([branch], seq=i), arrival_ns=i * 1e6)
-            smooth.push(vector([branch], seq=i), arrival_ns=i * 1e6)
-        raw = [r.score for r in plain.finalize()]
+            plain.push(0, vector([branch], seq=i), arrival_ns=i * 1e6)
+            smooth.push(0, vector([branch], seq=i), arrival_ns=i * 1e6)
+        raw = [r.score for r in plain.finalize()[0]]
         smooth.finalize()
         expected_last = np.mean(raw[-3:])
-        assert smooth._recent_scores[-1] == pytest.approx(raw[-1])
-        assert np.mean(smooth._recent_scores) == pytest.approx(
-            expected_last, rel=1e-6
-        )
+        recent = smooth.lanes[0]._recent_scores
+        assert recent[-1] == pytest.approx(raw[-1])
+        assert np.mean(recent) == pytest.approx(expected_last, rel=1e-6)
 
 
 class TestDrainBatchHistogram:
@@ -295,18 +292,18 @@ class TestDrainBatchHistogram:
         )
         mcm = Mcm(
             driver=driver,
-            converter=ProtocolConverter("lstm"),
             config=McmConfig(fifo_depth=16),
             metrics=registry,
         )
+        arb = ArbitratedMcm([mcm], metrics=registry)
         # A burst (drained in one batch when the next push arrives) and
         # trailing idle arrivals (each drained alone): several partial
         # drains, the last triggered by finalize on a non-empty queue.
         for i in range(4):
-            mcm.push(vector([1], seq=i), arrival_ns=float(i))
+            arb.push(0, vector([1], seq=i), arrival_ns=float(i))
         for i in range(4, 7):
-            mcm.push(vector([1], seq=i), arrival_ns=1e9 * (i + 1))
-        records = mcm.finalize()
+            arb.push(0, vector([1], seq=i), arrival_ns=1e9 * (i + 1))
+        [records] = arb.finalize()
         histogram = registry.snapshot()["histograms"][
             "mcm.drain.batch_vectors"
         ]
@@ -314,7 +311,6 @@ class TestDrainBatchHistogram:
         assert histogram["count"] >= 2  # really multiple partial drains
 
     def test_arbitrated_mode_sums_to_total_inferences(self, tiny_lstm):
-        from repro.mcm.arbiter import ArbitratedMcm
         from repro.obs import MetricsRegistry
 
         registry = MetricsRegistry()
@@ -327,7 +323,6 @@ class TestDrainBatchHistogram:
             lanes.append(
                 Mcm(
                     driver=driver,
-                    converter=ProtocolConverter("lstm"),
                     config=McmConfig(fifo_depth=16),
                     metrics=registry,
                 )

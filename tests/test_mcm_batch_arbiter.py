@@ -16,7 +16,6 @@ from repro.faults import FaultKind, FaultPlan, FaultSpec, ServiceFaultInjector
 from repro.igm.vector_encoder import InputVector
 from repro.mcm.arbiter import ArbitratedMcm
 from repro.mcm.driver import MlMiaowDriver
-from repro.mcm.engines import ProtocolConverter
 from repro.mcm.mcm import Mcm, McmConfig
 from repro.miaow.gpu import Gpu
 from repro.ml.kernels import DeployedElm, DeployedLstm
@@ -35,7 +34,6 @@ def vector(values, seq=0, cycle=0):
 def lstm_lane(model, gpu, metrics=None, dual_run=False):
     return Mcm(
         driver=MlMiaowDriver(DeployedLstm(model), gpu),
-        converter=ProtocolConverter("lstm"),
         config=McmConfig(fifo_depth=32, dual_run=dual_run),
         metrics=metrics or MetricsRegistry(),
     )
@@ -44,7 +42,6 @@ def lstm_lane(model, gpu, metrics=None, dual_run=False):
 def elm_lane(model, dictionary, window, gpu, metrics=None):
     return Mcm(
         driver=MlMiaowDriver(DeployedElm(model, dictionary, window), gpu),
-        converter=ProtocolConverter("elm", dictionary),
         config=McmConfig(fifo_depth=32),
         metrics=metrics or MetricsRegistry(),
     )
@@ -181,7 +178,6 @@ class TestCoalescingBoundaries:
                 driver=MlMiaowDriver(
                     DeployedLstm(tiny_lstm), gpu, execute_on_gpu=False
                 ),
-                converter=ProtocolConverter("lstm"),
                 metrics=registry,
             )
             for _ in range(2)

@@ -8,7 +8,6 @@ from repro.faults import FaultKind, FaultPlan, FaultSpec, ServiceFaultInjector
 from repro.igm.vector_encoder import InputVector
 from repro.mcm.arbiter import ArbitratedMcm
 from repro.mcm.driver import MlMiaowDriver
-from repro.mcm.engines import ProtocolConverter
 from repro.mcm.mcm import Mcm, McmConfig
 from repro.miaow.gpu import Gpu
 from repro.ml.kernels import DeployedLstm
@@ -39,7 +38,6 @@ def lanes(tiny_lstm):
         )
         return Mcm(
             driver=driver,
-            converter=ProtocolConverter("lstm"),
             config=McmConfig(fifo_depth=8),
         )
 
@@ -192,7 +190,6 @@ class TestLaneMembership:
                 DeployedLstm(tiny_lstm), Gpu(name="other"),
                 execute_on_gpu=False,
             ),
-            converter=ProtocolConverter("lstm"),
         )
         with pytest.raises(McmError):
             arb.add_lane(foreign)
@@ -203,7 +200,6 @@ class TestLaneMembership:
             driver=MlMiaowDriver(
                 DeployedLstm(tiny_lstm), gpu, execute_on_gpu=False
             ),
-            converter=ProtocolConverter("lstm"),
         )
         arb = ArbitratedMcm(lanes + [third])
         arb.push(0, vector([1], seq=0), arrival_ns=0.0)

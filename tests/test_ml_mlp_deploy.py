@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ModelError
 from repro.igm.vector_encoder import InputVector
+from repro.mcm.arbiter import ArbitratedMcm
 from repro.mcm.driver import MlMiaowDriver
 from repro.mcm.engines import ProtocolConverter
 from repro.mcm.mcm import Mcm, McmConfig
@@ -101,12 +102,13 @@ class TestMlpInMcm:
         detector = ThresholdDetector(0.9).fit(
             model.score(rows[:200])
         )
-        mcm = Mcm(
-            driver=driver,
-            converter=ProtocolConverter("mlp"),
-            detector=detector,
-            config=McmConfig(fifo_depth=8),
-        )
+        arb = ArbitratedMcm([
+            Mcm(
+                driver=driver,
+                detector=detector,
+                config=McmConfig(fifo_depth=8),
+            )
+        ])
         # Histogram counts summing to the window size, like the VE's
         # HISTOGRAM mode emits.
         counts = np.zeros(33, dtype=np.int64)
@@ -115,10 +117,28 @@ class TestMlpInMcm:
             values=counts, sequence_number=0,
             trigger_address=0, trigger_cycle=0,
         )
-        mcm.push(vector, arrival_ns=0.0)
-        records = mcm.finalize()
+        arb.push(0, vector, arrival_ns=0.0)
+        [records] = arb.finalize()
         assert len(records) == 1
         assert records[0].score > 0
+
+    def test_rtad_tenant_refuses_mlp(self, trained_mlp, small_program):
+        # The RTAD dataplane's vector encoder emits ID sequences, which
+        # only ELM and LSTM deployments consume.
+        from repro.errors import SocConfigError
+        from repro.soc.manager import Deployment
+        from repro.soc.rtad import RtadSoc
+
+        model, _, _ = trained_mlp
+        driver = MlMiaowDriver(DeployedMlp(model), Gpu(),
+                               execute_on_gpu=False)
+        with pytest.raises(SocConfigError):
+            RtadSoc(
+                small_program,
+                Deployment(
+                    name="mlp", driver=driver, monitored_addresses=[0x1000]
+                ),
+            )
 
     def test_converter_normalizes(self):
         converter = ProtocolConverter("mlp")

@@ -13,11 +13,11 @@ Two invariants matter:
 import pytest
 
 from repro.mcm.driver import MlMiaowDriver
-from repro.mcm.engines import ProtocolConverter
 from repro.miaow.gpu import Gpu
 from repro.ml.detector import ThresholdDetector
 from repro.ml.kernels import DeployedLstm
 from repro.obs import MetricsRegistry, NullRegistry
+from repro.soc.manager import Deployment
 from repro.soc.rtad import RtadConfig, RtadSoc
 
 
@@ -34,12 +34,14 @@ def _build_soc(small_program, tiny_lstm, call_dataset, metrics):
     )
     driver = MlMiaowDriver(deployment, Gpu(num_cus=5), execute_on_gpu=False)
     return RtadSoc(
-        program=small_program,
-        driver=driver,
-        converter=ProtocolConverter("lstm"),
-        monitored_addresses=monitored,
-        detector=detector,
-        config=RtadConfig(model_kind="lstm", window=1, fifo_depth=64),
+        small_program,
+        Deployment(
+            name="rtad",
+            driver=driver,
+            monitored_addresses=monitored,
+            detector=detector,
+            config=RtadConfig(fifo_depth=64),
+        ),
         metrics=metrics,
     )
 

@@ -8,7 +8,9 @@ staged-dataplane refactor:
   back-to-back runs diverged from fresh-SoC runs;
 - an empty trace used to emit a spurious zero-time FIFO flush;
 - ``run_attack_trial`` edge cases (onset at the last index, FIFO
-  overflow, timeout expiry) were untested.
+  overflow, timeout expiry) were untested;
+- ``run_attack_trial`` on a reused SoC used to judge the lifetime
+  records, interrupts and drops, and ran without a session reset.
 """
 
 from __future__ import annotations
@@ -152,3 +154,33 @@ class TestAttackTrialEdges:
             seed=1,
         )
         assert relaxed.detection_latency_us is not None
+
+
+class TestReusedSocTrials:
+    @pytest.mark.parametrize(
+        "num_cus,fifo_depth,interval_us", [(5, 64, 150.0), (1, 4, 5.0)]
+    )
+    def test_second_trial_matches_fresh_soc(
+        self, num_cus, fifo_depth, interval_us
+    ):
+        ids = ((np.arange(400) % 20) + 1).tolist()
+        trial = dict(
+            normal_ids=ids,
+            mean_interval_us=interval_us,
+            gadget_ids=[5, 9, 3, 7],
+            onset_index=200,
+            seed=1,
+        )
+
+        def build():
+            return build_demo_soc(
+                "lstm", num_cus=num_cus, fifo_depth=fifo_depth
+            )
+
+        soc = build()
+        first = soc.run_attack_trial(**trial)
+        second = soc.run_attack_trial(**trial)
+        fresh = build().run_attack_trial(**trial)
+        assert first == fresh
+        assert second == fresh
+        assert fresh.inferences > 10

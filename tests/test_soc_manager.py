@@ -205,7 +205,6 @@ class TestManagerValidation:
                     Deployment(
                         name="rogue",
                         driver=lone_driver,
-                        converter=lone.converter,
                         monitored_addresses=lone.monitored_addresses,
                         detector=lone.detector,
                         config=lone.config,
@@ -219,7 +218,6 @@ class TestManagerValidation:
         clone = Deployment(
             name=deployments[0].name,
             driver=deployments[1].driver,
-            converter=deployments[1].converter,
             monitored_addresses=deployments[1].monitored_addresses,
             detector=deployments[1].detector,
             config=deployments[1].config,
