@@ -10,10 +10,24 @@ grant goes to the earliest-ready head, ties broken round-robin from
 the lane after the last grant (no lane can starve under sustained
 load).
 
-The per-lane timing model is untouched: a granted head is served by
-its own :meth:`repro.mcm.mcm.Mcm.serve_head`, so queueing, service
-decomposition, detection, and records behave exactly like a dedicated
-engine that happens to be busy more often.
+Time first, compute second.  As in the paper, where the MCM's
+FIFO/FSM timing is separate from the ML-MIAOW compute, service runs
+in three passes:
+
+- **timing** — :meth:`ArbitratedMcm._drain` grants heads on the
+  simulated clock via :meth:`repro.mcm.mcm.Mcm.grant_head`.  Cycle
+  counts are known before the compute (``MlMiaowDriver.phases_for``),
+  so queueing, drops, stalls and the watchdog settle here;
+- **compute** — wave k holds the k-th granted inference of every
+  deployment; a wave's batchable members run as fused dispatches of
+  at most ``batch_limit``, the rest through their lane's single path;
+- **assembly** — each lane scores and records its inferences in
+  grant order (:meth:`repro.mcm.mcm.Mcm.assemble`).
+
+The compute and assembly passes run at :meth:`ArbitratedMcm.finalize`
+and before anything resets a session or changes the lane set, so
+records are bit-identical to serving every grant on the spot; only
+the host-side GPU compute is shared.
 
 **Watchdog.**  ``deadline_us`` arms a per-service watchdog: a grant
 whose service would exceed the deadline (an injected hang, or a stall
@@ -27,14 +41,18 @@ session reset — the failure mode the watchdog exists to prevent.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from itertools import zip_longest
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import McmError
 from repro.faults.service import ServiceFaultInjector
 from repro.igm.vector_encoder import InputVector
 from repro.mcm.driver import MlMiaowDriver
-from repro.mcm.mcm import InferenceRecord, Mcm, Prepared
+from repro.mcm.mcm import InferenceRecord, Mcm, PendingInference
 from repro.obs import MetricsRegistry, NULL_REGISTRY
+
+#: One granted inference and the index of the lane it belongs to.
+Grant = Tuple[int, PendingInference]
 
 
 class ArbitratedMcm:
@@ -76,7 +94,8 @@ class ArbitratedMcm:
         )
         self.watchdog_trips: List[int] = [0] * len(self.lanes)
         self.batch_eligible: List[bool] = [True] * len(self.lanes)
-        self._prepared: List[Optional[Prepared]] = [None] * len(self.lanes)
+        # Granted but not yet computed and assembled, in grant order.
+        self._granted: List[Grant] = []
         self.hung = False
         self._busy_until_ns = 0.0
         self._next_lane = 0
@@ -112,6 +131,7 @@ class ArbitratedMcm:
         fault: Optional[ServiceFaultInjector] = None,
     ) -> int:
         """Attach a lane mid-life; returns its index."""
+        self._complete()
         if id(lane.driver.gpu) != id(self.lanes[0].driver.gpu):
             raise McmError(
                 "arbitrated lanes must share a single GPU engine"
@@ -120,7 +140,6 @@ class ArbitratedMcm:
         self.service_faults.append(fault)
         self.watchdog_trips.append(0)
         self.batch_eligible.append(True)
-        self._prepared.append(None)
         self._m_grants.append(self._grant_counter())
         return len(self.lanes) - 1
 
@@ -130,11 +149,11 @@ class ArbitratedMcm:
             raise McmError(f"no lane {index}")
         if len(self.lanes) == 1:
             raise McmError("arbiter needs at least one lane")
+        self._complete()
         lane = self.lanes.pop(index)
         self.service_faults.pop(index)
         self.watchdog_trips.pop(index)
         self.batch_eligible.pop(index)
-        self._prepared.pop(index)
         self._m_grants.pop(index)
         if self._next_lane > index:
             self._next_lane -= 1
@@ -157,17 +176,16 @@ class ArbitratedMcm:
     def finalize(self) -> List[List[InferenceRecord]]:
         """Serve everything queued; per-lane record lists."""
         self._drain(until_ns=float("inf"))
+        self._complete()
         return [lane.records for lane in self.lanes]
 
     def reset_session(self) -> None:
+        # Work granted in the ending session completes first, against
+        # the model state and smoothing window it was granted under.
+        self._complete()
         self._busy_until_ns = 0.0
         self._next_lane = 0
         self.hung = False
-        # Coalesced results not yet served die with the session: after
-        # a reset the lanes' drivers may be rewound (new round), so a
-        # stale precomputed score could disagree with what a fresh
-        # serve would produce.  Discard and recompute at serve time.
-        self._prepared = [None] * len(self.lanes)
         for lane in self.lanes:
             lane.reset_session()
         for injector in self.service_faults:
@@ -226,6 +244,9 @@ class ArbitratedMcm:
                         self._busy_until_ns = float("inf")
                         self._m_hangs.inc()
                         return
+                    # The cancel resets the lane's smoothing window, so
+                    # everything granted before it is recorded first.
+                    self._complete()
                     self.lanes[best_lane].cancel_head()
                     self.lanes[best_lane].reset_session()
                     self.watchdog_trips[best_lane] += 1
@@ -234,13 +255,11 @@ class ArbitratedMcm:
                     self._busy_until_ns = best_start + deadline_ns
                     self._next_lane = (best_lane + 1) % count
                     continue
-                if self._prepared[best_lane] is None and self.batch_limit > 1:
-                    self._fuse(best_lane, best_start)
-                prepared = self._prepared[best_lane]
-                self._prepared[best_lane] = None
-                self._busy_until_ns = self.lanes[best_lane].serve_head(
-                    best_start, extra_service_ns=extra_ns, prepared=prepared
+                pending = self.lanes[best_lane].grant_head(
+                    best_start, extra_service_ns=extra_ns
                 )
+                self._granted.append((best_lane, pending))
+                self._busy_until_ns = pending.done_ns
                 self._m_grants[best_lane].inc()
                 served[best_lane] += 1
                 self._next_lane = (best_lane + 1) % count
@@ -252,65 +271,60 @@ class ArbitratedMcm:
                 if served[index]:
                     self.lanes[index].record_drain_batch(served[index])
 
-    def _fuse(self, best_lane: int, best_start: float) -> None:
-        """Coalesce compatible queued heads behind ``best_lane``'s grant.
+    def _complete(self) -> None:
+        """Compute pass, then assembly pass, over every granted inference.
 
-        Scans the other lanes round-robin from the granted lane for
-        heads that can ride the same fused dispatch: already arrived,
-        batch-eligible, no service-fault injector, no dual-run voting,
-        a distinct deployment, and the same
-        :meth:`~repro.mcm.driver.MlMiaowDriver.batch_key`.  On success
-        the fused results are parked per lane and consumed when each
-        member's grant comes up — the serve order, start times, and
-        every record stay identical to unbatched arbitration; only the
-        host-side GPU compute is shared.
+        Wave k is the k-th granted inference of every deployment, so
+        each model's recurrent state advances in grant order.  Within
+        a wave, batchable members (:meth:`_batch_key`) are grouped by
+        key and run in fused dispatches of at most ``batch_limit``
+        distinct deployments; the rest run through their lane's single
+        path, dual-run vote included.  Records are then assembled in
+        grant order.
         """
-        lane = self.lanes[best_lane]
+        granted, self._granted = self._granted, []
+        queues: Dict[int, List[Grant]] = {}
+        for index, pending in granted:
+            if pending.result is None:
+                deployment = id(self.lanes[index].driver.deployment)
+                queues.setdefault(deployment, []).append((index, pending))
+        for wave in zip_longest(*queues.values()):
+            groups: Dict[Tuple, List[Grant]] = {}
+            for index, pending in filter(None, wave):
+                key = self._batch_key(index, pending)
+                if key is None:
+                    self.lanes[index].compute(pending)
+                else:
+                    groups.setdefault(key, []).append((index, pending))
+            for members in groups.values():
+                for start in range(0, len(members), self.batch_limit):
+                    self._run_fused(members[start:start + self.batch_limit])
+        for index, pending in granted:
+            self.lanes[index].assemble(pending)
+
+    def _batch_key(self, index: int, pending: PendingInference):
+        """The fused-dispatch key of a granted inference, or ``None``
+        when it must run alone: its lane is batch-ineligible, carries a
+        service-fault injector or votes by dual run, or the driver has
+        no kernels to fuse (calibrated mode)."""
+        lane = self.lanes[index]
         if (
-            not self.batch_eligible[best_lane]
-            or self.service_faults[best_lane] is not None
+            not self.batch_eligible[index]
+            or self.service_faults[index] is not None
             or lane.config.dual_run
         ):
-            return
-        head = lane.fifo.peek()
-        leader_input = lane.converter.convert(head.item.values)
-        key = lane.driver.batch_key(leader_input)
-        if key is None:
-            return
-        members = [best_lane]
-        converted = [leader_input]
-        deployments = {id(lane.driver.deployment)}
-        count = len(self.lanes)
-        for offset in range(1, count):
-            if len(members) >= self.batch_limit:
-                break
-            index = (best_lane + offset) % count
-            if (
-                not self.batch_eligible[index]
-                or self.service_faults[index] is not None
-                or self._prepared[index] is not None
-            ):
-                continue
-            other = self.lanes[index]
-            if other.config.dual_run:
-                continue
-            entry = other.fifo.peek()
-            if entry is None or entry.arrival_ns > best_start:
-                continue
-            if id(other.driver.deployment) in deployments:
-                continue
-            candidate = other.converter.convert(entry.item.values)
-            if other.driver.batch_key(candidate) != key:
-                continue
-            members.append(index)
-            converted.append(candidate)
-            deployments.add(id(other.driver.deployment))
-        if len(members) < 2:
-            return
+            return None
+        return lane.driver.batch_key(pending.converted)
+
+    def _run_fused(self, members: List[Grant]) -> None:
+        """Compute same-key inferences of distinct deployments together
+        (a width-1 batch is a plain single dispatch)."""
         results = MlMiaowDriver.run_inference_batch(
-            [self.lanes[index].driver for index in members], converted
+            [self.lanes[index].driver for index, _ in members],
+            [pending.converted for _, pending in members],
         )
-        for position, index in enumerate(members):
-            self._prepared[index] = (converted[position], results[position])
-        self._m_batch_grants.inc()
-        self._m_batch_members.inc(len(members))
+        for (_, pending), result in zip(members, results):
+            pending.result = result
+        if len(members) > 1:
+            self._m_batch_grants.inc()
+            self._m_batch_members.inc(len(members))

@@ -20,7 +20,7 @@ protocol conversion (``converter``).  Two execution modes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -115,6 +115,8 @@ class MlMiaowDriver:
         deployment.load(gpu)
         self._reference = None
         self._cached_phases = self._measure_phases()
+        # Exact ELM: batch_key -> phases, filled from real results.
+        self._elm_phases: Dict[Tuple, InferencePhases] = {}
         if not execute_on_gpu:
             self._reference = self._make_reference()
 
@@ -177,6 +179,27 @@ class MlMiaowDriver:
         """The (data-independent) per-inference GPU cycle breakdown."""
         return self._cached_phases
 
+    def phases_for(self, converted_input) -> Optional[InferencePhases]:
+        """The phases an inference of ``converted_input`` will report,
+        known before it runs; ``None`` when only running it can tell.
+
+        Cycle counts are data-independent for a fixed kernel shape
+        (:meth:`batch_key`).  Exact ELM is the one kind whose shape
+        varies per input — the index count is the scalar loop bound —
+        so its phases are memoised per key from real results.
+        """
+        if self.kind != "elm" or not self.execute_on_gpu:
+            return self._cached_phases
+        return self._elm_phases.get(self.batch_key(converted_input))
+
+    def _observe(self, converted_input, result: DriverResult) -> None:
+        """Count one completed inference (and memoise exact ELM phases)."""
+        self._m_inferences.inc()
+        self._m_launches.inc(result.phases.num_dispatches)
+        self._m_gpu_cycles.inc(result.phases.total_cycles)
+        if self.kind == "elm" and self.execute_on_gpu:
+            self._elm_phases[self.batch_key(converted_input)] = result.phases
+
     def fastpath_stats(self) -> dict:
         """Engine fast-path cache snapshot (benchmarks/diagnostics)."""
         return self.gpu.fastpath_stats()
@@ -200,9 +223,7 @@ class MlMiaowDriver:
             result = self._run_mlp(converted_input)
         else:
             result = self._run_lstm(converted_input)
-        self._m_inferences.inc()
-        self._m_launches.inc(result.phases.num_dispatches)
-        self._m_gpu_cycles.inc(result.phases.total_cycles)
+        self._observe(converted_input, result)
         return result
 
     def _run_mlp(self, features: np.ndarray) -> DriverResult:
@@ -296,10 +317,10 @@ class MlMiaowDriver:
                 [int(branch_id) for branch_id in converted_inputs],
             )
         outputs = [_driver_result(result) for result in results]
-        for driver, output in zip(drivers, outputs):
-            driver._m_inferences.inc()
-            driver._m_launches.inc(output.phases.num_dispatches)
-            driver._m_gpu_cycles.inc(output.phases.total_cycles)
+        for driver, converted, output in zip(
+            drivers, converted_inputs, outputs
+        ):
+            driver._observe(converted, output)
         return outputs
 
     def reset(self) -> None:

@@ -23,17 +23,13 @@ import numpy as np
 
 from repro.errors import McmError
 from repro.igm.vector_encoder import InputVector
-from repro.mcm.driver import DriverResult, MlMiaowDriver
+from repro.mcm.driver import DriverResult, InferencePhases, MlMiaowDriver
 from repro.mcm.engines import RxEngine, TxEngine
 from repro.mcm.fifo import InternalFifo
 from repro.mcm.fsm import ControlFsm
 from repro.mcm.interrupt import InterruptManager
 from repro.ml.detector import ThresholdDetector
 from repro.obs import MetricsRegistry, NULL_REGISTRY
-
-#: One inference computed ahead of its service by a fused dispatch: the
-#: head's protocol-converted input plus the DriverResult it produced.
-Prepared = Tuple[object, DriverResult]
 
 RTAD_CLOCK_HZ = 125_000_000
 GPU_CLOCK_HZ = 50_000_000
@@ -80,6 +76,27 @@ class InferenceRecord:
     @property
     def service_ns(self) -> float:
         return self.done_ns - self.start_ns
+
+
+@dataclass(eq=False)
+class PendingInference:
+    """One head granted on the simulated clock, awaiting its compute.
+
+    The grant fixes the timing (``phases``, the per-stage times and
+    ``done_ns``); ``result`` and ``divergent`` arrive with the compute,
+    and :meth:`Mcm.assemble` turns the whole into a record.
+    """
+
+    vector: InputVector
+    arrival_ns: float
+    start_ns: float
+    converted: object
+    phases: Optional[InferencePhases] = None
+    #: control, TX copy, GPU and RX times, in nanoseconds.
+    stages_ns: Tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
+    done_ns: float = 0.0
+    result: Optional[DriverResult] = None
+    divergent: Optional[bool] = None
 
 
 class Mcm:
@@ -165,32 +182,50 @@ class Mcm:
             self._m_drops.inc()
         return accepted
 
-    def serve_head(
-        self,
-        start_ns: float,
-        extra_service_ns: float = 0.0,
-        prepared: Optional[Prepared] = None,
-    ) -> float:
-        """Serve the queued head starting at ``start_ns``; return the
-        completion time.  The caller (arbiter) owns start-time policy;
-        all timing math, scoring, smoothing, and interrupt behaviour
-        are this lane's own.  ``extra_service_ns`` models an injected
-        service stall (fault testing): it extends this one service.
+    def grant_head(
+        self, start_ns: float, extra_service_ns: float = 0.0
+    ) -> PendingInference:
+        """Timing pass: take the queued head at ``start_ns`` and settle
+        its service on the simulated clock, without computing it.
 
-        ``prepared`` is the ``(converted input, DriverResult)`` pair the
-        arbiter's fused dispatch already computed for this head
-        (bit-identical to :meth:`MlMiaowDriver.run_inference`), so the
-        service is timing math, scoring, and records only.
+        The caller (arbiter) owns start-time policy; all timing math is
+        this lane's own.  ``extra_service_ns`` models an injected
+        service stall (fault testing): it extends this one service.
+        The returned inference still needs its ``result`` (a compute
+        pass: :meth:`compute` or a fused dispatch) and then
+        :meth:`assemble`.
         """
         entry = self.fifo.pop()
         if entry is None:
-            raise McmError("serve_head on an empty FIFO")
+            raise McmError("grant_head on an empty FIFO")
         self._m_fifo_depth.set(len(self.fifo))
-        self._serve(
-            entry.item, entry.arrival_ns, start_ns,
-            extra_ns=extra_service_ns, prepared=prepared,
+        converted = self.converter.convert(entry.item.values)
+        pending = PendingInference(
+            entry.item, entry.arrival_ns, start_ns, converted
         )
-        return self._busy_until_ns
+        phases = self.driver.phases_for(converted)
+        if phases is None:
+            # Only running it tells (exact ELM, an index count not seen
+            # yet).  The model is stateless, so computing at the grant
+            # is harmless; the result rides in the pending entry.
+            self.compute(pending)
+            phases = pending.result.phases
+        control_ns = self._rtad_ns(
+            self._control_cycles * phases.num_dispatches
+        )
+        tx_ns = self._rtad_ns(
+            self.tx.cycles(self.converter.words_for(converted))
+        )
+        gpu_ns = self._gpu_ns(phases.total_cycles)
+        rx_ns = self._rtad_ns(self._rx_cycles)
+        pending.phases = phases
+        pending.stages_ns = (control_ns, tx_ns, gpu_ns, rx_ns)
+        pending.done_ns = (
+            start_ns + control_ns + tx_ns + gpu_ns + rx_ns + extra_service_ns
+        )
+        self.fsm.run_inference_sequence(time_ns=start_ns)
+        self._busy_until_ns = pending.done_ns
+        return pending
 
     def record_drain_batch(self, served: int) -> None:
         """Observe one drain burst.
@@ -227,53 +262,49 @@ class Mcm:
         self._recent_scores.clear()
 
     # ------------------------------------------------------------------
-    # Service
+    # Compute and assembly (after the timing pass)
     # ------------------------------------------------------------------
 
-    def _serve(
-        self,
-        vector: InputVector,
-        arrival_ns: float,
-        start_ns: float,
-        extra_ns: float = 0.0,
-        prepared: Optional[Prepared] = None,
-    ) -> None:
-        divergent: Optional[bool] = None
-        if prepared is not None:
-            converted, result = prepared
-        else:
-            converted = self.converter.convert(vector.values)
-            pre_state = (
-                self.driver.export_model_state()
-                if self.config.dual_run
-                else None
-            )
-            result = self.driver.run_inference(converted)
-            if self.config.dual_run:
-                # Redundant second run from the same model state;
-                # recurrent state is rewound before and restored after,
-                # so the vote costs work but never perturbs the
-                # inference stream.
-                post_state = self.driver.export_model_state()
-                self.driver.restore_model_state(pre_state)
-                second = self.driver.run_inference(converted)
-                self.driver.restore_model_state(post_state)
-                divergent = bool(second.score != result.score)
-                self._m_dual_runs.inc()
-                if divergent:
-                    self._m_divergences.inc()
-        phases = result.phases
+    def compute(self, pending: PendingInference) -> None:
+        """Run ``pending``'s inference alone: the single path.
 
-        control_ns = self._rtad_ns(
-            self._control_cycles * phases.num_dispatches
-        )
-        tx_ns = self._rtad_ns(
-            self.tx.cycles(self.converter.words_for(converted))
-        )
-        gpu_ns = self._gpu_ns(phases.total_cycles)
-        rx_ns = self._rtad_ns(self._rx_cycles)
-        done_ns = start_ns + control_ns + tx_ns + gpu_ns + rx_ns + extra_ns
-        self.fsm.run_inference_sequence(time_ns=start_ns)
+        With dual-run voting on, a redundant second run starts from the
+        same model state; recurrent state is rewound before and
+        restored after, so the vote costs work but never perturbs the
+        inference stream.
+        """
+        converted = pending.converted
+        if not self.config.dual_run:
+            pending.result = self.driver.run_inference(converted)
+            return
+        pre_state = self.driver.export_model_state()
+        result = self.driver.run_inference(converted)
+        post_state = self.driver.export_model_state()
+        self.driver.restore_model_state(pre_state)
+        second = self.driver.run_inference(converted)
+        self.driver.restore_model_state(post_state)
+        pending.result = result
+        pending.divergent = bool(second.score != result.score)
+        self._m_dual_runs.inc()
+        if pending.divergent:
+            self._m_divergences.inc()
+
+    def assemble(self, pending: PendingInference) -> None:
+        """Assembly pass: score a computed inference and record it.
+
+        Smoothing, detection, interrupts, records and histograms, in
+        serve order.  The result must report the phases its grant was
+        timed with; anything else means the timing pass was wrong.
+        """
+        result = pending.result
+        if result.phases != pending.phases:
+            raise McmError(
+                f"inference {pending.vector.sequence_number} ran phases "
+                f"{result.phases} but was timed with {pending.phases}"
+            )
+        vector = pending.vector
+        control_ns, tx_ns, gpu_ns, rx_ns = pending.stages_ns
+        start_ns, done_ns = pending.start_ns, pending.done_ns
 
         judged_score = result.score
         k = self.config.score_smoothing
@@ -294,7 +325,7 @@ class Mcm:
                 )
                 self._m_interrupts.inc()
         self._m_inferences.inc()
-        self._m_queue.observe(start_ns - arrival_ns)
+        self._m_queue.observe(start_ns - pending.arrival_ns)
         self._m_service.observe(done_ns - start_ns)
         self._m_control.observe(control_ns)
         self._m_copy.observe(tx_ns)
@@ -304,16 +335,15 @@ class Mcm:
             InferenceRecord(
                 sequence_number=vector.sequence_number,
                 trigger_cycle=vector.trigger_cycle,
-                arrival_ns=arrival_ns,
+                arrival_ns=pending.arrival_ns,
                 start_ns=start_ns,
                 done_ns=done_ns,
                 score=result.score,
                 anomalous=anomalous,
-                gpu_cycles=phases.total_cycles,
-                divergent=divergent,
+                gpu_cycles=result.phases.total_cycles,
+                divergent=pending.divergent,
             )
         )
-        self._busy_until_ns = done_ns
 
     # ------------------------------------------------------------------
     # Durability

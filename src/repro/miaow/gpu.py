@@ -156,6 +156,9 @@ class Gpu:
             )
             for index in range(num_cus)
         ]
+        # Resident read-only LDS images: image bytes -> byte base.
+        self._lds_images: Dict[bytes, int] = {}
+        self._lds_free = 0
         self.dispatches = 0
         self.metrics = metrics or NULL_REGISTRY
         self._bind_instruments()
@@ -202,9 +205,36 @@ class Gpu:
         for cu in self.compute_units:
             cu.local_memory.write_f32(address, data)
 
+    def place_lds_image(self, image: np.ndarray) -> int:
+        """Load a read-only f32 model image into every CU's LDS and
+        return its byte base.
+
+        Images are placed by content: an identical image (tenants that
+        deploy the same model) reuses its resident base, and a
+        different one goes to the next free offset, so models sharing
+        this engine never overwrite each other's weights.
+        """
+        words = np.ascontiguousarray(image, dtype=np.float32).view(np.uint32)
+        key = words.tobytes()
+        base = self._lds_images.get(key)
+        if base is None:
+            base = self._lds_free
+            capacity = self.compute_units[0].local_memory.size_bytes
+            if base + len(key) > capacity:
+                raise KernelLaunchError(
+                    f"LDS full: a {len(key)} B model image does not fit "
+                    f"after {base} B of resident images ({capacity} B)"
+                )
+            self.write_lds_all(base, words)
+            self._lds_images[key] = base
+            self._lds_free = base + len(key)
+        return base
+
     def clear_lds(self) -> None:
         for cu in self.compute_units:
             cu.local_memory.clear()
+        self._lds_images.clear()
+        self._lds_free = 0
 
     # ------------------------------------------------------------------
     # Fast-path plumbing

@@ -103,6 +103,18 @@ _KERNEL_CACHE: Dict[str, Kernel] = {}
 _KERNEL_CACHE_STATS = {"hits": 0, "assembles": 0}
 
 
+def _place_lds(gpu: Gpu, blocks) -> Dict[str, int]:
+    """Place named f32 blocks back to back as one LDS image; returns
+    each block's byte offset (see :meth:`Gpu.place_lds_image`)."""
+    arrays = [np.asarray(data, dtype=np.float32).ravel() for _, data in blocks]
+    base = gpu.place_lds_image(np.concatenate(arrays))
+    offsets: Dict[str, int] = {}
+    for (name, _), data in zip(blocks, arrays):
+        offsets[name] = base
+        base += data.size * 4
+    return offsets
+
+
 def _cached_kernel(name: str, source: str) -> Kernel:
     kernel = _KERNEL_CACHE.get(name)
     if kernel is None:
@@ -230,13 +242,12 @@ class DeployedElm:
         )
         out_buf = runtime.alloc_f32(self.num_workgroups)
         # LDS: bias / mean / inv_var back to back.
-        offsets = {"bias": 0, "mean": h * 4, "inv_var": 2 * h * 4}
-        gpu.write_lds_f32_all(offsets["bias"], w.b_hidden)
-        gpu.write_lds_f32_all(offsets["mean"], w.mean)
-        gpu.write_lds_f32_all(offsets["inv_var"], w.inv_var)
+        self._lds_offsets = _place_lds(
+            gpu,
+            [("bias", w.b_hidden), ("mean", w.mean), ("inv_var", w.inv_var)],
+        )
         self._runtime = runtime
         self._buffers = {"w": w_buf, "input": input_buf, "out": out_buf}
-        self._lds_offsets = offsets
 
     @property
     def loaded(self) -> bool:
@@ -499,13 +510,7 @@ class DeployedLstm:
             ("w_out", p["w_out"].ravel()),
             ("b_out", p["b_out"]),
         ]
-        offsets: Dict[str, int] = {}
-        cursor = 0
-        for name, data in blocks:
-            offsets[name] = cursor
-            gpu.write_lds_f32_all(cursor, data.astype(np.float32))
-            cursor += data.size * 4
-        self._lds_offsets = offsets
+        self._lds_offsets = _place_lds(gpu, blocks)
 
         self._buffers = {
             "h": runtime.alloc_f32(h),
@@ -724,13 +729,7 @@ class DeployedMlp:
             ("w2", model.w2.astype(np.float32).ravel()),
             ("b2", model.b2.astype(np.float32)),
         ]
-        offsets: Dict[str, int] = {}
-        cursor = 0
-        for name, data in blocks:
-            offsets[name] = cursor
-            gpu.write_lds_f32_all(cursor, data)
-            cursor += data.size * 4
-        self._lds_offsets = offsets
+        self._lds_offsets = _place_lds(gpu, blocks)
         self._buffers = {
             "x": runtime.alloc_f32(model.input_dim),
             "h": runtime.alloc_f32(model.hidden_dim),

@@ -176,8 +176,8 @@ class RtadSoc:
 
     def _reset_session(self) -> None:
         """Start a trace session: every per-session state back to fresh."""
-        self.tenant.reset()
         self.arbiter.reset_session()
+        self.tenant.reset()
 
     def _observe_records(self) -> None:
         """End-to-end latency of every inference not yet observed."""

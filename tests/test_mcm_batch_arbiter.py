@@ -10,6 +10,7 @@ batching off.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import McmError
 from repro.faults import FaultKind, FaultPlan, FaultSpec, ServiceFaultInjector
@@ -18,6 +19,7 @@ from repro.mcm.arbiter import ArbitratedMcm
 from repro.mcm.driver import MlMiaowDriver
 from repro.mcm.mcm import Mcm, McmConfig
 from repro.miaow.gpu import Gpu
+from repro.ml.detector import ThresholdDetector
 from repro.ml.kernels import DeployedElm, DeployedLstm
 from repro.obs import MetricsRegistry
 
@@ -31,18 +33,28 @@ def vector(values, seq=0, cycle=0):
     )
 
 
-def lstm_lane(model, gpu, metrics=None, dual_run=False):
-    return Mcm(
+def lstm_lane(
+    model, gpu, metrics=None, dual_run=False, detector=None, mcm=Mcm,
+    **config,
+):
+    config.setdefault("fifo_depth", 32)
+    return mcm(
         driver=MlMiaowDriver(DeployedLstm(model), gpu),
-        config=McmConfig(fifo_depth=32, dual_run=dual_run),
+        detector=detector,
+        config=McmConfig(dual_run=dual_run, **config),
         metrics=metrics or MetricsRegistry(),
     )
 
 
-def elm_lane(model, dictionary, window, gpu, metrics=None):
-    return Mcm(
+def elm_lane(
+    model, dictionary, window, gpu, metrics=None, detector=None, mcm=Mcm,
+    **config,
+):
+    config.setdefault("fifo_depth", 32)
+    return mcm(
         driver=MlMiaowDriver(DeployedElm(model, dictionary, window), gpu),
-        config=McmConfig(fifo_depth=32),
+        detector=detector,
+        config=McmConfig(**config),
         metrics=metrics or MetricsRegistry(),
     )
 
@@ -259,20 +271,217 @@ class TestWatchdogWithBatching:
         assert counters["mcm.arbiter.batch.grants"] > 0
 
     def test_session_reset_discards_pending_batch_results(self, tiny_lstm):
-        registry = MetricsRegistry()
-        gpu = Gpu(num_cus=4, fast_path=True, name="shared")
-        lanes = [lstm_lane(tiny_lstm, gpu, registry) for _ in range(3)]
-        arb = ArbitratedMcm(lanes, metrics=registry, batch_limit=4)
-        for lane in range(3):
-            arb.push(lane, vector([lane], seq=0), 0.0)
-        arb.finalize()
-        baseline = [len(lane.records) for lane in lanes]
+        """Work granted before a reset is completed exactly as eager
+        serving completes it, and the next round equals a fresh
+        arbiter's."""
+
+        def build(batch_limit=4, mcm=Mcm):
+            registry = MetricsRegistry()
+            gpu = Gpu(num_cus=4, fast_path=True, name="shared")
+            lanes = [
+                lstm_lane(tiny_lstm, gpu, registry, mcm=mcm)
+                for _ in range(4)
+            ]
+            arb = ArbitratedMcm(
+                lanes, metrics=registry, batch_limit=batch_limit
+            )
+            return lanes, arb
+
+        def round_(arb, seq):
+            for lane in range(3):
+                arb.push(lane, vector([lane + seq], seq=seq), 0.0)
+
+        lanes, arb = build()
+        round_(arb, 0)
+        # A late arrival on lane 3 makes the drain grant the three
+        # queued heads; the reset then lands before any finalize.
+        arb.push(3, vector([0], seq=0), 1e9)
         arb.reset_session()
-        assert arb._prepared == [None, None, None]
-        # a fresh round after the reset serves (and can fuse) normally
-        for lane in range(3):
-            arb.push(lane, vector([lane + 1], seq=1), 0.0)
-        arb.finalize()
-        assert [len(lane.records) for lane in lanes] == [
-            n + 1 for n in baseline
+        eager_lanes, eager = build(batch_limit=1, mcm=EagerMcm)
+        round_(eager, 0)
+        eager.finalize()
+        assert [lane.records for lane in lanes[:3]] == [
+            lane.records for lane in eager_lanes[:3]
         ]
+        assert all(len(lane.records) == 1 for lane in lanes[:3])
+        # a fresh round after the reset serves (and fuses) like a
+        # fresh arbiter; lane 3's leftover arrives after all of it
+        for lane in lanes:
+            lane.driver.reset()
+        round_(arb, 1)
+        arb.finalize()
+        fresh_lanes, fresh = build()
+        round_(fresh, 1)
+        fresh.finalize()
+        assert [lane.records[1:] for lane in lanes[:3]] == [
+            lane.records for lane in fresh_lanes[:3]
+        ]
+        counters = arb.metrics.snapshot()["counters"]
+        assert counters["mcm.arbiter.batch.grants"] == 2
+
+
+class TestFusedWidth:
+    """An engine-shaped round fuses every lane's k-th inference."""
+
+    def _round(self, tiny_lstm, vectors_per_lane):
+        registry = MetricsRegistry()
+        gpu = Gpu(num_cus=4, fast_path=True, name="shared", metrics=registry)
+        lanes = [lstm_lane(tiny_lstm, gpu, registry) for _ in range(8)]
+        arb = ArbitratedMcm(lanes, metrics=registry, batch_limit=8)
+        for seq in range(vectors_per_lane):
+            for lane in range(8):
+                arrival = float(1_000 * (8 * seq + lane))
+                arb.push(lane, vector([lane + seq], seq=seq), arrival)
+        arb.finalize()
+        return registry.snapshot()["counters"], lanes
+
+    def test_one_trigger_per_lane_is_one_fused_dispatch_per_kernel(
+        self, tiny_lstm
+    ):
+        counters, lanes = self._round(tiny_lstm, vectors_per_lane=1)
+        assert counters["mcm.arbiter.batch.grants"] == 1
+        assert counters["mcm.arbiter.batch.members"] == 8
+        # score, gates and update: one fused dispatch each, 8 wide
+        assert counters["miaow.batch.dispatches"] == 3
+        assert counters["miaow.batch.requests"] == 24
+        assert all(len(lane.records) == 1 for lane in lanes)
+
+    def test_two_vectors_per_lane_make_two_waves_of_eight(self, tiny_lstm):
+        counters, lanes = self._round(tiny_lstm, vectors_per_lane=2)
+        assert counters["mcm.arbiter.batch.grants"] == 2
+        assert counters["mcm.arbiter.batch.members"] == 16
+        assert counters["miaow.batch.dispatches"] == 6
+        assert all(len(lane.records) == 2 for lane in lanes)
+
+
+# Differential harness lanes: two plain exact LSTM lanes, one LSTM lane
+# with a service-fault injector under an armed watchdog, one dual-run
+# lane, one batch-ineligible lane, and two exact ELM lanes.
+PLAIN, FAULTY, DUAL, INELIGIBLE, ELM = (0, 1), 2, 3, 4, (5, 6)
+NUM_LANES = 7
+
+
+def _pushes():
+    # the faulty lane is drawn three times as often: cancels need it
+    lanes = list(range(NUM_LANES)) + [FAULTY] * 2
+    push = st.tuples(
+        st.sampled_from(lanes),
+        st.integers(0, 15),          # LSTM branch id / ELM window index
+        st.integers(0, 4),           # ELM: positions overwritten
+        st.integers(0, 30_000),      # gap to the previous arrival (ns)
+    )
+    return st.lists(push, min_size=1, max_size=30)
+
+
+class EagerMcm(Mcm):
+    """Oracle lane: computes and records every grant on the spot, so
+    nothing waits for a compute pass."""
+
+    def grant_head(self, start_ns, extra_service_ns=0.0):
+        pending = super().grant_head(start_ns, extra_service_ns)
+        if pending.result is None:
+            self.compute(pending)
+        super().assemble(pending)
+        return pending
+
+    def assemble(self, pending):
+        pass  # already recorded at the grant
+
+
+class TestDifferentialAgainstUnbatched:
+    """Timing first, compute second is invisible: any ``batch_limit``
+    serves exactly what ``batch_limit=1`` serves, and both serve what
+    eager per-grant service does."""
+
+    def _run(self, models, batch_limit, scenario, mcm=Mcm):
+        pushes, reset_at, fault_seed = scenario
+        tiny_lstm, tiny_elm, tiny_dictionary, windows = models
+        lstm_detector = ThresholdDetector(0.5).fit(np.linspace(0, 6, 20))
+        # Fires on every inference, so each judged (smoothed) score of
+        # the faulty lane lands in its interrupt log.
+        always = ThresholdDetector(0.5).fit(np.linspace(-20, -10, 20))
+        elm_detector = ThresholdDetector(0.5).fit(
+            tiny_elm.score_mahalanobis_f32(tiny_dictionary.features(windows))
+        )
+        gpu = Gpu(num_cus=2, fast_path=True, name="shared")
+        lanes = []
+        for index in range(NUM_LANES):
+            if index in ELM:
+                lanes.append(elm_lane(
+                    tiny_elm, tiny_dictionary, windows.shape[1], gpu,
+                    detector=elm_detector, fifo_depth=2, mcm=mcm,
+                ))
+            else:
+                lanes.append(lstm_lane(
+                    tiny_lstm, gpu, dual_run=index == DUAL,
+                    detector=always if index == FAULTY else lstm_detector,
+                    fifo_depth=2,
+                    score_smoothing=3, mcm=mcm,
+                ))
+        plan = FaultPlan(seed=fault_seed, specs=(
+            FaultSpec(FaultKind.MCM_HANG, rate=0.25),
+            FaultSpec(FaultKind.MCM_STALL, rate=0.3, stall_us=10.0),
+        ))
+        faults = [None] * NUM_LANES
+        faults[FAULTY] = ServiceFaultInjector(plan)
+        arb = ArbitratedMcm(
+            lanes, deadline_us=100.0, service_faults=faults,
+            batch_limit=batch_limit,
+        )
+        arb.set_batch_eligible(INELIGIBLE, False)
+        now = 0.0
+        sequence = [0] * NUM_LANES
+        for position, (lane, value, edits, gap) in enumerate(pushes):
+            if position == reset_at:
+                # a new session mid-stream, as the SoC manager starts one
+                arb.reset_session()
+                for each in lanes:
+                    each.driver.reset()
+            now += gap
+            if lane in ELM:
+                values = windows[value % len(windows)].copy()
+                values[:edits] = 60 + value  # unseen n-grams: more indices
+            else:
+                values = [value % tiny_lstm.vocabulary_size]
+            arb.push(lane, vector(values, seq=sequence[lane]), now)
+            sequence[lane] += 1
+        arb.finalize()
+        return {
+            "records": [lane.records for lane in lanes],
+            "interrupts": [lane.interrupts.fired for lane in lanes],
+            "drops": [lane.dropped_vectors for lane in lanes],
+            "cancels": [lane.cancelled for lane in lanes],
+            "watchdog_trips": arb.watchdog_trips,
+        }
+
+    @given(
+        pushes=_pushes(),
+        reset_at=st.integers(0, 30),
+        fault_seed=st.integers(0, 63),
+        batch_limit=st.sampled_from([2, 4, 8]),
+    )
+    # Fault seed 9 serves the faulty lane's first grant and cancels its
+    # second: the served one must be recorded before the cancel resets
+    # the lane's smoothing window.
+    @example(
+        pushes=[
+            (FAULTY, 1, 0, 50_000), (0, 2, 0, 0), (FAULTY, 2, 0, 50_000),
+            (1, 3, 0, 0), (FAULTY, 3, 0, 50_000), (FAULTY, 4, 0, 50_000),
+        ],
+        reset_at=30, fault_seed=9, batch_limit=4,
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_batched_serving_equals_unbatched(
+        self, tiny_lstm, tiny_elm, tiny_dictionary, syscall_dataset,
+        pushes, reset_at, fault_seed, batch_limit,
+    ):
+        models = (
+            tiny_lstm, tiny_elm, tiny_dictionary,
+            syscall_dataset.test_normal[:16],
+        )
+        scenario = (pushes, reset_at, fault_seed)
+        eager = self._run(models, 1, scenario, mcm=EagerMcm)
+        unbatched = self._run(models, 1, scenario)
+        batched = self._run(models, batch_limit, scenario)
+        assert unbatched == eager
+        assert batched == unbatched

@@ -62,12 +62,15 @@ class TestCancelHead:
         lane = lanes[0]
         lane.enqueue(vector([1], seq=0), arrival_ns=0.0)
         lane.enqueue(vector([1], seq=1), arrival_ns=0.0)
-        first_done = lane.serve_head(0.0)
-        second_done = lane.serve_head(first_done, extra_service_ns=5_000.0)
-        first = lane.records[0].service_ns
-        second = lane.records[1].service_ns
-        assert second == pytest.approx(first + 5_000.0)
-        assert second_done == lane.records[1].done_ns
+        first = lane.grant_head(0.0)
+        second = lane.grant_head(first.done_ns, extra_service_ns=5_000.0)
+        for pending in (first, second):
+            lane.compute(pending)
+            lane.assemble(pending)
+        assert lane.records[1].service_ns == pytest.approx(
+            lane.records[0].service_ns + 5_000.0
+        )
+        assert second.done_ns == lane.records[1].done_ns
 
 
 class TestWatchdog:

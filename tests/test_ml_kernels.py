@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ModelError
+from repro.errors import KernelLaunchError, ModelError
 from repro.miaow.gpu import Gpu
 from repro.ml.elm import ExtremeLearningMachine
 from repro.ml.kernels import (
@@ -195,3 +195,58 @@ class TestDeployedLstm:
             assert np.isfinite(s)
         assert np.isfinite(reference.h).all()
         assert np.isfinite(reference.c).all()
+
+
+class TestSharedEngineLds:
+    """Models deployed onto one engine keep their own LDS weights."""
+
+    STREAM = [3, 1, 4, 1, 5, 9, 2, 6]
+
+    def scores(self, deployment):
+        return [deployment.infer(branch).surprisal for branch in self.STREAM]
+
+    def alone(self, model):
+        deployment = DeployedLstm(model)
+        deployment.load(Gpu())
+        return self.scores(deployment)
+
+    def test_two_models_score_as_each_does_alone(self):
+        first = LstmModel(vocabulary_size=16, hidden_size=16, seed=0)
+        second = LstmModel(vocabulary_size=16, hidden_size=16, seed=1)
+        gpu = Gpu()
+        shared = [DeployedLstm(first), DeployedLstm(second)]
+        for deployment in shared:
+            deployment.load(gpu)
+        assert self.scores(shared[0]) == self.alone(first)
+        assert self.scores(shared[1]) == self.alone(second)
+
+    def test_elm_beside_lstm_scores_as_alone(
+        self, tiny_lstm, tiny_elm, tiny_dictionary, syscall_dataset
+    ):
+        window = syscall_dataset.test_normal[0]
+        solo = DeployedElm(tiny_elm, tiny_dictionary, window=12)
+        solo.load(Gpu())
+        gpu = Gpu()
+        elm = DeployedElm(tiny_elm, tiny_dictionary, window=12)
+        elm.load(gpu)
+        DeployedLstm(tiny_lstm).load(gpu)
+        assert elm.infer(window).score == solo.infer(window).score
+
+    def test_identical_images_share_one_base(self, tiny_lstm):
+        gpu = Gpu()
+        deployments = [DeployedLstm(tiny_lstm) for _ in range(3)]
+        for deployment in deployments:
+            deployment.load(gpu)
+        offsets = {tuple(d._lds_offsets.values()) for d in deployments}
+        assert len(offsets) == 1
+
+    def test_lds_overflow_refused(self):
+        # one padded LSTM image is ~24.5 KB: two distinct ones overflow
+        gpu = Gpu(lds_bytes=32 * 1024)
+        models = [
+            LstmModel(vocabulary_size=16, hidden_size=16, seed=seed)
+            for seed in (0, 1)
+        ]
+        DeployedLstm(models[0]).load(gpu)
+        with pytest.raises(KernelLaunchError):
+            DeployedLstm(models[1]).load(gpu)
