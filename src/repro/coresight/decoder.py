@@ -4,6 +4,12 @@ This is the reference the hardware trace analyzer (IGM) is verified
 against — the role the paper's step-4 "verify" plays for ML-MIAOW, here
 applied to the trace path.  The decoder is fully streaming: bytes can
 be fed in arbitrary chunks and packet state is carried across calls.
+
+The byte machine (:meth:`PftDecoder.step_byte`) is the reference.
+:meth:`PftDecoder.feed` runs a bulk path beside it while the decoder is
+locked and idle: it claims whole branch-address, atom and ignore
+packets and hands every other packet, from its first byte, to the byte
+machine, which owns sync, errors, hunting and truncation.
 """
 
 from __future__ import annotations
@@ -80,6 +86,21 @@ class TruncatedPacket:
     pending_bytes: int
 
 
+_ATOMS = {True: DecodedAtom(taken=True), False: DecodedAtom(taken=False)}
+
+
+def _atom_items(byte: int):
+    try:
+        return tuple(_ATOMS[taken] for taken in decode_atom_byte(byte))
+    except PacketDecodeError:
+        return None
+
+
+#: Bulk path: the (shared, immutable) items of each valid atom byte,
+#: ``None`` for every byte that is not one.
+_ATOM_ITEMS = tuple(_atom_items(byte) for byte in range(256))
+
+
 class _State(enum.Enum):
     IDLE = "idle"
     ASYNC = "async"
@@ -138,10 +159,17 @@ class PftDecoder:
     def feed(self, data: bytes) -> List[object]:
         """Decode a chunk; returns the packets completed by it."""
         out: List[object] = []
-        for byte in data:
-            decoded = self._step(byte)
-            if decoded is not None:
+        index = 0
+        end = len(data)
+        while index < end:
+            if self._state is _State.IDLE:
+                index = self._claim(data, index, out)
+                if index == end:
+                    break
+            decoded = self._step(data[index])
+            if decoded:
                 out.extend(decoded)
+            index += 1
         return out
 
     def branches(self, data: bytes) -> List[DecodedBranch]:
@@ -234,6 +262,48 @@ class PftDecoder:
         self._m_hunt_bytes.inc(self._zeros + 1)
         self._zeros = 0
         return None
+
+    def _claim(self, data, index: int, out: List[object]) -> int:
+        """Bulk path: decode whole common packets from ``data[index:]``.
+
+        Runs only while idle, where the byte machine holds no scratch
+        bytes.  Claims branch-address packets that end inside ``data``
+        and carry no exception byte, valid atom bytes and the ignore
+        byte, leaving the state exactly as the byte machine would.
+        Returns the index of the first byte it does not claim.
+        """
+        end = len(data)
+        last = self._last_address
+        none = ExceptionType.NONE
+        while index < end:
+            byte = data[index]
+            if byte & 0x01:
+                word = (byte >> 1) & 0x3F
+                bits = 6
+                stop = index + 1
+                while byte & 0x80 and stop < end:
+                    byte = data[stop]
+                    stop += 1
+                    if bits == 27:
+                        word |= (byte & 0x07) << 27
+                        bits = 30
+                        break
+                    word |= (byte & 0x7F) << bits
+                    bits += 7
+                if (byte & 0x40) if bits == 30 else (byte & 0x80):
+                    break  # an exception byte follows, or the chunk ends
+                last = merge_compressed_address(word, bits, last)
+                out.append(DecodedBranch(last, none))
+                index = stop
+                continue
+            atoms = _ATOM_ITEMS[byte]
+            if atoms is not None:
+                out += atoms
+            elif byte != HEADER_IGNORE:
+                break
+            index += 1
+        self._last_address = last
+        return index
 
     def _step(self, byte: int) -> Optional[List[object]]:
         state = self._state

@@ -7,6 +7,12 @@ lenient / resync-hunt), an end-of-stream ``finish`` that surfaces
 truncated tail packets, and checkpoint export/restore.  Resync hunting
 scans for the alignment preamble (``4 x 0x00`` then ``0xAA``) the
 encoder emits before every sync burst.
+
+As in :mod:`repro.coresight.decoder`, the byte machine
+(:meth:`EtraceDecoder.step_byte`) is the reference and ``feed`` runs a
+bulk path beside it while the decoder is locked and idle: it claims
+whole address, trap-address and branch-map packets and hands every
+other packet, from its first byte, to the byte machine.
 """
 
 from __future__ import annotations
@@ -83,6 +89,12 @@ class EtraceTruncation:
     pending_bytes: int
 
 
+#: Bulk path: the eight outcomes one branch-map payload byte carries.
+_MAP_TAKEN = tuple(
+    tuple(not (byte >> bit) & 1 for bit in range(8)) for byte in range(256)
+)
+
+
 class _State(enum.Enum):
     IDLE = "idle"
     ALIGN = "align"
@@ -127,10 +139,17 @@ class EtraceDecoder:
     def feed(self, data: bytes) -> List[object]:
         """Decode a chunk; returns the packets completed by it."""
         out: List[object] = []
-        for byte in data:
-            decoded = self._step(byte)
-            if decoded is not None:
+        index = 0
+        end = len(data)
+        while index < end:
+            if self._state is _State.IDLE:
+                index = self._claim(data, index, out)
+                if index == end:
+                    break
+            decoded = self._step(data[index])
+            if decoded:
                 out.extend(decoded)
+            index += 1
         return out
 
     def branches(self, data: bytes) -> List[EtraceBranch]:
@@ -242,6 +261,60 @@ class EtraceDecoder:
         self._m_hunt_bytes.inc(self._zeros + 1)
         self._zeros = 0
         return None
+
+    def _claim(self, data, index: int, out: List[object]) -> int:
+        """Bulk path: decode whole common packets from ``data[index:]``.
+
+        Runs only while idle, where the byte machine holds no scratch
+        bytes.  Claims address packets whose varint ends inside
+        ``data`` with an in-range delta, trap-address packets with a
+        valid cause byte, and branch maps whose payload is in
+        ``data``, leaving the state exactly as the byte machine would.
+        Returns the index of the first byte it does not claim.
+        """
+        end = len(data)
+        units = self._last_units
+        while index < end:
+            byte = data[index]
+            if byte == HEADER_ADDRESS or byte == HEADER_ADDRESS_TRAP:
+                value = 0
+                shift = 0
+                stop = index + 1
+                group = 0x80
+                while group & 0x80 and stop < end and shift < 35:
+                    group = data[stop]
+                    stop += 1
+                    value |= (group & 0x7F) << shift
+                    shift += 7
+                if group & 0x80:
+                    break  # over-long varint, or the chunk ends
+                target = units + zigzag_decode(value)
+                if not 0 <= target <= 0x7FFF_FFFF:
+                    break
+                if byte == HEADER_ADDRESS:
+                    out.append(EtraceBranch(target << 1))
+                else:
+                    if stop == end or data[stop] > MAX_CAUSE:
+                        break
+                    self._pending_address = target << 1
+                    out.append(EtraceBranch(target << 1, True, data[stop]))
+                    stop += 1
+                self._trap = False
+                units = target
+                index = stop
+                continue
+            count = byte >> 3
+            stop = index + 1 + ((count + 7) >> 3)
+            if byte & 0x07 != FMT_BRANCH_MAP or not count or stop > end:
+                break
+            taken = _MAP_TAKEN[data[index + 1]]
+            for payload in data[index + 2:stop]:
+                taken += _MAP_TAKEN[payload]
+            out.append(EtraceBranchMap(taken[:count]))
+            self._map_count = 0
+            index = stop
+        self._last_units = units
+        return index
 
     def _step(self, byte: int) -> Optional[List[object]]:
         state = self._state

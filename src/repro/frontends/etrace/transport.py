@@ -143,15 +143,16 @@ class EtraceDeframer:
         self.bytes_discarded += amount
         self._m_bytes_discarded.inc(amount)
 
-    def _desync(self, amount: int, message: str) -> None:
-        """A malformed frame: drop sync and hunt for the next pattern."""
+    def _desync(self, amount: int, message: str) -> int:
+        """A malformed frame: drop sync, discard ``amount`` bytes and
+        hunt for the next pattern (returns ``amount``)."""
         if not self.resync_hunt:
             raise FrameSyncError(message)
         self._synced = False
         self.frame_resyncs += 1
         self._m_resyncs.inc()
         self._discard(amount)
-        del self._buffer[:amount]
+        return amount
 
     def export_state(self) -> dict:
         """JSON-able carry state for checkpointing (see repro.durability)."""
@@ -175,46 +176,55 @@ class EtraceDeframer:
         return self._synced
 
     def push(self, data: bytes) -> bytes:
-        """Consume frame bytes; return recovered packet payload bytes."""
-        self._buffer += data
+        """Consume frame bytes; return recovered packet payload bytes.
+
+        Walks the buffer with a cursor and drops the consumed bytes
+        once, also when a strict deframer raises.
+        """
+        buffer = self._buffer
+        buffer += data
+        size = len(buffer)
         out = bytearray()
-        while True:
-            if not self._synced:
-                index = bytes(self._buffer).find(SYNC_PATTERN)
-                if index < 0:
-                    # keep a tail that could be a sync prefix
-                    keep = min(len(self._buffer), SYNC_SIZE - 1)
-                    self._discard(len(self._buffer) - keep)
-                    del self._buffer[:len(self._buffer) - keep]
-                    break
-                self._discard(index)
-                del self._buffer[:index + SYNC_SIZE]
-                self._synced = True
-                continue
-            if not self._buffer:
-                break
-            lead = self._buffer[0]
-            if lead == SYNC_PATTERN[0]:
-                if len(self._buffer) < SYNC_SIZE:
-                    break
-                if bytes(self._buffer[:SYNC_SIZE]) == SYNC_PATTERN:
-                    del self._buffer[:SYNC_SIZE]
+        pos = 0
+        try:
+            while True:
+                if not self._synced:
+                    index = buffer.find(SYNC_PATTERN, pos)
+                    if index < 0:
+                        # keep a tail that could be a sync prefix
+                        keep = min(size - pos, SYNC_SIZE - 1)
+                        self._discard(size - pos - keep)
+                        pos = size - keep
+                        break
+                    self._discard(index - pos)
+                    pos = index + SYNC_SIZE
+                    self._synced = True
                     continue
-                self._desync(1, "corrupt sync pattern")
-                continue
-            length = lead & 0x0F
-            if (lead & 0xF0) != FRAME_HEADER_BASE or length < 1:
-                self._desync(1, f"invalid frame header {lead:#04x}")
-                continue
-            total = length + FRAME_OVERHEAD
-            if len(self._buffer) < total:
-                break
-            payload = bytes(self._buffer[1:1 + length])
-            check = self._buffer[1 + length]
-            if check != frame_checksum(payload):
-                self._desync(total, "frame checksum mismatch")
-                continue
-            del self._buffer[:total]
-            out += payload
-            self.frames_consumed += 1
+                if pos == size:
+                    break
+                lead = buffer[pos]
+                if lead == SYNC_PATTERN[0]:
+                    if size - pos < SYNC_SIZE:
+                        break
+                    if buffer.startswith(SYNC_PATTERN, pos):
+                        pos += SYNC_SIZE
+                        continue
+                    pos += self._desync(1, "corrupt sync pattern")
+                    continue
+                length = lead & 0x0F
+                if (lead & 0xF0) != FRAME_HEADER_BASE or length < 1:
+                    pos += self._desync(1, f"invalid frame header {lead:#04x}")
+                    continue
+                total = length + FRAME_OVERHEAD
+                if size - pos < total:
+                    break
+                payload = buffer[pos + 1:pos + 1 + length]
+                if buffer[pos + 1 + length] != frame_checksum(payload):
+                    pos += self._desync(total, "frame checksum mismatch")
+                    continue
+                pos += total
+                out += payload
+                self.frames_consumed += 1
+        finally:
+            del buffer[:pos]
         return bytes(out)

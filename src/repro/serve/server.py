@@ -155,11 +155,18 @@ class _RawIngest:
     """
 
     def __init__(
-        self, frontend: TraceFrontend, cycles_per_event: int
+        self,
+        frontend: TraceFrontend,
+        cycles_per_event: int,
+        metrics: MetricsRegistry,
     ) -> None:
         self.frontend = frontend
-        self.deframer = frontend.new_deframer(resync_hunt=True)
-        self.decoder = frontend.new_decoder(strict=False, resync_hunt=True)
+        self.deframer = frontend.new_deframer(
+            resync_hunt=True, metrics=metrics
+        )
+        self.decoder = frontend.new_decoder(
+            strict=False, resync_hunt=True, metrics=metrics
+        )
         self._cycles_per_event = cycles_per_event
         self._cycle = 0
         self._last_target = 0
@@ -619,7 +626,9 @@ class IngestServer:
                         f"unknown frontend {name!r}"
                     )
                 session.raw = _RawIngest(
-                    get_frontend(name), self.config.raw_cycles_per_event
+                    get_frontend(name),
+                    self.config.raw_cycles_per_event,
+                    self.metrics,
                 )
         except (FrameProtocolError, SocConfigError) as error:
             self._count("serve.protocol.errors")

@@ -9,19 +9,25 @@ import asyncio
 
 import pytest
 
+from repro.coresight.ptm import PtmConfig
 from repro.errors import ServeError
+from repro.eval.chaos import byte_fault_plan
 from repro.eval.metrics import build_demo_manager, demo_events
+from repro.faults.injectors import StreamFaultInjector
 from repro.frontends import get_frontend
+from repro.frontends.etrace import EtraceConfig
+from repro.obs import MetricsRegistry
 from repro.serve import IngestServer, ServeClient, ServeConfig
 from repro.serve import protocol
 
 
-def _server(num_tenants=2, config=None, clock=None, **kwargs):
+def _server(num_tenants=2, config=None, clock=None, metrics=None, **kwargs):
     manager = build_demo_manager(num_tenants, kind="lstm", seed=0, **kwargs)
     clock = clock if clock is not None else {"ns": 0}
     server = IngestServer(
         manager,
         config or ServeConfig(),
+        metrics=metrics,
         clock_ns=lambda: clock["ns"],
     )
     return server, clock
@@ -84,6 +90,98 @@ class TestSessions:
         assert response["accepted_events"] > 0
         assert server.counts["serve.frames.raw"] == 1
         assert server.counts["serve.admitted.events"] > 0
+
+    @pytest.mark.parametrize("frontend", ["coresight", "etrace"])
+    def test_raw_session_resyncs_reach_the_server_registry(self, frontend):
+        grammar = get_frontend(frontend)
+        registry = MetricsRegistry()
+        # Frequent sync points let the hunting receivers re-lock (and
+        # count a resync) soon after each damaged stretch.
+        frequent_sync = get_frontend(
+            frontend,
+            sync_period=4,
+            **{
+                "coresight": {"ptm_config": PtmConfig(sync_interval_bytes=128)},
+                "etrace": {
+                    "etrace_config": EtraceConfig(sync_interval_bytes=128)
+                },
+            }[frontend],
+        )
+
+        async def scenario():
+            server, _ = _server(
+                metrics=registry,
+                frontends={"tenant0": frontend, "tenant1": frontend},
+            )
+            driver = frequent_sync.create_driver()
+            driver.enable()
+            stream = driver.trace_all(_events(400)) + driver.flush()
+            corrupted = StreamFaultInjector(byte_fault_plan(0.01, 3)).feed(
+                stream
+            )
+            client = ServeClient.local(server)
+            await client.hello("tenant0", mode="raw", frontend=frontend)
+            (raw,) = [session.raw for session, _ in server._peers]
+            await client.send_raw(corrupted)
+            await client.bye()
+            await server.stop()
+            return raw
+
+        raw = asyncio.run(scenario())
+        counters = registry.snapshot()["counters"]
+        decoder_resyncs, frame_resyncs = (
+            f"{frontend}.decoder.resyncs",
+            grammar.deframer_counters[0],
+        )
+        assert counters[decoder_resyncs] == raw.decoder.resyncs > 0
+        assert counters[frame_resyncs] == raw.deframer.frame_resyncs > 0
+
+    @pytest.mark.parametrize("frontend", ["coresight", "etrace"])
+    def test_raw_frames_flow_through_the_traced_entry_points(self, frontend):
+        """A tracer that wraps a raw session's ``deframer.push`` and
+        ``decoder.feed`` as instance attributes sees every RAW frame's
+        bytes pass through both, so decode time is billed to them."""
+
+        def wrap(owner, name, calls):
+            inner = getattr(owner, name)
+
+            def traced(data):
+                out = inner(data)
+                calls.append((bytes(data), out))
+                return out
+
+            setattr(owner, name, traced)
+
+        async def scenario():
+            server, _ = _server(
+                frontends={"tenant0": frontend, "tenant1": frontend}
+            )
+            driver = get_frontend(frontend).create_driver()
+            driver.enable()
+            stream = driver.trace_all(_events(240)) + driver.flush()
+            frames = [stream[i:i + 333] for i in range(0, len(stream), 333)]
+            client = ServeClient.local(server)
+            await client.hello("tenant0", mode="raw", frontend=frontend)
+            (raw,) = [session.raw for session, _ in server._peers]
+            pushed, fed = [], []
+            wrap(raw.deframer, "push", pushed)
+            wrap(raw.decoder, "feed", fed)
+            accepted = 0
+            for frame in frames:
+                response = await client.send_raw(frame)
+                accepted += response["accepted_events"]
+            await client.bye()
+            await server.stop()
+            return frames, pushed, fed, accepted
+
+        frames, pushed, fed, accepted = asyncio.run(scenario())
+        assert [data for data, _ in pushed] == frames
+        assert [data for data, _ in fed] == [out for _, out in pushed]
+        decoded = [
+            item for _, items in fed for item in items
+            if hasattr(item, "is_syscall")
+        ]
+        assert accepted == len(decoded) > 0
 
     def test_corrupt_frame_refused_but_session_survives(self):
         async def scenario():
