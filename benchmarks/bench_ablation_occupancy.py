@@ -30,7 +30,7 @@ def occupancy_results():
         reference = deployment.reference_score(
             bundle.normal_ids[:bundle.window]
         )
-        out[resident] = (result.dispatch.cycles, result.score, reference)
+        out[resident] = (result.dispatches[0].cycles, result.score, reference)
     return out
 
 

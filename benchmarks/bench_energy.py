@@ -35,7 +35,7 @@ def energy_reports():
         deployment.load(gpu)
         result = deployment.infer(window)
         model = PowerModel(engine_area=area)
-        reports[name] = model.energy_of_run(gpu, result.dispatch.cycles)
+        reports[name] = model.energy_of_run(gpu, result.dispatches[0].cycles)
     return reports
 
 

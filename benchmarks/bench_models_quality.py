@@ -160,7 +160,7 @@ def test_deployed_engine_scaling_per_model(benchmark, quality_data):
     window = syscall.test_normal[0]
     elm_cycles = cycles_for(
         lambda: DeployedElm(elm, dictionary, window=16),
-        lambda d: d.infer(window).dispatch.cycles,
+        lambda d: d.infer(window).dispatches[0].cycles,
     )
     mlp_cycles = cycles_for(
         lambda: DeployedMlp(mlp),

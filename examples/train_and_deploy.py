@@ -54,8 +54,8 @@ def deploy_elm(program):
         result = deployment.infer(window)
         reference = deployment.reference_score(window)
         print(
-            f"  {name:>8}: {result.dispatch.cycles:5d} cycles "
-            f"({result.dispatch.cycles / GPU_CLOCK_MHZ:6.1f} us)  "
+            f"  {name:>8}: {result.dispatches[0].cycles:5d} cycles "
+            f"({result.dispatches[0].cycles / GPU_CLOCK_MHZ:6.1f} us)  "
             f"score {result.score:.4f} vs f32 ref {reference:.4f}"
         )
 
@@ -85,7 +85,7 @@ def deploy_lstm(program):
         for branch in stream[:8]:
             result = deployment.infer(int(branch))
             expected = reference.infer(int(branch))
-            max_err = max(max_err, abs(result.surprisal - expected))
+            max_err = max(max_err, abs(result.score - expected))
             cycles.append(result.total_cycles)
         mean_cycles = np.mean(cycles)
         print(

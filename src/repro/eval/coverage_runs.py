@@ -51,7 +51,7 @@ def lstm_run(seed: int = 0) -> Tuple[str, Callable[[Gpu], np.ndarray]]:
         deployment.load(gpu)
         surprisals = []
         for branch_id in bundle.normal_ids[:INFERENCES_PER_RUN]:
-            surprisals.append(deployment.infer(int(branch_id)).surprisal)
+            surprisals.append(deployment.infer(int(branch_id)).score)
         return np.array(surprisals, dtype=np.float64)
 
     return ("lstm", run)

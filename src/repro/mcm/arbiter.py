@@ -20,7 +20,8 @@ in three passes:
   so queueing, drops, stalls and the watchdog settle here;
 - **compute** — wave k holds the k-th granted inference of every
   deployment; a wave's batchable members run as fused dispatches of
-  at most ``batch_limit``, the rest through their lane's single path;
+  at most ``batch_limit``, the rest alone (a batch of one) through
+  :meth:`repro.mcm.mcm.Mcm.compute`;
 - **assembly** — each lane scores and records its inferences in
   grant order (:meth:`repro.mcm.mcm.Mcm.assemble`).
 
@@ -278,9 +279,9 @@ class ArbitratedMcm:
         each model's recurrent state advances in grant order.  Within
         a wave, batchable members (:meth:`_batch_key`) are grouped by
         key and run in fused dispatches of at most ``batch_limit``
-        distinct deployments; the rest run through their lane's single
-        path, dual-run vote included.  Records are then assembled in
-        grant order.
+        distinct deployments; the rest run alone through their lane's
+        ``compute``, dual-run vote included.  Records are then
+        assembled in grant order.
         """
         granted, self._granted = self._granted, []
         queues: Dict[int, List[Grant]] = {}

@@ -20,24 +20,12 @@ protocol conversion (``converter``).  Two execution modes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import McmError
 from repro.mcm.engines import ProtocolConverter
 from repro.miaow.gpu import Gpu
-from repro.ml.kernels import (
-    DeployedElm,
-    DeployedLstm,
-    DeployedMlp,
-    ElmInferenceResult,
-    LstmInferenceResult,
-    MlpInferenceResult,
-    elm_infer_indices_batch,
-    lstm_infer_batch,
-    mlp_infer_batch,
-)
+from repro.ml.kernels import DeployedModel, KernelResult
 from repro.obs import MetricsRegistry, NULL_REGISTRY
 
 
@@ -63,26 +51,14 @@ class DriverResult:
     phases: InferencePhases
 
 
-def _driver_result(
-    result: Union[ElmInferenceResult, LstmInferenceResult, MlpInferenceResult],
-) -> DriverResult:
+def _driver_result(result: KernelResult) -> DriverResult:
     """A kernel-level inference result as the MCM sees it."""
-    if isinstance(result, ElmInferenceResult):
-        return DriverResult(
-            score=result.score,
-            phases=InferencePhases(
-                names=("elm_score",), cycles=(result.dispatch.cycles,)
-            ),
-        )
+    dispatches = result.dispatches
     return DriverResult(
-        score=(
-            result.surprisal
-            if isinstance(result, LstmInferenceResult)
-            else result.score
-        ),
+        score=result.score,
         phases=InferencePhases(
-            names=tuple(d.kernel for d in result.dispatches),
-            cycles=tuple(d.cycles for d in result.dispatches),
+            names=tuple(d.kernel for d in dispatches),
+            cycles=tuple(d.cycles for d in dispatches),
         ),
     )
 
@@ -92,7 +68,7 @@ class MlMiaowDriver:
 
     def __init__(
         self,
-        deployment: Union[DeployedElm, DeployedLstm, DeployedMlp],
+        deployment: DeployedModel,
         gpu: Gpu,
         execute_on_gpu: bool = True,
         metrics: Optional[MetricsRegistry] = None,
@@ -102,23 +78,20 @@ class MlMiaowDriver:
         self.execute_on_gpu = execute_on_gpu
         self.metrics = metrics or NULL_REGISTRY
         self._bind_instruments()
-        if isinstance(deployment, DeployedElm):
-            self.kind = "elm"
-        elif isinstance(deployment, DeployedMlp):
-            self.kind = "mlp"
-        else:
-            self.kind = "lstm"
-        self.converter = ProtocolConverter(
-            self.kind,
-            deployment.dictionary if self.kind == "elm" else None,
-        )
+        self.kind = deployment.kind
+        #: Words the RX engine reads back per inference.
+        self.result_words = deployment.result_words
+        self.converter = ProtocolConverter(self.kind, deployment.dictionary)
         deployment.load(gpu)
-        self._reference = None
         self._cached_phases = self._measure_phases()
-        # Exact ELM: batch_key -> phases, filled from real results.
-        self._elm_phases: Dict[Tuple, InferencePhases] = {}
+        # Exact mode with input-shaped kernels (ELM): batch_key ->
+        # phases, filled from real results.
+        self._phases_by_key: Optional[Dict[Tuple, InferencePhases]] = (
+            {} if execute_on_gpu and deployment.input_sets_phases else None
+        )
+        self._reference = None
         if not execute_on_gpu:
-            self._reference = self._make_reference()
+            self._bind_reference()
 
     # ------------------------------------------------------------------
     # Observability
@@ -145,34 +118,23 @@ class MlMiaowDriver:
     # ------------------------------------------------------------------
 
     def _measure_phases(self) -> InferencePhases:
-        """One warm-up inference to record per-phase cycles.
+        """One warm-up inference of the deployment's typical input to
+        record per-phase cycles (then the model state is reset).
 
-        The ELM warm-up uses a typical all-in-dictionary input (M =
-        positions): normal traffic gathers one weight column per
-        n-gram position, while anomalous windows add a few unseen-bin
-        repeats.  Calibrated mode therefore reflects steady-state
-        service time; exact mode measures every inference faithfully.
+        Calibrated mode therefore reflects steady-state service time;
+        exact mode measures every inference faithfully.
         """
-        if self.kind == "elm":
-            indices = np.ones(self.deployment.positions, dtype=np.int64)
-            return _driver_result(
-                self.deployment.infer_indices(indices)
-            ).phases
-        if self.kind == "mlp":
-            features = np.full(
-                self.deployment.model.input_dim,
-                1.0 / self.deployment.model.input_dim,
-                dtype=np.float32,
-            )
-            return _driver_result(self.deployment.infer(features)).phases
-        phases = _driver_result(self.deployment.infer(0)).phases
-        self.deployment.reset_state()
-        return phases
+        deployment = self.deployment
+        (result,) = deployment.infer_batch(
+            [deployment], [deployment.warmup_input()]
+        )
+        deployment.reset_state()
+        return _driver_result(result).phases
 
-    def _make_reference(self):
-        if self.kind == "lstm":
-            return self.deployment.make_reference()
-        return None
+    def _bind_reference(self) -> None:
+        """A fresh float32 twin, its scoring callable bound once."""
+        self._reference = self.deployment.make_reference()
+        self._score = self._reference.infer
 
     @property
     def phases(self) -> InferencePhases:
@@ -188,75 +150,39 @@ class MlMiaowDriver:
         varies per input — the index count is the scalar loop bound —
         so its phases are memoised per key from real results.
         """
-        if self.kind != "elm" or not self.execute_on_gpu:
+        if self._phases_by_key is None:
             return self._cached_phases
-        return self._elm_phases.get(self.batch_key(converted_input))
+        return self._phases_by_key.get(
+            self.deployment.batch_key(converted_input)
+        )
 
     def _observe(self, converted_input, result: DriverResult) -> None:
         """Count one completed inference (and memoise exact ELM phases)."""
         self._m_inferences.inc()
         self._m_launches.inc(result.phases.num_dispatches)
         self._m_gpu_cycles.inc(result.phases.total_cycles)
-        if self.kind == "elm" and self.execute_on_gpu:
-            self._elm_phases[self.batch_key(converted_input)] = result.phases
+        if self._phases_by_key is not None:
+            key = self.deployment.batch_key(converted_input)
+            self._phases_by_key[key] = result.phases
 
     def fastpath_stats(self) -> dict:
         """Engine fast-path cache snapshot (benchmarks/diagnostics)."""
         return self.gpu.fastpath_stats()
-
-    @property
-    def result_words(self) -> int:
-        """Words the RX engine reads back per inference."""
-        if self.kind == "elm":
-            return self.deployment.num_workgroups
-        return 1  # lstm and mlp both produce a single score word
 
     # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------
 
     def run_inference(self, converted_input) -> DriverResult:
-        """Run one inference on the bound engine."""
-        if self.kind == "elm":
-            result = self._run_elm(converted_input)
-        elif self.kind == "mlp":
-            result = self._run_mlp(converted_input)
-        else:
-            result = self._run_lstm(converted_input)
+        """Run one inference: a batch of one on the bound engine, or
+        (calibrated) the float32 twin with the measured phases."""
+        if self.execute_on_gpu:
+            return self.run_inference_batch([self], [converted_input])[0]
+        result = DriverResult(
+            self._score(converted_input), self._cached_phases
+        )
         self._observe(converted_input, result)
         return result
-
-    def _run_mlp(self, features: np.ndarray) -> DriverResult:
-        if self.execute_on_gpu:
-            return _driver_result(self.deployment.infer(features))
-        score = self.deployment.reference_score(features)
-        return DriverResult(score=score, phases=self._cached_phases)
-
-    def _run_elm(self, pattern_indices: np.ndarray) -> DriverResult:
-        if self.execute_on_gpu:
-            return _driver_result(
-                self.deployment.infer_indices(pattern_indices)
-            )
-        # Calibrated mode: score via the f32 reference on dense features.
-        dictionary = self.deployment.dictionary
-        features = np.zeros((1, dictionary.size), dtype=np.float32)
-        for index in np.asarray(pattern_indices):
-            features[0, int(index)] += 1
-        features /= self.deployment.positions
-        score = float(
-            self.deployment.model.score_mahalanobis_f32(features)[0]
-        )
-        return DriverResult(score=score, phases=self._cached_phases)
-
-    def _run_lstm(self, branch_id: int) -> DriverResult:
-        if self.execute_on_gpu:
-            return _driver_result(self.deployment.infer(int(branch_id)))
-        score = self._reference.infer(int(branch_id))
-        return DriverResult(score=score, phases=self._cached_phases)
-
-    # ------------------------------------------------------------------
-    # Cross-tenant batched inference
-    # ------------------------------------------------------------------
 
     def batch_key(self, converted_input) -> Optional[Tuple]:
         """Coalescing compatibility key for one converted input.
@@ -271,22 +197,7 @@ class MlMiaowDriver:
         """
         if not self.execute_on_gpu:
             return None
-        deployment = self.deployment
-        if self.kind == "elm":
-            # The index count feeds the kernel's scalar loop bound.
-            return (
-                "elm",
-                deployment.model.hidden_dim,
-                deployment.num_workgroups,
-                len(np.asarray(converted_input)),
-            )
-        if self.kind == "mlp":
-            return (
-                "mlp",
-                deployment.model.input_dim,
-                deployment.model.hidden_dim,
-            )
-        return ("lstm", deployment.model.hidden_size)
+        return self.deployment.batch_key(converted_input)
 
     @staticmethod
     def run_inference_batch(
@@ -306,16 +217,9 @@ class MlMiaowDriver:
         kinds = {driver.kind for driver in drivers}
         if kinds != {first.kind}:
             raise McmError(f"cannot batch across model kinds {kinds}")
-        deployments = [driver.deployment for driver in drivers]
-        if first.kind == "elm":
-            results = elm_infer_indices_batch(deployments, converted_inputs)
-        elif first.kind == "mlp":
-            results = mlp_infer_batch(deployments, converted_inputs)
-        else:
-            results = lstm_infer_batch(
-                deployments,
-                [int(branch_id) for branch_id in converted_inputs],
-            )
+        results = first.deployment.infer_batch(
+            [driver.deployment for driver in drivers], converted_inputs
+        )
         outputs = [_driver_result(result) for result in results]
         for driver, converted, output in zip(
             drivers, converted_inputs, outputs
@@ -325,28 +229,21 @@ class MlMiaowDriver:
 
     def reset(self) -> None:
         """Reset recurrent state (new trace session)."""
-        if self.kind == "lstm":
-            self.deployment.reset_state()
-            if self._reference is not None:
-                self._reference = self.deployment.make_reference()
+        self.deployment.reset_state()
+        if self._reference is not None:
+            self._bind_reference()
 
     # ------------------------------------------------------------------
     # Durability (dual-run voting and checkpointing)
     # ------------------------------------------------------------------
 
+    def _state_owner(self):
+        return self.deployment if self.execute_on_gpu else self._reference
+
     def export_model_state(self):
         """Snapshot the recurrent model state (None for stateless kinds)."""
-        if self.kind != "lstm":
-            return None
-        if self.execute_on_gpu:
-            return self.deployment.export_state()
-        return self._reference.export_state()
+        return self._state_owner().export_state()
 
     def restore_model_state(self, state) -> None:
         """Rewind to a snapshot from :meth:`export_model_state`."""
-        if self.kind != "lstm":
-            return
-        if self.execute_on_gpu:
-            self.deployment.restore_state(state)
-        else:
-            self._reference.restore_state(state)
+        self._state_owner().restore_state(state)

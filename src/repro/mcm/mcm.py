@@ -266,7 +266,7 @@ class Mcm:
     # ------------------------------------------------------------------
 
     def compute(self, pending: PendingInference) -> None:
-        """Run ``pending``'s inference alone: the single path.
+        """Run ``pending``'s inference alone (a batch of one).
 
         With dual-run voting on, a redundant second run starts from the
         same model state; recurrent state is rewound before and

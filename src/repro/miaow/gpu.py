@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
-from repro.errors import GpuError, KernelLaunchError
+from repro.errors import GpuError, GpuMemoryError, KernelLaunchError
 from repro.miaow.assembler import Kernel
 from repro.miaow.compiler import (
     BatchCompiledKernel,
@@ -221,7 +221,7 @@ class Gpu:
             base = self._lds_free
             capacity = self.compute_units[0].local_memory.size_bytes
             if base + len(key) > capacity:
-                raise KernelLaunchError(
+                raise GpuMemoryError(
                     f"LDS full: a {len(key)} B model image does not fit "
                     f"after {base} B of resident images ({capacity} B)"
                 )
@@ -229,12 +229,6 @@ class Gpu:
             self._lds_images[key] = base
             self._lds_free = base + len(key)
         return base
-
-    def clear_lds(self) -> None:
-        for cu in self.compute_units:
-            cu.local_memory.clear()
-        self._lds_images.clear()
-        self._lds_free = 0
 
     # ------------------------------------------------------------------
     # Fast-path plumbing

@@ -57,9 +57,6 @@ class GlobalMemory:
         self._next_free = base + nbytes
         return base
 
-    def reset_allocator(self) -> None:
-        self._next_free = 0
-
     # -- scalar access ---------------------------------------------------
 
     def _word_index(self, address: int) -> int:

@@ -67,7 +67,3 @@ class Wavefront:
         """Write lanes under the EXEC mask (the hardware write-enable)."""
         target = self.vgpr[index]
         target[self.exec_mask] = values[self.exec_mask]
-
-    @property
-    def active_lanes(self) -> int:
-        return int(self.exec_mask.sum())

@@ -139,11 +139,6 @@ class PatternDictionary:
                 out.append(index)
         return np.array(out, dtype=np.int64)
 
-    @property
-    def max_indices_per_window(self) -> int:
-        """Worst-case :meth:`indices` length for buffer sizing."""
-        return self.unseen_gain
-
     def max_indices(self, window: int) -> int:
         return (window - self.n + 1) * self.unseen_gain
 

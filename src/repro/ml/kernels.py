@@ -23,6 +23,10 @@ to Southern-Islands-subset assembly:
   The 4-way gate parallelism is what a 5-CU ML-MIAOW exploits and a
   1-CU MIAOW serializes — the mechanism behind Fig. 8's LSTM speedup.
 
+Each deployment implements :class:`DeployedModel`, whose
+``infer_batch`` is the only code that launches the model's kernels; a
+single inference is a batch of one.
+
 Model weights live in per-CU local memory ("ML-MIAOW has in its local
 memory the model of the target program"); recurrent state lives in
 shared device memory so it survives workgroup-to-CU reassignment.
@@ -30,8 +34,8 @@ shared device memory so it survives workgroup-to-CU reassignment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -137,6 +141,115 @@ def kernel_cache_stats() -> Dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
+# Deployment protocol
+# ---------------------------------------------------------------------------
+#
+# K tenants that deployed the *same* model family and shape onto one
+# shared engine are served by one fused dispatch per kernel: member
+# buffers are disjoint by construction (each deployment allocated its
+# own device buffers) and LDS holds shared read-only model data, so the
+# fused run is bit-identical to serving the members one at a time —
+# the dispatcher enforces that contract (see Gpu.dispatch_batch).
+# Per-member quantities (buffer addresses, branch ids, 1/M bits) ride
+# along as varying scalar arguments.
+
+
+@dataclass
+class KernelResult:
+    """One inference as the engine ran it: the score read back and
+    every dispatch of the model's kernel chain, in launch order."""
+
+    score: float
+    dispatches: List[DispatchResult]
+
+    @property
+    def total_cycles(self) -> int:
+        return sum(d.cycles for d in self.dispatches)
+
+
+class _StatelessReference:
+    """Float32 twin of a stateless model: a scoring callable, no state."""
+
+    def __init__(self, score: Callable[[Any], float]) -> None:
+        self.infer = score
+
+    def export_state(self) -> None:
+        return None
+
+    def restore_state(self, state) -> None:
+        pass
+
+
+class DeployedModel:
+    """A trained model bound to a GPU engine.
+
+    The protocol the MCM driver runs every model through:
+
+    - ``kind`` names the MCM protocol conversion (``ProtocolConverter``);
+    - ``infer_batch(members, inputs)`` is the only code that launches
+      the model's kernels, for K converted inputs; ``infer`` is a batch
+      of one, which ``Gpu.dispatch_batch`` sends straight to the serial
+      oracle ``Gpu.dispatch``;
+    - ``batch_key(converted)`` says which inferences may share a fused
+      dispatch (equal keys fix the same kernel shapes and loop bounds);
+    - ``warmup_input()`` is the typical input the driver measures the
+      per-phase cycles with;
+    - ``result_words`` is what the RX engine reads back;
+    - ``make_reference()`` is the float32 twin calibrated mode scores
+      with (``infer``, ``export_state``, ``restore_state``).
+
+    Stateless models keep the no-op recurrent-state hooks below.
+    """
+
+    kind: str
+    #: IDs the vector encoder collects per inference.
+    window = 1
+    #: Pattern dictionary the MCM converts ID windows with (ELM only).
+    dictionary: Optional[PatternDictionary] = None
+    #: Words the RX engine reads back per inference.
+    result_words = 1
+    #: True when the converted input's length is a kernel loop bound,
+    #: so cycle counts are known only per :meth:`batch_key`.
+    input_sets_phases = False
+
+    _runtime: Optional[GpuRuntime] = None
+
+    def infer(self, converted_input) -> KernelResult:
+        """Run one inference: a batch of one."""
+        return self.infer_batch([self], [converted_input])[0]
+
+    def reset_state(self) -> None:
+        pass
+
+    def export_state(self):
+        return None
+
+    def restore_state(self, state) -> None:
+        pass
+
+
+def _shared_runtime(members, inputs, what: str) -> GpuRuntime:
+    """Validate a batch: one input each, loaded, distinct members, one
+    shared GPU."""
+    if len(members) != len(inputs) or not members:
+        raise KernelLaunchError(f"one {what} per batched member")
+    runtime = members[0]._runtime
+    if runtime is None:
+        raise KernelLaunchError("batched inference before load()")
+    seen = set()
+    for member in members:
+        if member._runtime is None:
+            raise KernelLaunchError("batched inference before load()")
+        if member._runtime.gpu is not runtime.gpu:
+            raise KernelLaunchError("batched members must share one GPU")
+        if id(member) in seen:
+            # the same deployment twice would alias input buffers
+            raise KernelLaunchError("batched members must be distinct")
+        seen.add(id(member))
+    return runtime
+
+
+# ---------------------------------------------------------------------------
 # ELM deployment
 # ---------------------------------------------------------------------------
 
@@ -194,14 +307,11 @@ def build_elm_kernel() -> Kernel:
     return _cached_kernel("elm_score", _ELM_SCORE_SRC)
 
 
-@dataclass
-class ElmInferenceResult:
-    score: float
-    dispatch: DispatchResult
-
-
-class DeployedElm:
+class DeployedElm(DeployedModel):
     """A trained ELM bound to a GPU engine."""
+
+    kind = "elm"
+    input_sets_phases = True
 
     def __init__(
         self,
@@ -219,9 +329,9 @@ class DeployedElm:
         self.dictionary = dictionary
         self.window = window
         self.num_workgroups = model.hidden_dim // 64
+        self.result_words = self.num_workgroups
         self.positions = window - dictionary.n + 1
         self.kernel = build_elm_kernel()
-        self._runtime: Optional[GpuRuntime] = None
         self._weights = model.export_weights()
         self._buffers: Dict[str, Buffer] = {}
         self._lds_offsets: Dict[str, int] = {}
@@ -249,44 +359,80 @@ class DeployedElm:
         self._runtime = runtime
         self._buffers = {"w": w_buf, "input": input_buf, "out": out_buf}
 
-    @property
-    def loaded(self) -> bool:
-        return self._runtime is not None
-
     # -- inference ----------------------------------------------------------
 
-    def infer(self, window_ids: np.ndarray) -> ElmInferenceResult:
+    def infer(self, window_ids: np.ndarray) -> KernelResult:
         """Score one ID window on the GPU."""
-        indices = self.dictionary.indices(window_ids)
-        return self.infer_indices(indices)
+        return self.infer_indices(self.dictionary.indices(window_ids))
 
-    def infer_indices(self, indices: np.ndarray) -> ElmInferenceResult:
+    def infer_indices(self, indices: np.ndarray) -> KernelResult:
         """Score from already-converted pattern indices (the MCM path)."""
-        if self._runtime is None:
-            raise KernelLaunchError("DeployedElm used before load()")
-        runtime = self._runtime
-        runtime.write(
-            self._buffers["input"], np.asarray(indices, dtype=np.uint32)
+        return self.infer_batch([self], [indices])[0]
+
+    @staticmethod
+    def infer_batch(
+        members: List["DeployedElm"],
+        indices_lists: List[np.ndarray],
+    ) -> List[KernelResult]:
+        """Score K tenants' pattern-index windows in one fused dispatch.
+
+        Members must share the model shape; the index count must also
+        match because it feeds the scalar loop bound (a per-member count
+        would diverge the fused control flow).
+        """
+        runtime = _shared_runtime(members, indices_lists, "index window")
+        first = members[0]
+        num_workgroups = first.num_workgroups
+        count = len(indices_lists[0])
+        args_lists = []
+        for member, indices in zip(members, indices_lists):
+            if (
+                member.num_workgroups != num_workgroups
+                or member.model.hidden_dim != first.model.hidden_dim
+            ):
+                raise KernelLaunchError(
+                    "batched ELM members must share a shape"
+                )
+            if len(indices) != count:
+                raise KernelLaunchError(
+                    "batched ELM members must share the index count"
+                )
+            buffers, lds = member._buffers, member._lds_offsets
+            runtime.write(
+                buffers["input"], np.asarray(indices, dtype=np.uint32)
+            )
+            args_lists.append([
+                buffers["w"], buffers["input"], buffers["out"], count,
+                member.model.hidden_dim, float_bits(1.0 / member.positions),
+                lds["bias"], lds["mean"], lds["inv_var"],
+            ])
+        dispatches = runtime.launch_batch(
+            first.kernel, num_workgroups, args_lists
         )
-        dispatch = runtime.launch(
-            self.kernel,
-            num_workgroups=self.num_workgroups,
-            args=[
-                self._buffers["w"],
-                self._buffers["input"],
-                self._buffers["out"],
-                len(indices),
-                self.model.hidden_dim,
-                float_bits(1.0 / self.positions),
-                self._lds_offsets["bias"],
-                self._lds_offsets["mean"],
-                self._lds_offsets["inv_var"],
-            ],
+        return [
+            KernelResult(
+                float(runtime.read_f32(member._buffers["out"]).sum()),
+                [dispatch],
+            )
+            for member, dispatch in zip(members, dispatches)
+        ]
+
+    def batch_key(self, indices: np.ndarray) -> Tuple:
+        # The index count feeds the kernel's scalar loop bound.
+        return (
+            "elm",
+            self.model.hidden_dim,
+            self.num_workgroups,
+            len(np.asarray(indices)),
         )
-        partials = runtime.read_f32(self._buffers["out"])
-        return ElmInferenceResult(
-            score=float(partials.sum()), dispatch=dispatch
-        )
+
+    def warmup_input(self) -> np.ndarray:
+        """A typical all-in-dictionary window (M = positions): normal
+        traffic gathers one weight column per n-gram position, while
+        anomalous windows add a few unseen-bin repeats."""
+        return np.ones(self.positions, dtype=np.int64)
+
+    # -- float32 software reference ------------------------------------------
 
     def reference_score(self, window_ids: np.ndarray) -> float:
         """Float32 software reference the GPU result must match."""
@@ -294,6 +440,17 @@ class DeployedElm:
             np.asarray(window_ids)[None, :]
         )
         return float(self.model.score_mahalanobis_f32(features)[0])
+
+    def _reference_indices_score(self, indices: np.ndarray) -> float:
+        """:meth:`reference_score` from converted pattern indices."""
+        features = np.zeros((1, self.dictionary.size), dtype=np.float32)
+        for index in np.asarray(indices):
+            features[0, int(index)] += 1
+        features /= self.positions
+        return float(self.model.score_mahalanobis_f32(features)[0])
+
+    def make_reference(self) -> _StatelessReference:
+        return _StatelessReference(self._reference_indices_score)
 
 
 # ---------------------------------------------------------------------------
@@ -448,19 +605,10 @@ def build_lstm_score_kernel() -> Kernel:
     return _cached_kernel("lstm_score", _LSTM_SCORE_SRC)
 
 
-@dataclass
-class LstmInferenceResult:
-    surprisal: float
-    dispatches: List[DispatchResult]
-
-    @property
-    def total_cycles(self) -> int:
-        return sum(d.cycles for d in self.dispatches)
-
-
-class DeployedLstm:
+class DeployedLstm(DeployedModel):
     """A trained LSTM bound to a GPU engine (streaming inference)."""
 
+    kind = "lstm"
     NUM_GATE_WORKGROUPS = 4
 
     def __init__(self, model: LstmModel) -> None:
@@ -478,7 +626,6 @@ class DeployedLstm:
             "update": build_lstm_update_kernel(),
         }
         self._padded = self._pad_weights()
-        self._runtime: Optional[GpuRuntime] = None
         self._buffers: Dict[str, Buffer] = {}
         self._lds_offsets: Dict[str, int] = {}
 
@@ -521,10 +668,6 @@ class DeployedLstm:
         self._runtime = runtime
         self.reset_state()
 
-    @property
-    def loaded(self) -> bool:
-        return self._runtime is not None
-
     def reset_state(self) -> None:
         if self._runtime is None:
             raise KernelLaunchError("DeployedLstm used before load()")
@@ -533,36 +676,66 @@ class DeployedLstm:
         self._runtime.write(self._buffers["h"], zeros)
         self._runtime.write(self._buffers["c"], zeros)
 
-    # -- inference --------------------------------------------------------------
+    # -- inference ----------------------------------------------------------
 
-    def infer(self, branch_id: int) -> LstmInferenceResult:
-        """Score the observed branch, then advance the state."""
-        if self._runtime is None:
-            raise KernelLaunchError("DeployedLstm used before load()")
-        if not 0 <= branch_id < self.model.vocabulary_size:
-            raise ModelError(f"branch id {branch_id} outside vocabulary")
-        runtime = self._runtime
-        h = self.model.hidden_size
-        off = self._lds_offsets
-        buffers = self._buffers
-        dispatches = [
-            runtime.launch(
-                self.kernels["score"], 1,
-                args=[branch_id, buffers["h"], buffers["score"], h,
-                      off["w_out"], off["b_out"]],
+    @staticmethod
+    def infer_batch(
+        members: List["DeployedLstm"],
+        branch_ids: List[int],
+    ) -> List[KernelResult]:
+        """Score each observed branch, then advance each member's state:
+        K tenants' score/gates/update chains as three fused dispatches.
+
+        Per-member branch ids are fine — they only enter the vector domain
+        (the observed-ID lane select) and the LDS weight gather addresses.
+        Running all scores, then all gates, then all updates is equivalent
+        to interleaving per member because each member's chain touches only
+        its own (h, c, gates, score) buffers.
+        """
+        runtime = _shared_runtime(members, branch_ids, "branch id")
+        hidden = members[0].model.hidden_size
+        score_args, gates_args, update_args = [], [], []
+        for member, branch_id in zip(members, branch_ids):
+            if member.model.hidden_size != hidden:
+                raise KernelLaunchError(
+                    "batched LSTM members must share the hidden size"
+                )
+            if not 0 <= branch_id < member.model.vocabulary_size:
+                raise ModelError(f"branch id {branch_id} outside vocabulary")
+            buffers, lds = member._buffers, member._lds_offsets
+            score_args.append([
+                branch_id, buffers["h"], buffers["score"], hidden,
+                lds["w_out"], lds["b_out"],
+            ])
+            gates_args.append([
+                branch_id, buffers["h"], buffers["gates"], hidden,
+                lds["w_x"], lds["u"], lds["b"],
+            ])
+            update_args.append(
+                [buffers["gates"], buffers["c"], buffers["h"], hidden]
+            )
+        kernels = members[0].kernels
+        chains = zip(
+            runtime.launch_batch(kernels["score"], 1, score_args),
+            runtime.launch_batch(
+                kernels["gates"], DeployedLstm.NUM_GATE_WORKGROUPS,
+                gates_args,
             ),
-            runtime.launch(
-                self.kernels["gates"], self.NUM_GATE_WORKGROUPS,
-                args=[branch_id, buffers["h"], buffers["gates"], h,
-                      off["w_x"], off["u"], off["b"]],
-            ),
-            runtime.launch(
-                self.kernels["update"], 1,
-                args=[buffers["gates"], buffers["c"], buffers["h"], h],
-            ),
+            runtime.launch_batch(kernels["update"], 1, update_args),
+        )
+        return [
+            KernelResult(
+                float(runtime.read_f32(member._buffers["score"], 1)[0]),
+                list(chain),
+            )
+            for member, chain in zip(members, chains)
         ]
-        surprisal = float(runtime.read_f32(buffers["score"], 1)[0])
-        return LstmInferenceResult(surprisal=surprisal, dispatches=dispatches)
+
+    def batch_key(self, branch_id: int) -> Tuple:
+        return ("lstm", self.model.hidden_size)
+
+    def warmup_input(self) -> int:
+        return 0
 
     # -- durability -----------------------------------------------------------
 
@@ -679,17 +852,7 @@ def build_mlp_recon_kernel() -> Kernel:
     return _cached_kernel("mlp_recon", _MLP_RECON_SRC)
 
 
-@dataclass
-class MlpInferenceResult:
-    score: float
-    dispatches: List[DispatchResult]
-
-    @property
-    def total_cycles(self) -> int:
-        return sum(d.cycles for d in self.dispatches)
-
-
-class DeployedMlp:
+class DeployedMlp(DeployedModel):
     """A trained MLP autoencoder bound to a GPU engine.
 
     The third model of the programmability story: same runtime, same
@@ -699,6 +862,8 @@ class DeployedMlp:
     buy the MLP nothing.  That, plus its training cost, is the quiet
     half of the paper's "ELM over MLP" argument.
     """
+
+    kind = "mlp"
 
     def __init__(self, model) -> None:
         from repro.ml.mlp import MlpAutoencoder
@@ -716,7 +881,6 @@ class DeployedMlp:
             "hidden": build_mlp_hidden_kernel(),
             "recon": build_mlp_recon_kernel(),
         }
-        self._runtime: Optional[GpuRuntime] = None
         self._buffers: Dict[str, Buffer] = {}
         self._lds_offsets: Dict[str, int] = {}
 
@@ -737,39 +901,62 @@ class DeployedMlp:
         }
         self._runtime = runtime
 
-    @property
-    def loaded(self) -> bool:
-        return self._runtime is not None
-
-    def infer(self, features: np.ndarray) -> MlpInferenceResult:
-        """Score one (already normalized) feature vector."""
-        if self._runtime is None:
-            raise KernelLaunchError("DeployedMlp used before load()")
-        features = np.asarray(features, dtype=np.float32)
-        if features.shape != (self.model.input_dim,):
-            raise ModelError(
-                f"expected {self.model.input_dim} features, got "
-                f"{features.shape}"
+    @staticmethod
+    def infer_batch(
+        members: List["DeployedMlp"],
+        features_lists: List[np.ndarray],
+    ) -> List[KernelResult]:
+        """Score K tenants' (already normalized) feature vectors as two
+        fused dispatches."""
+        runtime = _shared_runtime(members, features_lists, "feature vector")
+        input_dim = members[0].model.input_dim
+        hidden_dim = members[0].model.hidden_dim
+        hidden_args, recon_args = [], []
+        for member, features in zip(members, features_lists):
+            if (
+                member.model.input_dim != input_dim
+                or member.model.hidden_dim != hidden_dim
+            ):
+                raise KernelLaunchError(
+                    "batched MLP members must share a shape"
+                )
+            features = np.asarray(features, dtype=np.float32)
+            if features.shape != (input_dim,):
+                raise ModelError(
+                    f"expected {input_dim} features, got {features.shape}"
+                )
+            buffers, lds = member._buffers, member._lds_offsets
+            runtime.write(buffers["x"], features)
+            hidden_args.append([
+                buffers["x"], buffers["h"], input_dim, hidden_dim,
+                lds["w1"], lds["b1"],
+            ])
+            recon_args.append([
+                buffers["x"], buffers["h"], input_dim, hidden_dim,
+                buffers["score"], lds["w2"], lds["b2"],
+            ])
+        kernels = members[0].kernels
+        chains = zip(
+            runtime.launch_batch(kernels["hidden"], 1, hidden_args),
+            runtime.launch_batch(kernels["recon"], 1, recon_args),
+        )
+        return [
+            KernelResult(
+                float(runtime.read_f32(member._buffers["score"], 1)[0]),
+                list(chain),
             )
-        runtime = self._runtime
-        runtime.write(self._buffers["x"], features)
-        off = self._lds_offsets
-        buffers = self._buffers
-        d, h = self.model.input_dim, self.model.hidden_dim
-        dispatches = [
-            runtime.launch(
-                self.kernels["hidden"], 1,
-                args=[buffers["x"], buffers["h"], d, h,
-                      off["w1"], off["b1"]],
-            ),
-            runtime.launch(
-                self.kernels["recon"], 1,
-                args=[buffers["x"], buffers["h"], d, h, buffers["score"],
-                      off["w2"], off["b2"]],
-            ),
+            for member, chain in zip(members, chains)
         ]
-        score = float(runtime.read_f32(buffers["score"], 1)[0])
-        return MlpInferenceResult(score=score, dispatches=dispatches)
+
+    def batch_key(self, features: np.ndarray) -> Tuple:
+        return ("mlp", self.model.input_dim, self.model.hidden_dim)
+
+    def warmup_input(self) -> np.ndarray:
+        """A uniform histogram (every feature equally frequent)."""
+        dim = self.model.input_dim
+        return np.full(dim, 1.0 / dim, dtype=np.float32)
+
+    # -- float32 software reference ------------------------------------------
 
     def reference_score(self, features: np.ndarray) -> float:
         """Float32 twin of the kernel pipeline."""
@@ -788,218 +975,8 @@ class DeployedMlp:
         error = (recon - x).astype(np.float32)
         return float((error * error).sum(dtype=np.float32))
 
-
-# ---------------------------------------------------------------------------
-# Cross-tenant batched inference
-# ---------------------------------------------------------------------------
-#
-# K tenants that deployed the *same* model family and shape onto one
-# shared engine can be served by one fused dispatch per kernel: member
-# buffers are disjoint by construction (each deployment allocated its
-# own device buffers) and LDS holds shared read-only model data, so the
-# fused run is bit-identical to serving the members one at a time —
-# the dispatcher enforces that contract (see Gpu.dispatch_batch).
-# Per-member quantities (buffer addresses, branch ids, 1/M bits) ride
-# along as varying scalar arguments.
-
-def _shared_runtime(members) -> GpuRuntime:
-    """Validate a batch: loaded, distinct members, one shared GPU."""
-    first = members[0]
-    runtime = first._runtime
-    if runtime is None:
-        raise KernelLaunchError("batched inference before load()")
-    seen = set()
-    for member in members:
-        if member._runtime is None:
-            raise KernelLaunchError("batched inference before load()")
-        if member._runtime.gpu is not runtime.gpu:
-            raise KernelLaunchError("batched members must share one GPU")
-        if id(member) in seen:
-            # the same deployment twice would alias input buffers
-            raise KernelLaunchError("batched members must be distinct")
-        seen.add(id(member))
-    return runtime
-
-
-def elm_infer_indices_batch(
-    members: List[DeployedElm],
-    indices_lists: List[np.ndarray],
-) -> List[ElmInferenceResult]:
-    """Score K tenants' pattern-index windows in one fused dispatch.
-
-    Members must share the model shape; the index count must also
-    match because it feeds the scalar loop bound (a per-member count
-    would diverge the fused control flow).
-    """
-    if len(members) != len(indices_lists) or not members:
-        raise KernelLaunchError("one index window per batched member")
-    if len(members) == 1:
-        return [members[0].infer_indices(indices_lists[0])]
-    runtime = _shared_runtime(members)
-    first = members[0]
-    num_workgroups = first.num_workgroups
-    count = len(indices_lists[0])
-    for member, indices in zip(members, indices_lists):
-        if (
-            member.num_workgroups != num_workgroups
-            or member.model.hidden_dim != first.model.hidden_dim
-        ):
-            raise KernelLaunchError("batched ELM members must share a shape")
-        if len(indices) != count:
-            raise KernelLaunchError(
-                "batched ELM members must share the index count"
-            )
-        member._runtime.write(
-            member._buffers["input"], np.asarray(indices, dtype=np.uint32)
-        )
-    dispatches = runtime.launch_batch(
-        first.kernel,
-        num_workgroups,
-        [
-            [
-                member._buffers["w"],
-                member._buffers["input"],
-                member._buffers["out"],
-                count,
-                member.model.hidden_dim,
-                float_bits(1.0 / member.positions),
-                member._lds_offsets["bias"],
-                member._lds_offsets["mean"],
-                member._lds_offsets["inv_var"],
-            ]
-            for member in members
-        ],
-    )
-    return [
-        ElmInferenceResult(
-            score=float(
-                member._runtime.read_f32(member._buffers["out"]).sum()
-            ),
-            dispatch=dispatch,
-        )
-        for member, dispatch in zip(members, dispatches)
-    ]
-
-
-def lstm_infer_batch(
-    members: List[DeployedLstm],
-    branch_ids: List[int],
-) -> List[LstmInferenceResult]:
-    """Run K tenants' score/gates/update chains as three fused dispatches.
-
-    Per-member branch ids are fine — they only enter the vector domain
-    (the observed-ID lane select) and the LDS weight gather addresses.
-    Running all scores, then all gates, then all updates is equivalent
-    to interleaving per member because each member's chain touches only
-    its own (h, c, gates, score) buffers.
-    """
-    if len(members) != len(branch_ids) or not members:
-        raise KernelLaunchError("one branch id per batched member")
-    if len(members) == 1:
-        return [members[0].infer(branch_ids[0])]
-    runtime = _shared_runtime(members)
-    first = members[0]
-    hidden = first.model.hidden_size
-    for member, branch_id in zip(members, branch_ids):
-        if member.model.hidden_size != hidden:
-            raise KernelLaunchError(
-                "batched LSTM members must share the hidden size"
-            )
-        if not 0 <= branch_id < member.model.vocabulary_size:
-            raise ModelError(f"branch id {branch_id} outside vocabulary")
-    score_dispatches = runtime.launch_batch(
-        first.kernels["score"], 1,
-        [
-            [branch_id, member._buffers["h"], member._buffers["score"],
-             hidden, member._lds_offsets["w_out"],
-             member._lds_offsets["b_out"]]
-            for member, branch_id in zip(members, branch_ids)
-        ],
-    )
-    gates_dispatches = runtime.launch_batch(
-        first.kernels["gates"], DeployedLstm.NUM_GATE_WORKGROUPS,
-        [
-            [branch_id, member._buffers["h"], member._buffers["gates"],
-             hidden, member._lds_offsets["w_x"], member._lds_offsets["u"],
-             member._lds_offsets["b"]]
-            for member, branch_id in zip(members, branch_ids)
-        ],
-    )
-    update_dispatches = runtime.launch_batch(
-        first.kernels["update"], 1,
-        [
-            [member._buffers["gates"], member._buffers["c"],
-             member._buffers["h"], hidden]
-            for member in members
-        ],
-    )
-    return [
-        LstmInferenceResult(
-            surprisal=float(
-                member._runtime.read_f32(member._buffers["score"], 1)[0]
-            ),
-            dispatches=[score, gates, update],
-        )
-        for member, score, gates, update in zip(
-            members, score_dispatches, gates_dispatches, update_dispatches
-        )
-    ]
-
-
-def mlp_infer_batch(
-    members: List[DeployedMlp],
-    features_lists: List[np.ndarray],
-) -> List[MlpInferenceResult]:
-    """Score K tenants' feature vectors as two fused dispatches."""
-    if len(members) != len(features_lists) or not members:
-        raise KernelLaunchError("one feature vector per batched member")
-    if len(members) == 1:
-        return [members[0].infer(features_lists[0])]
-    runtime = _shared_runtime(members)
-    first = members[0]
-    input_dim = first.model.input_dim
-    hidden_dim = first.model.hidden_dim
-    for member, features in zip(members, features_lists):
-        if (
-            member.model.input_dim != input_dim
-            or member.model.hidden_dim != hidden_dim
-        ):
-            raise KernelLaunchError("batched MLP members must share a shape")
-        features = np.asarray(features, dtype=np.float32)
-        if features.shape != (input_dim,):
-            raise ModelError(
-                f"expected {input_dim} features, got {features.shape}"
-            )
-        member._runtime.write(member._buffers["x"], features)
-    hidden_dispatches = runtime.launch_batch(
-        first.kernels["hidden"], 1,
-        [
-            [member._buffers["x"], member._buffers["h"], input_dim,
-             hidden_dim, member._lds_offsets["w1"],
-             member._lds_offsets["b1"]]
-            for member in members
-        ],
-    )
-    recon_dispatches = runtime.launch_batch(
-        first.kernels["recon"], 1,
-        [
-            [member._buffers["x"], member._buffers["h"], input_dim,
-             hidden_dim, member._buffers["score"],
-             member._lds_offsets["w2"], member._lds_offsets["b2"]]
-            for member in members
-        ],
-    )
-    return [
-        MlpInferenceResult(
-            score=float(
-                member._runtime.read_f32(member._buffers["score"], 1)[0]
-            ),
-            dispatches=[hidden, recon],
-        )
-        for member, hidden, recon in zip(
-            members, hidden_dispatches, recon_dispatches
-        )
-    ]
+    def make_reference(self) -> _StatelessReference:
+        return _StatelessReference(self.reference_score)
 
 
 class LstmReference:

@@ -147,9 +147,7 @@ class TenantRuntime:
         self.mapper.load(deployment.monitored_addresses)
         self.encoder = VectorEncoder(
             mode=EncoderMode.SEQUENCE,
-            window=(
-                driver.deployment.window if driver.kind == "elm" else 1
-            ),
+            window=driver.deployment.window,
             vocabulary_size=self.mapper.size + 1,
             metrics=metrics,
         )

@@ -25,14 +25,7 @@ from repro.miaow.gpu import Gpu
 from repro.miaow.isa import WAVE_SIZE
 from repro.ml.elm import ExtremeLearningMachine
 from repro.ml.features import PatternDictionary
-from repro.ml.kernels import (
-    DeployedElm,
-    DeployedLstm,
-    DeployedMlp,
-    elm_infer_indices_batch,
-    lstm_infer_batch,
-    mlp_infer_batch,
-)
+from repro.ml.kernels import DeployedElm, DeployedLstm, DeployedMlp
 from repro.ml.lstm import LstmModel
 from repro.ml.mlp import MlpAutoencoder
 
@@ -243,12 +236,18 @@ class TestShippedModelBatches:
             for member, index_list in zip(deploy(gpu_serial), indices)
         ]
         gpu_batched = Gpu(num_cus=3, fast_path=True)
-        batched = elm_infer_indices_batch(deploy(gpu_batched), indices)
+        batched = DeployedElm.infer_batch(deploy(gpu_batched), indices)
         for one, two in zip(serial, batched):
             assert one.score == two.score
-            assert one.dispatch.cycles == two.dispatch.cycles
-            assert one.dispatch.instructions == two.dispatch.instructions
-            assert one.dispatch.per_cu_cycles == two.dispatch.per_cu_cycles
+            assert one.dispatches[0].cycles == two.dispatches[0].cycles
+            assert (
+                one.dispatches[0].instructions
+                == two.dispatches[0].instructions
+            )
+            assert (
+                one.dispatches[0].per_cu_cycles
+                == two.dispatches[0].per_cu_cycles
+            )
         assert np.array_equal(
             gpu_serial.global_memory._words, gpu_batched.global_memory._words
         )
@@ -281,12 +280,12 @@ class TestShippedModelBatches:
         gpu_batched = Gpu(num_cus=3, fast_path=True)
         batched_members = deploy(gpu_batched)
         batched = [
-            lstm_infer_batch(batched_members, branch_ids)
+            DeployedLstm.infer_batch(batched_members, branch_ids)
             for branch_ids in rounds
         ]
         for serial_round, batched_round in zip(serial, batched):
             for one, two in zip(serial_round, batched_round):
-                assert one.surprisal == two.surprisal
+                assert one.score == two.score
                 assert [d.cycles for d in one.dispatches] == [
                     d.cycles for d in two.dispatches
                 ]
@@ -313,7 +312,7 @@ class TestShippedModelBatches:
             for member, sample in zip(deploy(gpu_serial), inputs)
         ]
         gpu_batched = Gpu(num_cus=3, fast_path=True)
-        batched = mlp_infer_batch(deploy(gpu_batched), inputs)
+        batched = DeployedMlp.infer_batch(deploy(gpu_batched), inputs)
         for one, two in zip(serial, batched):
             assert one.score == two.score
             assert [d.cycles for d in one.dispatches] == [

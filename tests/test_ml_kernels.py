@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import KernelLaunchError, ModelError
+from repro.errors import GpuMemoryError, ModelError
 from repro.miaow.gpu import Gpu
 from repro.ml.elm import ExtremeLearningMachine
 from repro.ml.kernels import (
@@ -101,7 +101,10 @@ class TestDeployedElm:
         unseen_heavy = deployment.infer_indices(
             np.full(22, tiny_dictionary.unseen_index, dtype=np.int64)
         )
-        assert unseen_heavy.dispatch.cycles > normal_like.dispatch.cycles
+        assert (
+            unseen_heavy.dispatches[0].cycles
+            > normal_like.dispatches[0].cycles
+        )
 
 
 class TestDeployedLstm:
@@ -135,7 +138,7 @@ class TestDeployedLstm:
         for branch in call_dataset.test_normal[0]:
             gpu_result = deployment.infer(int(branch))
             ref_surprisal = reference.infer(int(branch))
-            assert gpu_result.surprisal == pytest.approx(
+            assert gpu_result.score == pytest.approx(
                 ref_surprisal, rel=1e-3, abs=1e-4
             )
 
@@ -161,23 +164,23 @@ class TestDeployedLstm:
         for branch in ids:
             s = single.infer(branch)
             m = multi.infer(branch)
-            assert s.surprisal == pytest.approx(m.surprisal, rel=1e-5)
+            assert s.score == pytest.approx(m.score, rel=1e-5)
             s_total += s.total_cycles
             m_total += m.total_cycles
         assert m_total < s_total
 
     def test_reset_state_restores_initial(self, tiny_lstm):
         deployment = self.make(tiny_lstm)
-        first = deployment.infer(2).surprisal
+        first = deployment.infer(2).score
         deployment.infer(3)
         deployment.reset_state()
-        again = deployment.infer(2).surprisal
+        again = deployment.infer(2).score
         assert first == pytest.approx(again, rel=1e-6)
 
     def test_state_evolution_changes_scores(self, tiny_lstm):
         deployment = self.make(tiny_lstm)
-        a = deployment.infer(2).surprisal
-        b = deployment.infer(2).surprisal
+        a = deployment.infer(2).score
+        b = deployment.infer(2).score
         assert a != pytest.approx(b, rel=1e-6)
 
     def test_out_of_vocab_rejected(self, tiny_lstm):
@@ -203,7 +206,7 @@ class TestSharedEngineLds:
     STREAM = [3, 1, 4, 1, 5, 9, 2, 6]
 
     def scores(self, deployment):
-        return [deployment.infer(branch).surprisal for branch in self.STREAM]
+        return [deployment.infer(branch).score for branch in self.STREAM]
 
     def alone(self, model):
         deployment = DeployedLstm(model)
@@ -248,5 +251,5 @@ class TestSharedEngineLds:
             for seed in (0, 1)
         ]
         DeployedLstm(models[0]).load(gpu)
-        with pytest.raises(KernelLaunchError):
+        with pytest.raises(GpuMemoryError):
             DeployedLstm(models[1]).load(gpu)
