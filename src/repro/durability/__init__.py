@@ -29,9 +29,11 @@ from repro.durability.journal import (
     RecordKind,
     TraceChunk,
     decode_json_payload,
+    decode_round,
     decode_trace_chunk,
     encode_json_payload,
     encode_record,
+    encode_round,
     encode_trace_chunk,
 )
 
@@ -46,9 +48,11 @@ __all__ = [
     "TraceChunk",
     "capture_checkpoint",
     "decode_json_payload",
+    "decode_round",
     "decode_trace_chunk",
     "encode_json_payload",
     "encode_record",
+    "encode_round",
     "encode_trace_chunk",
     "restore_checkpoint",
 ]

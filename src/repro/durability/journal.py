@@ -36,7 +36,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -603,3 +603,52 @@ def decode_trace_chunk(payload) -> TraceChunk:
         chunk_index=int(header["chunk"]),
         events=events,
     )
+
+
+def encode_round(
+    round_index: int,
+    traces: Mapping[str, Sequence[BranchEvent]],
+    chunk_events: int,
+) -> List[bytes]:
+    """One round's traces as ``TRACE_CHUNK`` payloads.
+
+    Tenants follow ``traces`` order, each sliced every ``chunk_events``
+    events; a tenant without events writes nothing.  These payloads
+    are both the fleet's RUN wire format and the journal's chunk
+    records, so a shard journals what it was sent, byte for byte.
+    """
+    payloads: List[bytes] = []
+    for name, events in traces.items():
+        for chunk_index, start in enumerate(
+            range(0, len(events), chunk_events)
+        ):
+            payloads.append(
+                encode_trace_chunk(
+                    name,
+                    round_index,
+                    chunk_index,
+                    events[start : start + chunk_events],
+                )
+            )
+    return payloads
+
+
+def decode_round(
+    round_index: int, payloads: Sequence
+) -> Dict[str, Tuple[BranchEvent, ...]]:
+    """Inverse of :func:`encode_round`: per-tenant traces, in payload order.
+
+    ``payloads`` may be ``bytes`` or buffer-protocol views (e.g. over
+    a shared-memory ring slot).  A chunk of another round raises
+    :class:`~repro.errors.JournalCorruptionError`.
+    """
+    pending: Dict[str, List[BranchEvent]] = {}
+    for payload in payloads:
+        chunk = decode_trace_chunk(payload)
+        if chunk.round_index != round_index:
+            raise JournalCorruptionError(
+                f"trace chunk for round {chunk.round_index} "
+                f"inside round {round_index}"
+            )
+        pending.setdefault(chunk.tenant, []).extend(chunk.events)
+    return {name: tuple(events) for name, events in pending.items()}

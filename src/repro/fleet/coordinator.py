@@ -64,6 +64,7 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
+from repro.durability.journal import encode_round
 from repro.errors import (
     Backoff,
     FleetError,
@@ -179,7 +180,8 @@ class FleetConfig:
             base_s=0.05, cap_s=5.0, label="fleet.restart"
         )
     )
-    #: TRACE_CHUNK size for round dispatches (same knob as the WAL).
+    #: TRACE_CHUNK size of round dispatches and of every shard's WAL
+    #: (workers journal the dispatched chunks verbatim).
     journal_chunk_events: int = 8192
     #: multiprocessing start method; fork is cheapest (and inherits
     #: warm model caches), spawn is the portable fallback.
@@ -303,7 +305,12 @@ class FleetCoordinator:
             )
         self.factory = factory
         self.metrics = metrics or NULL_REGISTRY
-        self.manager_kwargs = dict(manager_kwargs or {})
+        if "journal_chunk_events" in (manager_kwargs or {}):
+            raise FleetError("journal_chunk_events is set by FleetConfig")
+        self.manager_kwargs = dict(
+            manager_kwargs or {},
+            journal_chunk_events=self.config.journal_chunk_events,
+        )
         self._frontends = dict(tenant_frontends or {})
         self._clock = clock
         self._sleep = sleep
@@ -311,12 +318,9 @@ class FleetCoordinator:
         all_counters = (
             FLEET_COUNTERS + TRANSPORT_COUNTERS + PLACEMENT_COUNTERS
         )
-        self.counts: Dict[str, int] = {
-            name: 0 for name in all_counters
-        }
-        self._m = {
-            name: self.metrics.counter(name) for name in all_counters
-        }
+        # One store per counter: the registry's, or a private one.
+        store = self.metrics if self.metrics.enabled else MetricsRegistry()
+        self._m = {name: store.counter(name) for name in all_counters}
         self._facades: Dict[str, _TenantFacade] = {
             name: _TenantFacade(
                 name, self._frontends.get(name, "coresight")
@@ -356,8 +360,12 @@ class FleetCoordinator:
     # ------------------------------------------------------------------
 
     def _count(self, name: str, amount: int = 1) -> None:
-        self.counts[name] += amount
         self._m[name].inc(amount)
+
+    @property
+    def counts(self) -> Dict[str, int]:
+        """Read view of the coordinator's own counters."""
+        return {name: counter.value for name, counter in self._m.items()}
 
     @property
     def tenants(self) -> List[_TenantFacade]:
@@ -995,24 +1003,15 @@ class FleetCoordinator:
     ):
         """Group one round's traces into per-shard chunk dispatches."""
         out = []
+        step = self.config.journal_chunk_events
         for shard in self.shards:
-            slice_traces = {
+            part = {
                 name: traces[name]
                 for name in shard.tenants
-                if name in traces and len(traces[name])
+                if len(traces.get(name, ()))
             }
-            if not slice_traces:
-                continue
-            out.append(
-                (
-                    shard,
-                    messages.encode_round(
-                        round_index,
-                        slice_traces,
-                        self.config.journal_chunk_events,
-                    ),
-                )
-            )
+            if part:
+                out.append((shard, encode_round(round_index, part, step)))
         return out
 
     def run_events(
@@ -1201,7 +1200,7 @@ class FleetCoordinator:
         bytes.consumed + bytes.discarded``).
         """
         return {
-            name: self.counts[name]
+            name: self._m[name].value
             for name in TRANSPORT_COUNTERS + PLACEMENT_COUNTERS
         }
 

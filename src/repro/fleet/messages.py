@@ -2,20 +2,22 @@
 
 Each worker shard is driven over one duplex :mod:`multiprocessing`
 pipe.  Requests are small picklable tuples ``(verb, *args)``; replies
-are ``(OK, payload)`` or ``(ERR, message)``.  Round inputs do not ride
-as pickled event lists — they are encoded with the durability layer's
-columnar TRACE_CHUNK codec (:func:`repro.durability.journal.
-encode_trace_chunk`), the exact bytes the worker's own write-ahead
-journal stores, so the wire format and the replay format can never
-drift apart.
+are ``(OK, payload)`` or ``(ERR, message)``.
 
-How those chunk payloads cross the process boundary is the transport
-layer's business (:mod:`repro.fleet.transport`): a RUN request carries
-``(RUN, round_index, wire)`` where ``wire`` is either ``("inline",
-[payload, ...])`` (payloads pickled into the pipe) or ``("shm",
-sequence, [chunk lengths], crc)`` (a shared-memory slot descriptor,
-payload bytes never pickled).  Replies are shaped the same way.  :func:`decode_round` accepts any buffers the
-chunk codec accepts — bytes or zero-copy memoryviews over a ring.
+A RUN request carries ``(RUN, round_index, wire)``.  ``round_index``
+is the fleet's round number, and the shard runs the round under it.
+The round's inputs are the journal's own TRACE_CHUNK payloads
+(:func:`repro.durability.journal.encode_round`, chunked every
+``FleetConfig.journal_chunk_events`` events): the worker decodes them
+to run the round and appends the very same buffers to its
+write-ahead journal, so the wire and the WAL hold one encoding.
+
+How those payloads cross the process boundary is the transport
+layer's business (:mod:`repro.fleet.transport`): ``wire`` is either
+``("inline", [payload, ...])`` (payloads pickled into the pipe) or
+``("shm", sequence, [chunk lengths], crc)`` (a shared-memory slot
+descriptor, payload bytes never pickled).  Replies are shaped the
+same way.
 
 The vocabulary is deliberately tiny and synchronous (one request, one
 reply) — supervision lives entirely in the coordinator, and a worker
@@ -25,18 +27,9 @@ protocol state machine.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Tuple
-
-from repro.durability.journal import (
-    decode_trace_chunk,
-    encode_trace_chunk,
-)
-from repro.errors import FleetError
-from repro.workloads.cfg import BranchEvent
-
 # -- request verbs (coordinator -> worker) ---------------------------------
 
-#: One monitoring round: ``(RUN, round_index, [chunk_bytes, ...])``.
+#: One monitoring round: ``(RUN, round_index, wire)``.
 RUN = "run"
 #: Liveness probe: ``(PING, token)`` -> ``(OK, token)``.
 PING = "ping"
@@ -44,7 +37,8 @@ PING = "ping"
 HEALTH = "health"
 #: Manager-level counter snapshot: ``-> (OK, {name: value})``.
 COUNTERS = "counters"
-#: Round cursor: ``-> (OK, next_round)`` (first round not committed).
+#: Round cursor: ``-> (OK, next_round)``, one past the shard's last
+#: committed round (fleet numbering).
 ROUND = "round"
 #: Lifetime records past a cursor: ``(RECORDS_AFTER, {tenant: count})``
 #: -> ``(OK, {tenant: [records]})`` — the post-commit-pre-reply crash
@@ -71,52 +65,3 @@ ERR = "err"
 #: refused request.
 TRANSPORT_ERR = "transport: "
 
-
-def encode_round(
-    round_index: int,
-    traces: Mapping[str, Sequence[BranchEvent]],
-    chunk_events: int = 8192,
-) -> List[bytes]:
-    """One round's traces as TRACE_CHUNK payloads, in tenant order."""
-    if chunk_events < 1:
-        raise FleetError("chunk_events must be >= 1")
-    payloads: List[bytes] = []
-    for name, events in traces.items():
-        if not len(events):
-            continue
-        for chunk_index, start in enumerate(
-            range(0, len(events), chunk_events)
-        ):
-            payloads.append(
-                encode_trace_chunk(
-                    name,
-                    round_index,
-                    chunk_index,
-                    events[start : start + chunk_events],
-                )
-            )
-    return payloads
-
-
-def decode_round(
-    round_index: int, payloads: Sequence
-) -> Dict[str, Tuple[BranchEvent, ...]]:
-    """Reassemble a round's per-tenant traces from chunk payloads.
-
-    ``payloads`` may be ``bytes`` or any buffer-protocol objects
-    (e.g. memoryviews over a shared-memory ring) — the chunk codec
-    maps columns with ``np.frombuffer`` either way, so the shm path
-    materialises events without an intermediate copy.
-    """
-    pending: Dict[str, List[BranchEvent]] = {}
-    for payload in payloads:
-        chunk = decode_trace_chunk(payload)
-        if chunk.round_index != round_index:
-            raise FleetError(
-                f"chunk for round {chunk.round_index} in a round-"
-                f"{round_index} dispatch"
-            )
-        pending.setdefault(chunk.tenant, []).extend(chunk.events)
-    return {
-        name: tuple(events) for name, events in pending.items()
-    }

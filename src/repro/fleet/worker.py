@@ -9,7 +9,9 @@ restored, committed rounds are replayed, and an uncommitted tail is
 discarded so the coordinator can re-feed it.  After that it serves the
 tiny request/reply vocabulary of :mod:`repro.fleet.messages` until
 STOP (or until a deterministically armed ``SIGKILL`` takes it down
-mid-round, which is the point of the chaos experiments).
+mid-round, which is the point of the chaos experiments).  A RUN
+round runs under the fleet's round number, and the shard journals the
+TRACE_CHUNK payloads it received as they are; nothing is re-encoded.
 
 The worker appends a fresh checkpoint after recovery and after any
 topology change (EVICT/ADOPT): recovery work stays bounded across
@@ -23,32 +25,13 @@ import time
 import traceback
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.durability.journal import (
-    FileJournal,
-    RecordKind,
-    encode_json_payload,
-)
+from repro.durability.journal import FileJournal, decode_round
 from repro.errors import TransportError
 from repro.faults.crashpoints import SigkillInjector
 from repro.fleet import messages
 from repro.fleet.transport import WorkerTransport
 from repro.obs import MetricsRegistry
 from repro.soc.manager import Deployment, SocManager
-
-
-def _write_checkpoint(manager: SocManager) -> None:
-    """Append a checkpoint record + segment roll at a round boundary."""
-    from repro.durability.checkpoint import capture_checkpoint
-
-    journal = manager._journal
-    if journal is None:
-        return
-    journal.append(
-        RecordKind.CHECKPOINT,
-        encode_json_payload(capture_checkpoint(manager)),
-    )
-    journal.roll()
-    manager._events_since_checkpoint = 0
 
 
 def build_manager(
@@ -68,7 +51,7 @@ def build_manager(
         )
         # Checkpoint the recovered state so the *next* crash replays
         # from here, not from the previous lineage's checkpoint.
-        _write_checkpoint(manager)
+        manager.checkpoint()
     else:
         manager = SocManager(
             deployments, metrics=metrics, journal=journal, **kwargs
@@ -128,12 +111,12 @@ def _serve(conn, manager: SocManager, factory, transport) -> None:
                     continue
                 consumed = sum(len(buffer) for buffer in buffers)
                 started_ns = time.perf_counter_ns()
-                traces = messages.decode_round(round_index, buffers)
+                # The fleet's round number and the received chunks
+                # themselves: the shard journals them verbatim.
+                traces = decode_round(round_index, buffers)
+                records = manager.run_events(traces, round_index, buffers)
                 del buffers  # drop ring views before the slots recycle
-                records = manager.run_events(traces)
                 reply = {
-                    "round": round_index,
-                    "next_round": manager.next_round,
                     "records": records,
                     "health": {
                         name: health.value
@@ -192,7 +175,7 @@ def _serve(conn, manager: SocManager, factory, transport) -> None:
                 ]
                 for name in names:
                     manager.remove_tenant(name)
-                _write_checkpoint(manager)
+                manager.checkpoint()
                 conn.send((messages.OK, docs))
             elif verb == messages.ADOPT:
                 from repro.durability.checkpoint import (
@@ -205,7 +188,7 @@ def _serve(conn, manager: SocManager, factory, transport) -> None:
                 for deployment, doc in zip(deployments, docs):
                     runtime = manager.admit_tenant(deployment)
                     restore_tenant_state(runtime, doc)
-                _write_checkpoint(manager)
+                manager.checkpoint()
                 conn.send((messages.OK, None))
             elif verb == messages.ARM_KILL:
                 site, index = args

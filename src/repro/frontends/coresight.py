@@ -16,7 +16,7 @@ from typing import List, Optional
 
 from repro.coresight.decoder import PftDecoder
 from repro.coresight.driver import CoreSightDriver
-from repro.coresight.ptm import PtmConfig
+from repro.coresight.ptm import Ptm, PtmConfig
 from repro.coresight.tpiu import DEFAULT_SOURCE_ID, TpiuDeframer
 from repro.frontends.base import TraceFrontend
 from repro.obs import MetricsRegistry
@@ -64,10 +64,23 @@ class CoreSightFrontend(TraceFrontend):
     ) -> List:
         # Deferred import: repro.pipeline.stages pulls in numpy-heavy
         # modules the control-plane users of this frontend never need.
-        from repro.pipeline.stages import PtmEncodeStage, TpiuFrameStage
+        from repro.pipeline.stages import (
+            ByteCountEncodeStage,
+            PtmEncodeStage,
+            TpiuFrameStage,
+        )
 
+        config = self.ptm_config
+        if PtmEncodeStage.models(config):
+            encode = PtmEncodeStage(config=config, metrics=metrics)
+        else:
+            # Waypoint mode or a sync interval the vectorised stage
+            # does not model: count a real PTM's bytes per event.
+            encode = ByteCountEncodeStage(
+                "ptm", lambda: Ptm(config, metrics=metrics), metrics=metrics
+            )
         return [
-            PtmEncodeStage(config=self.ptm_config, metrics=metrics),
+            encode,
             TpiuFrameStage(sync_period=self.sync_period, metrics=metrics),
         ]
 

@@ -12,10 +12,10 @@ level: per-packet lengths (prefix-compressed branch addresses, atom
 packets, sync bursts) are computed with array arithmetic, and the
 data-dependent sync placement is resolved with a binary-search loop
 over the cumulative byte counts — one Python iteration per ~1 KiB of
-trace instead of one per branch.  Configurations the fast path does
-not model (waypoint mode, pathological sync intervals) fall back to
-feeding a real :class:`~repro.coresight.ptm.Ptm` per event, so the
-stage is always correct, merely slower off the happy path.
+trace instead of one per branch.  For configurations it does not
+model (waypoint mode, pathological sync intervals) the CoreSight
+frontend builds a :class:`ByteCountEncodeStage` over a real
+:class:`~repro.coresight.ptm.Ptm` instead.
 """
 
 from __future__ import annotations
@@ -24,12 +24,12 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.coresight.ptm import Ptm, PtmConfig
-from repro.errors import PacketEncodeError
+from repro.coresight.ptm import PtmConfig
+from repro.errors import PacketEncodeError, SocConfigError
 from repro.igm.address_mapper import AddressMapper
 from repro.igm.vector_encoder import EncoderMode, InputVector, VectorEncoder
 from repro.obs import MetricsRegistry
-from repro.pipeline.batch import EventBatch, FifoFlush, TraceBatch
+from repro.pipeline.batch import FifoFlush, TraceBatch
 from repro.pipeline.stage import StageBase
 from repro.soc.clocks import CPU_CLOCK, RTAD_CLOCK, ClockDomain
 
@@ -48,12 +48,19 @@ _TPIU_PAYLOAD = 15
 _TPIU_FRAME = 16
 
 
+def _sync_burst_bytes(config: PtmConfig) -> int:
+    return _SYNC_BURST_BYTES + (
+        _TIMESTAMP_BYTES if config.timestamps_enabled else 0
+    )
+
+
 class PtmEncodeStage(StageBase):
     """Branch events -> per-event PTM byte counts (batched).
 
     Carries the encoder context across batches: compression base
     address, pending atom count, bytes-since-sync, and the started
-    flag — exactly the state a :class:`Ptm` holds.
+    flag — exactly the state a :class:`Ptm` holds.  Only configs
+    :meth:`models` accepts are allowed.
     """
 
     name = "ptm"
@@ -65,16 +72,12 @@ class PtmEncodeStage(StageBase):
     ) -> None:
         super().__init__(metrics=metrics)
         self.config = config or PtmConfig()
-        self._sync_len = _SYNC_BURST_BYTES + (
-            _TIMESTAMP_BYTES if self.config.timestamps_enabled else 0
-        )
-        # The vectorized path assumes branch-broadcast encoding and a
-        # sync interval that cannot retrigger within one burst.
-        self._fast = (
-            self.config.branch_broadcast
-            and self.config.sync_interval_bytes > 2 * self._sync_len
-        )
-        self._ref_ptm: Optional[Ptm] = None
+        if not self.models(self.config):
+            raise SocConfigError(
+                "the vectorised PTM stage needs branch broadcast and a "
+                "sync interval above two sync bursts"
+            )
+        self._sync_len = _sync_burst_bytes(self.config)
         self.reset()
         self._m_events = self.metrics.counter("ptm.events")
         self._m_bytes = self.metrics.counter("ptm.bytes")
@@ -91,7 +94,16 @@ class PtmEncodeStage(StageBase):
         self._last_address = 0
         self._pending_atoms = 0
         self._bytes_since_sync = 0
-        self._ref_ptm = None
+
+    @staticmethod
+    def models(config: PtmConfig) -> bool:
+        """Whether this stage models ``config``: branch-broadcast
+        encoding and a sync interval that cannot retrigger within one
+        sync burst."""
+        return (
+            config.branch_broadcast
+            and config.sync_interval_bytes > 2 * _sync_burst_bytes(config)
+        )
 
     def export_state(self) -> dict:
         return {
@@ -99,11 +111,6 @@ class PtmEncodeStage(StageBase):
             "last_address": self._last_address,
             "pending_atoms": self._pending_atoms,
             "bytes_since_sync": self._bytes_since_sync,
-            "ref_ptm": (
-                self._ref_ptm.export_state()
-                if self._ref_ptm is not None
-                else None
-            ),
         }
 
     def restore_state(self, state: dict) -> None:
@@ -111,11 +118,6 @@ class PtmEncodeStage(StageBase):
         self._last_address = state["last_address"]
         self._pending_atoms = state["pending_atoms"]
         self._bytes_since_sync = state["bytes_since_sync"]
-        if state["ref_ptm"] is not None:
-            self._ref_ptm = Ptm(self.config, metrics=self.metrics)
-            self._ref_ptm.restore_state(state["ref_ptm"])
-        else:
-            self._ref_ptm = None
 
     # ------------------------------------------------------------------
     # Helpers
@@ -143,33 +145,15 @@ class PtmEncodeStage(StageBase):
         if len(batch) == 0:
             batch.ptm_bytes = np.zeros(0, dtype=np.int64)
             return batch
-        if not self._fast:
-            return self._process_reference(batch)
         return self._process_fast(batch)
 
     def _process_tail(self, batch: TraceBatch) -> TraceBatch:
-        if self._ref_ptm is not None:
-            batch.tail_ptm_bytes = len(self._ref_ptm.flush())
-            return batch
         if self._pending_atoms > 0:
             batch.tail_ptm_bytes = 1
             self._pending_atoms = 0
             self._bytes_since_sync += 1
             self._m_bytes.inc(1)
             self._m_packets["atom"].inc()
-        return batch
-
-    def _process_reference(self, batch: TraceBatch) -> TraceBatch:
-        """Slow path: drive a real Ptm per event (exotic configs)."""
-        if self._ref_ptm is None:
-            self._ref_ptm = Ptm(self.config, metrics=self.metrics)
-        ptm = self._ref_ptm
-        assert batch.events is not None and batch.events.events is not None
-        batch.ptm_bytes = np.fromiter(
-            (len(ptm.feed(event)) for event in batch.events.events),
-            np.int64,
-            count=len(batch),
-        )
         return batch
 
     def _process_fast(self, batch: TraceBatch) -> TraceBatch:

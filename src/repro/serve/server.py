@@ -275,10 +275,9 @@ class IngestServer:
         #: distribution either way.
         self.latencies_ns: List[int] = []
         self._latency_cap = 1 << 20
-        self.counts: Dict[str, int] = {name: 0 for name in SERVE_COUNTERS}
-        self._m = {
-            name: self.metrics.counter(name) for name in SERVE_COUNTERS
-        }
+        # One store per counter: the registry's, or a private one.
+        store = self.metrics if self.metrics.enabled else MetricsRegistry()
+        self._m = {name: store.counter(name) for name in SERVE_COUNTERS}
         self._m_latency = self.metrics.histogram(
             "serve.ingest_to_verdict_ns"
         )
@@ -330,8 +329,12 @@ class IngestServer:
             )
 
     def _count(self, name: str, amount: int = 1) -> None:
-        self.counts[name] += amount
         self._m[name].inc(amount)
+
+    @property
+    def counts(self) -> Dict[str, int]:
+        """Read view of the ``serve.*`` counters."""
+        return {name: counter.value for name, counter in self._m.items()}
 
     def _sync_routes(self) -> None:
         """Adopt the fleet's routing table if its epoch moved.
@@ -367,7 +370,7 @@ class IngestServer:
 
     def shed_total(self) -> int:
         return sum(
-            self.counts[f"serve.shed.{reason}"] for reason in SHED_REASONS
+            self._m[f"serve.shed.{reason}"].value for reason in SHED_REASONS
         )
 
     # ------------------------------------------------------------------

@@ -41,9 +41,9 @@ from repro.durability.journal import (
     Journal,
     RecordKind,
     decode_json_payload,
-    decode_trace_chunk,
+    decode_round,
     encode_json_payload,
-    encode_trace_chunk,
+    encode_round,
 )
 from repro.errors import (
     JournalCorruptionError,
@@ -418,7 +418,10 @@ class SocManager:
     # ------------------------------------------------------------------
 
     def run_events(
-        self, traces: Mapping[str, Sequence[BranchEvent]]
+        self,
+        traces: Mapping[str, Sequence[BranchEvent]],
+        round_index: Optional[int] = None,
+        payloads: Optional[Sequence] = None,
     ) -> Dict[str, List[InferenceRecord]]:
         """One monitoring round; per-tenant records from this round.
 
@@ -426,24 +429,41 @@ class SocManager:
         without an entry idle this round.  Unknown names are refused
         rather than silently ignored.  Quarantined tenants are skipped
         (their traces produce no vectors) until probation expires.
+
+        ``round_index`` numbers the round (default :attr:`next_round`).
+        Numbers may skip — a fleet shard runs only the fleet rounds
+        that reach it — but never go back.  ``payloads`` are the
+        round's :func:`~repro.durability.journal.encode_round` chunks
+        for ``traces``; when given, the journal stores them verbatim
+        instead of encoding the round again.
         """
         known = {runtime.name for runtime in self.tenants}
         unknown = set(traces) - known
         if unknown:
             raise SocConfigError(f"unknown tenants {sorted(unknown)}")
+        if round_index is None:
+            round_index = self._round
+        elif round_index < self._round:
+            raise SocConfigError(
+                f"round {round_index} is behind the manager's next "
+                f"round {self._round}"
+            )
         journaling = self._journal is not None and not self._replaying
         if journaling:
             # Write-ahead: the round's inputs are durable before any
             # processing, so a crash anywhere after this point can be
             # recovered by replay (or by discarding the uncommitted
             # tail and re-feeding).
-            self._journal_round(self._round, traces)
+            if payloads is None:
+                payloads = encode_round(
+                    round_index, traces, self._journal_chunk_events
+                )
+            self._journal_round(round_index, traces, payloads)
         with self.metrics.trace(
             "socmgr.run_events", tenants=len(self.tenants)
         ):
             self.arbiter.reset_session()
-            round_index = self._round
-            self._round += 1
+            self._round = round_index + 1
             ran: Dict[str, bool] = {}
             for runtime in self.tenants:
                 events = traces.get(runtime.name, ())
@@ -499,10 +519,11 @@ class SocManager:
 
     @property
     def next_round(self) -> int:
-        """Index of the next round ``run_events`` will run.
+        """One past the last round run: the lowest index ``run_events``
+        accepts, and its default.
 
-        After :meth:`recover` this is the first round whose inputs were
-        *not* durably committed — the caller resumes feeding from here.
+        After :meth:`recover` this is one past the last durably
+        committed round — the caller resumes feeding from here.
         """
         return self._round
 
@@ -511,35 +532,39 @@ class SocManager:
             self._crash_points.reached(site)
 
     def _journal_round(
-        self, round_index: int, traces: Mapping[str, Sequence[BranchEvent]]
+        self,
+        round_index: int,
+        traces: Mapping[str, Sequence[BranchEvent]],
+        payloads: Sequence,
     ) -> None:
-        """Make one round's inputs durable ahead of processing."""
+        """Make one round's inputs durable ahead of processing.
+
+        ``payloads`` hold each active tenant's chunks, in ``traces``
+        order, sliced every ``journal_chunk_events`` events.
+        """
         journal = self._journal
         assert journal is not None
-        active = [
-            runtime.name
-            for runtime in self.tenants
-            if len(traces.get(runtime.name, ()))
-        ]
+        step = self._journal_chunk_events
+        chunks = {
+            name: -(-len(events) // step)
+            for name, events in traces.items()
+            if len(events)
+        }
+        if sum(chunks.values()) != len(payloads):
+            raise SocConfigError(
+                f"{len(payloads)} chunk payloads for a round of "
+                f"{sum(chunks.values())} chunks of {step} events"
+            )
         journal.append(
             RecordKind.ROUND_BEGIN,
-            encode_json_payload({"round": round_index, "tenants": active}),
+            encode_json_payload(
+                {"round": round_index, "tenants": list(chunks)}
+            ),
         )
         self._crash("wal.round_begin")
-        step = self._journal_chunk_events
-        for runtime in self.tenants:
-            events = traces.get(runtime.name, ())
-            if not len(events):
-                continue
-            for chunk_index, start in enumerate(
-                range(0, len(events), step)
-            ):
-                payload = encode_trace_chunk(
-                    runtime.name,
-                    round_index,
-                    chunk_index,
-                    events[start : start + step],
-                )
+        position = 0
+        for name, count in chunks.items():
+            for payload in payloads[position : position + count]:
                 injector = self._crash_points
                 if injector is not None and injector.fires(
                     "wal.chunk.torn"
@@ -553,10 +578,11 @@ class SocManager:
                     )
                     raise ProcessCrashError(
                         "injected process crash at 'wal.chunk.torn' "
-                        f"(round {round_index}, tenant {runtime.name!r})"
+                        f"(round {round_index}, tenant {name!r})"
                     )
                 journal.append(RecordKind.TRACE_CHUNK, payload)
                 self._crash("wal.chunk")
+            position += count
             self._crash("wal.chunk.done")
 
     def _commit_round(self, round_index: int, event_count: int) -> None:
@@ -572,20 +598,25 @@ class SocManager:
         interval = self._checkpoint_interval
         if interval is None or self._events_since_checkpoint < interval:
             return
+        self.checkpoint()
+        self._crash("wal.checkpoint")
+
+    def checkpoint(self) -> None:
+        """Append a checkpoint of this manager to its journal, at a
+        round boundary."""
         # Deferred import: repro.durability.checkpoint imports this
         # module (for TenantHealth) inside its own functions.
         from repro.durability.checkpoint import capture_checkpoint
 
-        journal.append(
+        self._journal.append(
             RecordKind.CHECKPOINT,
             encode_json_payload(capture_checkpoint(self)),
         )
         # Rolling at the checkpoint bounds replay work: recovery only
         # reads from the newest checkpoint forward, and older segments
         # become prunable.
-        journal.roll()
+        self._journal.roll()
         self._events_since_checkpoint = 0
-        self._crash("wal.checkpoint")
 
     @classmethod
     def recover(
@@ -593,37 +624,24 @@ class SocManager:
         journal: Journal,
         deployments: Sequence[Deployment],
         *,
-        metrics: Optional[MetricsRegistry] = None,
-        deadline_us: Optional[float] = None,
-        health_policy: Optional[HealthPolicy] = None,
-        batch_limit: int = 1,
-        checkpoint_interval_events: Optional[int] = None,
-        journal_chunk_events: int = 8192,
         crash_points: Optional[CrashPointInjector] = None,
+        **settings,
     ) -> "SocManager":
         """Rebuild a manager from its journal after a crash.
 
         ``deployments`` re-supplies the non-serializable parts (models,
         drivers, detectors) and must match the tenant set that was live
-        at the newest checkpoint.  Recovery restores that checkpoint,
-        replays every durably *committed* round after it (replay is
-        deterministic, so the replayed inference records are
-        byte-identical to the uninterrupted run's), and discards an
-        uncommitted tail — :attr:`next_round` tells the caller which
-        round to re-feed first.  ``crash_points`` is armed only after
-        replay finishes; recovery itself never re-fires the injector
-        that killed the original process.
+        at the newest checkpoint; ``settings`` are the constructor's.
+        Recovery restores that checkpoint, replays every durably
+        *committed* round after it (replay is deterministic, so the
+        replayed inference records are byte-identical to the
+        uninterrupted run's), and discards an uncommitted tail —
+        :attr:`next_round` is one past the last committed round, so the
+        caller re-feeds from there.  ``crash_points`` is armed only
+        after replay finishes; recovery itself never re-fires the
+        injector that killed the original process.
         """
-        manager = cls(
-            deployments,
-            metrics=metrics,
-            deadline_us=deadline_us,
-            health_policy=health_policy,
-            batch_limit=batch_limit,
-            journal=journal,
-            checkpoint_interval_events=checkpoint_interval_events,
-            journal_chunk_events=journal_chunk_events,
-        )
+        manager = cls(deployments, journal=journal, **settings)
         records = journal.records()
         start = 0
         checkpoint = None
@@ -640,31 +658,22 @@ class SocManager:
         replayed = 0
         manager._replaying = True
         try:
+            # A BEGIN with an unfinished predecessor means the
+            # predecessor never committed; its chunks are dead.
             pending_round: Optional[int] = None
-            pending: Dict[str, List[BranchEvent]] = {}
+            named: Sequence[str] = ()
+            chunks: List[bytes] = []
             for record in records[start:]:
                 if record.kind is RecordKind.ROUND_BEGIN:
-                    # A BEGIN with an unfinished predecessor means the
-                    # predecessor never committed; its buffer is dead.
                     header = decode_json_payload(record.payload)
-                    pending_round = header["round"]
-                    pending = {name: [] for name in header["tenants"]}
+                    pending_round, named = header["round"], header["tenants"]
+                    chunks = []
                 elif record.kind is RecordKind.TRACE_CHUNK:
-                    chunk = decode_trace_chunk(record.payload)
-                    if (
-                        pending_round is None
-                        or chunk.round_index != pending_round
-                    ):
+                    if pending_round is None:
                         raise JournalCorruptionError(
-                            f"trace chunk for round {chunk.round_index} "
-                            f"outside open round {pending_round}"
+                            "trace chunk outside an open round"
                         )
-                    if chunk.tenant not in pending:
-                        raise JournalCorruptionError(
-                            f"trace chunk for tenant {chunk.tenant!r} "
-                            "not named by its round header"
-                        )
-                    pending[chunk.tenant].extend(chunk.events)
+                    chunks.append(record.payload)
                 elif record.kind is RecordKind.ROUND_COMMIT:
                     header = decode_json_payload(record.payload)
                     if (
@@ -675,19 +684,21 @@ class SocManager:
                             f"commit for round {header['round']} without "
                             "a matching open round"
                         )
-                    if pending_round != manager._round:
+                    if pending_round < manager._round:
                         raise JournalCorruptionError(
                             f"journal replays round {pending_round} but "
                             f"the manager is at round {manager._round}"
                         )
-                    manager.run_events(
-                        {
-                            name: tuple(events)
-                            for name, events in pending.items()
-                        }
-                    )
+                    traces = decode_round(pending_round, chunks)
+                    stray = sorted(set(traces) - set(named))
+                    if stray:
+                        raise JournalCorruptionError(
+                            f"trace chunks for tenants {stray} not named "
+                            "by their round header"
+                        )
+                    manager.run_events(traces, pending_round)
                     replayed += 1
-                    pending_round, pending = None, {}
+                    pending_round, chunks = None, []
         finally:
             manager._replaying = False
         # Fresh segment: post-recovery appends never share a file with

@@ -9,7 +9,12 @@ a quarantined tenant's quarantine (including its probation progress).
 
 import pytest
 
-from repro.durability import MemoryJournal, RecordKind
+from repro.durability import (
+    MemoryJournal,
+    RecordKind,
+    capture_checkpoint,
+    encode_round,
+)
 from repro.errors import (
     JournalCorruptionError,
     ProcessCrashError,
@@ -267,3 +272,77 @@ def test_recover_with_mismatched_deployments_is_corruption():
             checkpoint_interval_events=1,
             journal_chunk_events=CHUNK_EVENTS,
         )
+
+
+def test_round_handed_its_encoded_payloads_journals_the_same_records():
+    # A fleet shard hands run_events the chunks it received (here as
+    # memoryviews, like a shared-memory ring slot); the journal must
+    # hold exactly what encoding the round itself would have written.
+    traces = _traces(0)
+    plain_journal, handed_journal = MemoryJournal(), MemoryJournal()
+    plain = _manager(journal=plain_journal)
+    handed = _manager(journal=handed_journal)
+    plain_records = plain.run_events(traces)
+    payloads = [
+        memoryview(payload)
+        for payload in encode_round(0, traces, CHUNK_EVENTS)
+    ]
+    handed_records = handed.run_events(traces, 0, payloads)
+    assert [(r.kind, r.payload) for r in handed_journal.records()] == [
+        (r.kind, r.payload) for r in plain_journal.records()
+    ]
+    assert {
+        name: [record_signature(r) for r in records]
+        for name, records in handed_records.items()
+    } == {
+        name: [record_signature(r) for r in records]
+        for name, records in plain_records.items()
+    }
+
+
+def test_payloads_that_do_not_match_the_round_are_refused():
+    traces = _traces(0)
+    journal = MemoryJournal()
+    manager = _manager(journal=journal)
+    payloads = encode_round(0, traces, CHUNK_EVENTS)
+    with pytest.raises(SocConfigError):
+        manager.run_events(traces, 0, payloads[:-1])
+    assert journal.records() == []
+
+
+@pytest.mark.parametrize("interval", [None, 1], ids=["replay", "restore"])
+def test_skipped_round_numbers_recover_like_an_uninterrupted_run(interval):
+    journal = MemoryJournal()
+    manager = _manager(journal=journal, checkpoint_interval_events=interval)
+    for r in (0, 2, 5):
+        manager.run_events(_traces(r), r)
+    assert manager.next_round == 6
+
+    recovered = _recover(journal, checkpoint_interval_events=interval)
+    assert recovered.next_round == 6
+    assert _log(recovered) == _log(manager)
+
+    def state(soc):
+        # The manager-level registry differs by the recovery counters.
+        return {
+            key: value
+            for key, value in capture_checkpoint(soc).items()
+            if key != "metrics"
+        }
+
+    assert state(recovered) == state(manager)
+    for soc in (manager, recovered):
+        soc.run_events(_traces(7), 7)
+    assert _log(recovered) == _log(manager)
+
+
+def test_lower_round_index_is_refused():
+    journal = MemoryJournal()
+    manager = _manager(journal=journal)
+    manager.run_events(_traces(3), 3)
+    journaled = len(journal.records())
+    for behind in (2, 3):
+        with pytest.raises(SocConfigError):
+            manager.run_events(_traces(behind), behind)
+    assert len(journal.records()) == journaled
+    assert manager.next_round == 4

@@ -17,6 +17,7 @@ import tempfile
 
 import pytest
 
+from repro.durability.journal import encode_round
 from repro.errors import FleetError, SocConfigError, TransportError
 from repro.eval.metrics import demo_events
 from repro.eval.report import record_signature
@@ -25,7 +26,6 @@ from repro.fleet import (
     FleetCoordinator,
     ShmRing,
     demo_factory,
-    messages,
 )
 from repro.obs import MetricsRegistry
 from repro.serve import IngestServer, ServeClient, ServeConfig
@@ -255,7 +255,10 @@ class TestTransports:
         monkeypatch.setattr(ShmRing, "attach", classmethod(refuse))
         fallback = self._run("shm")
         refused = sum(
-            len(payload) for payload in messages.encode_round(0, _traces(0))
+            len(payload)
+            for payload in encode_round(
+                0, _traces(0), FleetConfig().journal_chunk_events
+            )
         )
         self._assert_pipe_equivalent(fallback, refused_bytes=refused)
 
@@ -397,6 +400,18 @@ class TestValidation:
                 ["a", "b"],
                 "/tmp/unused",
                 FleetConfig(num_shards=3),
+            )
+
+    def test_manager_chunk_size_refused(self, tmp_path):
+        # FleetConfig.journal_chunk_events sizes the wire chunks that
+        # the shards journal verbatim; a second setting could only
+        # disagree with it.
+        with pytest.raises(FleetError, match="journal_chunk_events"):
+            FleetCoordinator(
+                demo_factory,
+                ["a", "b"],
+                str(tmp_path),
+                manager_kwargs={"journal_chunk_events": 64},
             )
 
     @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from repro.errors import Backoff
 from repro.eval.metrics import demo_events
 from repro.eval.report import record_signature, verdict_flags
 from repro.faults import FaultKind, FaultPlan, FaultSpec
+from repro.faults.service import crash_fraction
 from repro.fleet import FleetConfig, FleetCoordinator, demo_factory
 from repro.obs import MetricsRegistry
 from repro.soc.manager import SocManager, TenantHealth
@@ -233,3 +234,88 @@ class TestCrashLoopMigration:
         assert placement0 == ["tenant0"]
         assert placement1 == ["tenant1", "tenant2", "tenant3"]
         assert health["tenant0"] is TenantHealth.QUARANTINED
+
+
+class TestIdleShardKeepsTheFleetRoundIndex:
+    """A shard without traffic skips a round; the next round it runs
+    still carries the fleet's round number, in its journal and in its
+    round-keyed fault plans."""
+
+    @staticmethod
+    def _rounds():
+        # Round 0 reaches shard 0 only (tenant0, tenant2); round 1
+        # reaches every shard.
+        first = _traces(0)
+        return [
+            {name: first[name] for name in ("tenant0", "tenant2")},
+            _traces(1),
+        ]
+
+    def test_commit_kill_after_an_idle_round_is_reconciled(
+        self, make_fleet
+    ):
+        rounds = self._rounds()
+        with make_fleet() as fleet:
+            placement = [list(shard.tenants) for shard in fleet.shards]
+            assert placement[1] == ["tenant1", "tenant3"]
+            logs = [fleet.run_events(rounds[0])]
+            # Shard 1 commits fleet round 1 and dies before replying:
+            # the recovered shard is past round 1, so the coordinator
+            # must fetch the records, not run the round again.
+            fleet.arm_kill(1, "wal.commit")
+            logs.append(fleet.run_events(rounds[1]))
+            counts = dict(fleet.counts)
+            counters = fleet.counters()
+        assert counts["fleet.restarts"] == 1
+        assert counts["fleet.rounds.reconciled"] == 1
+        assert counts["fleet.rounds.refed"] == 0
+        _assert_conservation(counters)
+        for tenant_subset in placement:
+            solo = SocManager(
+                demo_factory(tenant_subset, kind=KIND),
+                metrics=MetricsRegistry(),
+            )
+            for traces, log in zip(rounds, logs):
+                part = {
+                    name: traces[name]
+                    for name in tenant_subset
+                    if name in traces
+                }
+                if not part:
+                    continue  # the idle shard ran nothing either
+                reference = solo.run_events(part)
+                for name in part:
+                    assert [
+                        record_signature(r) for r in log[name]
+                    ] == [
+                        record_signature(r) for r in reference[name]
+                    ]
+
+    def test_round_keyed_tenant_crash_fires_on_the_fleet_round(
+        self, make_fleet
+    ):
+        crash = FaultPlan(
+            seed=15,
+            specs=(FaultSpec(FaultKind.TENANT_CRASH, rate=0.5),),
+        )
+        # This seed crashes the tenant in round 1 and not in round 0.
+        assert crash_fraction(crash, 0) is None
+        assert crash_fraction(crash, 1) is not None
+        plans = {"tenant1": crash}
+        rounds = self._rounds()
+        solo = SocManager(
+            demo_factory(_names(), kind=KIND, fault_plans=plans),
+            metrics=MetricsRegistry(),
+        )
+        references = [solo.run_events(traces) for traces in rounds]
+        factory = functools.partial(demo_factory, fault_plans=plans)
+        with make_fleet(factory) as fleet:
+            logs = [fleet.run_events(traces) for traces in rounds]
+            health = fleet.health()
+        assert health == solo.health()
+        assert health["tenant1"] is TenantHealth.QUARANTINED
+        for log, reference in zip(logs, references):
+            for name, records in reference.items():
+                assert verdict_flags(log.get(name, [])) == verdict_flags(
+                    records
+                )

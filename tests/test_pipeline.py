@@ -15,6 +15,7 @@ from repro.coresight.ptm import Ptm, PtmConfig
 from repro.coresight.tpiu import Tpiu
 from repro.errors import SocConfigError
 from repro.frontends import get_frontend
+from repro.frontends.coresight import CoreSightFrontend
 from repro.igm.address_mapper import AddressMapper
 from repro.igm.vector_encoder import EncoderMode, InputVector, VectorEncoder
 from repro.obs import MetricsRegistry
@@ -33,6 +34,7 @@ from repro.pipeline import (
     TraceBatch,
     build_trace_pipeline,
 )
+from repro.pipeline.stages import ByteCountEncodeStage
 from repro.soc.cpu import PtmFifoModel
 from repro.workloads.cfg import BranchEvent, BranchKind
 
@@ -187,7 +189,7 @@ class TestPtmEncodeStage:
             expect_tail = len(reference.flush())
 
             stage = PtmEncodeStage(config=config)
-            assert stage._fast, "these configs must use the fast path"
+            assert PtmEncodeStage.models(config)
             got: list = []
             for chunk in random_chunks(rng, events):
                 batch = TraceBatch(events=EventBatch.from_events(chunk))
@@ -197,14 +199,24 @@ class TestPtmEncodeStage:
             assert tail.tail_ptm_bytes == expect_tail
 
     def test_reference_fallback_path(self):
-        # A sync interval small enough to retrigger within one burst
-        # falls back to driving a real Ptm — still exact.
+        # A sync interval small enough to retrigger within one burst is
+        # outside the vectorised stage's model: the CoreSight frontend
+        # counts a real Ptm's bytes per event instead — the same byte
+        # counts and the same ptm.* counters.
         config = PtmConfig(sync_interval_bytes=16)
-        stage = PtmEncodeStage(config=config)
-        assert not stage._fast
+        assert not PtmEncodeStage.models(config)
+        with pytest.raises(SocConfigError):
+            PtmEncodeStage(config=config)
+        stage_registry = MetricsRegistry()
+        stage = CoreSightFrontend(ptm_config=config).build_encode_stages(
+            metrics=stage_registry
+        )[0]
+        assert isinstance(stage, ByteCountEncodeStage)
+        assert stage.name == "ptm"
         rng = np.random.default_rng(3)
         events = random_events(rng, 200)
-        reference = Ptm(config)
+        ref_registry = MetricsRegistry()
+        reference = Ptm(config, metrics=ref_registry)
         expect = [len(reference.feed(e)) for e in events]
         expect_tail = len(reference.flush())
         got: list = []
@@ -213,6 +225,11 @@ class TestPtmEncodeStage:
             got.extend(stage.process(batch).ptm_bytes.tolist())
         assert got == expect
         assert stage.flush().tail_ptm_bytes == expect_tail
+        ref_counters = ref_registry.snapshot()["counters"]
+        got_counters = stage_registry.snapshot()["counters"]
+        assert any(name.startswith("ptm.") for name in ref_counters)
+        for name, value in ref_counters.items():
+            assert got_counters.get(name) == value, name
 
     def test_counters_match_reference(self):
         rng = np.random.default_rng(11)
