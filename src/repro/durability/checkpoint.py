@@ -1,8 +1,8 @@
 """Checkpoint capture/restore for :class:`repro.soc.manager.SocManager`.
 
 A checkpoint is taken at a *round boundary*, which buys two structural
-guarantees: the dataplanes are quiescent (no in-flight batches — the
-pipeline refuses to export otherwise) and all per-round state is about
+guarantees: the dataplanes are quiescent (a pipeline is a plain chain
+that holds no batch between calls) and all per-round state is about
 to be reset anyway (``TenantRuntime.reset`` runs at the top of every
 round).  What must survive is the *lifetime* state: the manager's
 round counter, the arbiter's per-lane watchdog trip counts, each

@@ -1,15 +1,15 @@
 """Staged dataplane: the batched trace-path pipeline.
 
 The per-event loop in :meth:`repro.soc.loop.LoopDataplane.run` is
-re-expressed here as composable *stages* connected by bounded *ports*:
+re-expressed here as composable *stages* run as a plain in-order
+chain, like the IGM's fixed hardware blocks:
 
 - :class:`~repro.pipeline.stage.Stage` — the protocol every stage
   implements (``process(batch) -> batch`` plus ``flush()``),
-- :class:`~repro.pipeline.port.Port` — a bounded ring buffer with
-  backpressure/overflow accounting (MCM FIFO semantics),
 - :class:`~repro.pipeline.pipeline.Pipeline` — the assembler that
-  wires stages with ports and threads ``repro.obs`` instruments
-  through every connection,
+  runs each chunk through the stages in order, checks its integrity
+  tag at every stage boundary, and threads ``repro.obs`` instruments
+  through every stage,
 - :mod:`~repro.pipeline.stages` — the concrete trace-path stages
   (PTM encode, TPIU framing, PTM-FIFO batching, IGM map+encode,
   delivery), rewritten to operate on numpy *batches* of events.
@@ -23,7 +23,6 @@ vectorized internals run an order of magnitude faster on long traces.
 
 from repro.pipeline.batch import EventBatch, FifoFlush, TraceBatch
 from repro.pipeline.pipeline import Pipeline, build_trace_pipeline
-from repro.pipeline.port import Port, PortPolicy
 from repro.pipeline.stage import Stage, StageBase
 from repro.pipeline.stages import (
     DeliverStage,
@@ -39,8 +38,6 @@ __all__ = [
     "FifoFlush",
     "IgmStage",
     "Pipeline",
-    "Port",
-    "PortPolicy",
     "PtmEncodeStage",
     "PtmFifoStage",
     "Stage",

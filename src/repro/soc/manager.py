@@ -463,12 +463,17 @@ class SocManager:
             "socmgr.run_events", tenants=len(self.tenants)
         ):
             self.arbiter.reset_session()
+            # A fleet shard runs only the fleet rounds that reach it;
+            # probation counts the rounds it idled through as well.
+            elapsed = round_index + 1 - self._round
             self._round = round_index + 1
             ran: Dict[str, bool] = {}
             for runtime in self.tenants:
                 events = traces.get(runtime.name, ())
                 if runtime.health is TenantHealth.QUARANTINED:
-                    self._probation_step(runtime, bool(len(events)))
+                    self._probation_step(
+                        runtime, elapsed, bool(len(events))
+                    )
                 if runtime.health is TenantHealth.QUARANTINED:
                     runtime.reset()
                     ran[runtime.name] = False
@@ -732,9 +737,15 @@ class SocManager:
         self._m_quarantines.inc()
 
     def _probation_step(
-        self, runtime: TenantRuntime, had_trace: bool
+        self, runtime: TenantRuntime, elapsed: int, had_trace: bool
     ) -> None:
-        """At round start: advance (or conclude) a quarantine."""
+        """At round start: advance (or conclude) a quarantine.
+
+        ``elapsed`` counts the rounds since this manager's previous
+        one; all but the current were idle here and only age the
+        quarantine, exactly as idle rounds of a solo manager do.
+        """
+        runtime._quarantined_rounds += elapsed - 1
         if runtime._quarantined_rounds >= self.policy.probation_rounds:
             runtime.health = TenantHealth.DEGRADED
             runtime._quarantined_rounds = 0

@@ -319,3 +319,34 @@ class TestIdleShardKeepsTheFleetRoundIndex:
                 assert verdict_flags(log.get(name, [])) == verdict_flags(
                     records
                 )
+
+    def test_probation_counts_the_rounds_a_shard_idled(self, make_fleet):
+        # tenant1 crashes in round 1 and is quarantined for two rounds.
+        # Round 2 reaches shard 0 only, so tenant1's shard idles
+        # through it; probation still counts it, as the solo manager
+        # does, and tenant1 is readmitted in round 4 in both.
+        crash = FaultPlan(
+            seed=15,
+            specs=(FaultSpec(FaultKind.TENANT_CRASH, rate=0.5),),
+        )
+        plans = {"tenant1": crash}
+        shard0_only = ("tenant0", "tenant2")
+        rounds = [_traces(r) for r in range(5)]
+        rounds[2] = {name: rounds[2][name] for name in shard0_only}
+        solo = SocManager(
+            demo_factory(_names(), kind=KIND, fault_plans=plans),
+            metrics=MetricsRegistry(),
+        )
+        factory = functools.partial(demo_factory, fault_plans=plans)
+        with make_fleet(factory) as fleet:
+            assert fleet.shard_of("tenant1").tenants == ["tenant1", "tenant3"]
+            for round_index, traces in enumerate(rounds):
+                reference = solo.run_events(traces)
+                log = fleet.run_events(traces)
+                assert fleet.health() == solo.health(), round_index
+                for name, records in reference.items():
+                    got = log.get(name, [])
+                    assert len(got) == len(records), (round_index, name)
+                    assert verdict_flags(got) == verdict_flags(records)
+        assert solo.health()["tenant1"] is TenantHealth.DEGRADED
+        assert reference["tenant1"]

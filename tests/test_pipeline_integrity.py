@@ -117,19 +117,6 @@ def test_reset_forgets_sequence_history():
     assert registry.counter("pipeline.integrity.gaps").value == 0
 
 
-def test_verify_integrity_off_checks_nothing():
-    registry = MetricsRegistry()
-    pipeline = Pipeline(
-        [_PassStage(), _MutatorStage(), _PassStage()],
-        metrics=registry,
-        chunk_events=CHUNK_EVENTS,
-        verify_integrity=False,
-    )
-    pipeline.run(_events(100))
-    assert registry.counter("pipeline.integrity.checks").value == 0
-    assert registry.counter("pipeline.integrity.crc_mismatches").value == 0
-
-
 def test_chunk_corrupt_stage_is_caught_by_integrity_tags():
     plan = FaultPlan(
         seed=11, specs=(FaultSpec(FaultKind.CHUNK_CORRUPT, rate=1.0),)
