@@ -2,14 +2,12 @@
 
 This is the reference the hardware trace analyzer (IGM) is verified
 against — the role the paper's step-4 "verify" plays for ML-MIAOW, here
-applied to the trace path.  The decoder is fully streaming: bytes can
-be fed in arbitrary chunks and packet state is carried across calls.
-
-The byte machine (:meth:`PftDecoder.step_byte`) is the reference.
-:meth:`PftDecoder.feed` runs a bulk path beside it while the decoder is
-locked and idle: it claims whole branch-address, atom and ignore
-packets and hands every other packet, from its first byte, to the byte
-machine, which owns sync, errors, hunting and truncation.
+applied to the trace path.  The streaming scaffold (``feed``,
+``finish``, modes, resync hunting, state) is the shared
+:class:`repro.tracepath.TraceDecoder`; this module supplies the PFT
+byte machine (``_step``) and its bulk path (``_claim``), which claims
+whole branch-address, atom and ignore packets while the decoder is
+locked and idle.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from repro.coresight.packets import (
     merge_compressed_address,
 )
 from repro.errors import PacketDecodeError
-from repro.obs import MetricsRegistry, NULL_REGISTRY
+from repro.tracepath import TraceDecoder
 
 _ADDR_BITS_BY_COUNT = [6, 13, 20, 27, 30]
 
@@ -112,156 +110,26 @@ class _State(enum.Enum):
     HUNT = "hunt"
 
 
-class PftDecoder:
-    """Streaming packet decoder.
+class PftDecoder(TraceDecoder):
+    """Streaming PFT packet decoder (modes: see :class:`TraceDecoder`).
 
-    Three error-handling modes:
-
-    - ``strict=True`` (default): any malformed byte raises
-      :class:`PacketDecodeError` — the golden-verification mode.
-    - ``strict=False``: legacy lenient mode; unknown bytes are skipped
-      in place and decoding continues optimistically.
-    - ``resync_hunt=True``: full recovery mode.  Any decode error (and
-      start-of-stream) puts the decoder into a *hunt* state that scans
-      for the next a-sync burst, re-locks there, and counts the event
-      in ``resyncs`` / the ``coresight.decoder.resyncs`` counter.  The
-      initial lock of a late-attaching decoder is not a resync.
+    Resync hunting scans for the a-sync burst (>= 5 x 0x00 then 0x80).
     """
 
-    def __init__(
-        self,
-        strict: bool = True,
-        resync_hunt: bool = False,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
-        self.strict = strict
-        self.resync_hunt = resync_hunt
-        self._state = _State.HUNT if resync_hunt else _State.IDLE
-        self._scratch: List[int] = []
-        self._zeros = 0
-        self._last_address = 0
-        self._branch_complete = False
-        self._ever_locked = False
-        self.resyncs = 0
-        self.truncated = 0
-        self.hunt_bytes = 0
-        self.metrics = metrics or NULL_REGISTRY
-        self._m_resyncs = self.metrics.counter("coresight.decoder.resyncs")
-        self._m_truncated = self.metrics.counter(
-            "coresight.decoder.truncated"
-        )
-        self._m_hunt_bytes = self.metrics.counter(
-            "coresight.decoder.hunt_bytes"
-        )
-
-    # ------------------------------------------------------------------
-
-    def feed(self, data: bytes) -> List[object]:
-        """Decode a chunk; returns the packets completed by it."""
-        out: List[object] = []
-        index = 0
-        end = len(data)
-        while index < end:
-            if self._state is _State.IDLE:
-                index = self._claim(data, index, out)
-                if index == end:
-                    break
-            decoded = self._step(data[index])
-            if decoded:
-                out.extend(decoded)
-            index += 1
-        return out
-
-    def branches(self, data: bytes) -> List[DecodedBranch]:
-        """Feed and keep only the branch-address packets."""
-        return [p for p in self.feed(data) if isinstance(p, DecodedBranch)]
-
-    def step_byte(self, byte: int) -> List[object]:
-        """Decode exactly one byte (the TA-unit per-lane granularity)."""
-        return self._step(byte) or []
-
-    def finish(self) -> List[object]:
-        """Declare end-of-stream; surface a truncated trailing packet.
-
-        A decoder left mid-packet has lost data: strict decoders raise
-        :class:`PacketDecodeError`, others count the event and return a
-        :class:`TruncatedPacket` marker.  Idle (or hunting) decoders
-        return ``[]``.  Either way the decoder is reset to its start
-        state, ready for a new stream.
-        """
-        state = self._state
-        if state in (_State.IDLE, _State.HUNT):
-            return []
-        pending = self._zeros if state is _State.ASYNC else len(self._scratch)
-        self._scratch = []
-        self._zeros = 0
-        self._state = _State.HUNT if self.resync_hunt else _State.IDLE
-        self.truncated += 1
-        self._m_truncated.inc()
-        if self.strict and not self.resync_hunt:
-            raise PacketDecodeError(
-                f"truncated {state.value} packet at end of stream "
-                f"({pending} byte(s) pending)"
-            )
-        return [TruncatedPacket(state=state.value, pending_bytes=pending)]
-
-    # ------------------------------------------------------------------
-    # Durability
-    # ------------------------------------------------------------------
-
-    def export_state(self) -> dict:
-        """JSON-able carry state for checkpointing (see repro.durability)."""
-        return {
-            "state": self._state.value,
-            "scratch": list(self._scratch),
-            "zeros": self._zeros,
-            "last_address": self._last_address,
-            "branch_complete": self._branch_complete,
-            "ever_locked": self._ever_locked,
-            "resyncs": self.resyncs,
-            "truncated": self.truncated,
-            "hunt_bytes": self.hunt_bytes,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self._state = _State(state["state"])
-        self._scratch = list(state["scratch"])
-        self._zeros = state["zeros"]
-        self._last_address = state["last_address"]
-        self._branch_complete = state["branch_complete"]
-        self._ever_locked = state["ever_locked"]
-        self.resyncs = state["resyncs"]
-        self.truncated = state["truncated"]
-        self.hunt_bytes = state["hunt_bytes"]
-
-    # ------------------------------------------------------------------
-
-    def _begin_hunt(self, byte: Optional[int]) -> Optional[List[object]]:
-        """Enter hunt mode after an error; optionally retry ``byte``."""
-        self._scratch = []
-        self._zeros = 0
-        self._state = _State.HUNT
-        if byte is None:
-            return None
-        return self._hunt(byte)
-
-    def _hunt(self, byte: int) -> Optional[List[object]]:
-        """Scan for the a-sync pattern (>=5 x 0x00 then 0x80)."""
-        if byte == HEADER_ASYNC_FILL:
-            self._zeros += 1
-            return None
-        if byte == HEADER_ASYNC_END and self._zeros >= ASYNC_FILL_COUNT:
-            self._state = _State.IDLE
-            self._zeros = 0
-            if self._ever_locked:
-                self.resyncs += 1
-                self._m_resyncs.inc()
-            self._ever_locked = True
-            return []
-        self.hunt_bytes += self._zeros + 1
-        self._m_hunt_bytes.inc(self._zeros + 1)
-        self._zeros = 0
-        return None
+    _IDLE = _State.IDLE
+    _HUNT = _State.HUNT
+    _FILL = _State.ASYNC
+    fill_byte = HEADER_ASYNC_FILL
+    end_byte = HEADER_ASYNC_END
+    fill_count = ASYNC_FILL_COUNT
+    counters = (
+        "coresight.decoder.resyncs",
+        "coresight.decoder.truncated",
+        "coresight.decoder.hunt_bytes",
+    )
+    branch_type = DecodedBranch
+    truncation_type = TruncatedPacket
+    grammar_state = {"last_address": 0, "branch_complete": False}
 
     def _claim(self, data, index: int, out: List[object]) -> int:
         """Bulk path: decode whole common packets from ``data[index:]``.

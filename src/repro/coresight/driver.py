@@ -2,113 +2,38 @@
 
 The paper notes: "To activate the functionalities of PTM and TPIU, we
 have also built a device driver running on the Linux kernel."  This
-class plays that role for the simulation: it owns the PTM and TPIU
-instances, exposes an enable/disable and configuration surface, and
-provides the end-to-end convenience used by data collection (training
-trace extraction through the same hardware path used at inference).
+class plays that role for the simulation: the shared
+:class:`repro.tracepath.TraceDriver` over a PTM and a TPIU, used at
+inference and for training trace extraction alike.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from functools import partial
+from typing import Optional
 
 from repro.coresight.ptm import Ptm, PtmConfig
-from repro.coresight.tpiu import Tpiu, TpiuDeframer
-from repro.errors import SocConfigError
-from repro.obs import MetricsRegistry, NULL_REGISTRY
-from repro.workloads.cfg import BranchEvent
+from repro.coresight.tpiu import DEFAULT_SOURCE_ID, Tpiu
+from repro.obs import MetricsRegistry
+from repro.tracepath import TraceDriver
 
 
-class CoreSightDriver:
+class CoreSightDriver(TraceDriver):
     """Configures and drives the PTM -> TPIU trace path."""
 
     def __init__(
         self,
         ptm_config: Optional[PtmConfig] = None,
-        source_id: int = 0x1,
+        source_id: int = DEFAULT_SOURCE_ID,
         sync_period: int = 64,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.ptm_config = ptm_config or PtmConfig()
-        self.source_id = source_id
-        self.sync_period = sync_period
-        self.metrics = metrics or NULL_REGISTRY
-        self._ptm: Optional[Ptm] = None
-        self._tpiu: Optional[Tpiu] = None
-        self.enabled = False
-
-    # ------------------------------------------------------------------
-    # Control-plane (what the kernel driver's ioctls would do)
-    # ------------------------------------------------------------------
-
-    def enable(self) -> None:
-        """Power up PTM and TPIU with the current configuration."""
-        self._ptm = Ptm(self.ptm_config, metrics=self.metrics)
-        self._tpiu = Tpiu(
-            source_id=self.source_id,
-            sync_period=self.sync_period,
-            metrics=self.metrics,
+        config = ptm_config or PtmConfig()
+        super().__init__(
+            config,
+            partial(Ptm, config),
+            partial(Tpiu, source_id=source_id, sync_period=sync_period),
+            state_keys=("ptm", "tpiu"),
+            label="CoreSight path",
+            metrics=metrics,
         )
-        self.enabled = True
-
-    def disable(self) -> None:
-        self._ptm = None
-        self._tpiu = None
-        self.enabled = False
-
-    def set_context_id(self, context_id: int) -> None:
-        """Track a different process (takes effect on next enable)."""
-        if self.enabled:
-            raise SocConfigError("disable tracing before reconfiguring")
-        self.ptm_config.context_id = context_id
-
-    # ------------------------------------------------------------------
-    # Durability
-    # ------------------------------------------------------------------
-
-    def export_state(self) -> dict:
-        """JSON-able carry state for checkpointing (see repro.durability)."""
-        if not self.enabled or self._ptm is None or self._tpiu is None:
-            raise SocConfigError("CoreSight path not enabled")
-        return {
-            "ptm": self._ptm.export_state(),
-            "tpiu": self._tpiu.export_state(),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.disable()
-        self.enable()
-        assert self._ptm is not None and self._tpiu is not None
-        self._ptm.restore_state(state["ptm"])
-        self._tpiu.restore_state(state["tpiu"])
-
-    # ------------------------------------------------------------------
-    # Data-plane
-    # ------------------------------------------------------------------
-
-    def trace(self, event: BranchEvent) -> bytes:
-        """Push one branch event through PTM; returns TPIU frame bytes."""
-        if not self.enabled or self._ptm is None or self._tpiu is None:
-            raise SocConfigError("CoreSight path not enabled")
-        packet_bytes = self._ptm.feed(event)
-        return self._tpiu.push(packet_bytes)
-
-    def flush(self) -> bytes:
-        if not self.enabled or self._ptm is None or self._tpiu is None:
-            raise SocConfigError("CoreSight path not enabled")
-        out = self._tpiu.push(self._ptm.flush())
-        out += self._tpiu.flush()
-        return out
-
-    def trace_all(self, events: Iterable[BranchEvent]) -> bytes:
-        """Trace a whole event stream and flush (training collection)."""
-        out = bytearray()
-        for event in events:
-            out += self.trace(event)
-        out += self.flush()
-        return bytes(out)
-
-    @staticmethod
-    def new_deframer(source_id: int = 0x1) -> TpiuDeframer:
-        """Receiver for the framed stream (what IGM instantiates)."""
-        return TpiuDeframer(expected_source_id=source_id)

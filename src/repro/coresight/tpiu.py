@@ -17,11 +17,10 @@ inserted so a late-attaching receiver can align.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
-from repro.errors import FrameSyncError
-from repro.obs import MetricsRegistry, NULL_REGISTRY
+from repro.obs import MetricsRegistry
+from repro.tracepath import LinkDeframer, LinkFramer
 from repro.utils.bitstream import bytes_to_words, words_to_bytes
 
 FRAME_SIZE = 16
@@ -30,8 +29,14 @@ SYNC_FRAME = bytes([0xFF] * (FRAME_SIZE - 1) + [0x7F])
 DEFAULT_SOURCE_ID = 0x1
 
 
-class Tpiu:
+class Tpiu(LinkFramer):
     """Framer: accepts trace bytes, emits complete frames / words."""
+
+    payload_per_frame = PAYLOAD_PER_FRAME
+    frame_size = FRAME_SIZE
+    sync_pattern = SYNC_FRAME
+    padded_tail = True
+    counter_prefix = "tpiu"
 
     def __init__(
         self,
@@ -41,74 +46,22 @@ class Tpiu:
     ) -> None:
         if not 0 <= source_id <= 0xF:
             raise ValueError("source id must fit in 4 bits")
-        if sync_period < 1:
-            raise ValueError("sync_period must be >= 1")
+        super().__init__(sync_period=sync_period, metrics=metrics)
         self.source_id = source_id
-        self.sync_period = sync_period
-        self._buffer = bytearray()
-        self._frames_since_sync = sync_period  # sync immediately at start
-        self.frames_emitted = 0
-        self.metrics = metrics or NULL_REGISTRY
-        self._m_frames = self.metrics.counter("tpiu.frames")
-        self._m_sync_frames = self.metrics.counter("tpiu.sync_frames")
-        self._m_payload = self.metrics.counter("tpiu.payload_bytes")
         self._m_padding = self.metrics.counter("tpiu.padding_bytes")
-
-    def export_state(self) -> dict:
-        """JSON-able carry state for checkpointing (see repro.durability)."""
-        return {
-            "buffer": bytes(self._buffer).hex(),
-            "frames_since_sync": self._frames_since_sync,
-            "frames_emitted": self.frames_emitted,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self._buffer = bytearray(bytes.fromhex(state["buffer"]))
-        self._frames_since_sync = state["frames_since_sync"]
-        self.frames_emitted = state["frames_emitted"]
-
-    def push(self, data: bytes) -> bytes:
-        """Buffer trace bytes; return any complete frames produced."""
-        self._buffer += data
-        out = bytearray()
-        while len(self._buffer) >= PAYLOAD_PER_FRAME:
-            payload = bytes(self._buffer[:PAYLOAD_PER_FRAME])
-            del self._buffer[:PAYLOAD_PER_FRAME]
-            out += self._frame(payload)
-        return bytes(out)
-
-    def flush(self) -> bytes:
-        """Emit a final (possibly short) frame with whatever remains."""
-        if not self._buffer:
-            return b""
-        payload = bytes(self._buffer)
-        self._buffer.clear()
-        return self._frame(payload)
 
     def push_words(self, data: bytes) -> List[int]:
         """Frame and return 32-bit words (the IGM ingest format)."""
         return bytes_to_words(self.push(data))
 
     def _frame(self, payload: bytes) -> bytes:
-        assert 1 <= len(payload) <= PAYLOAD_PER_FRAME
-        out = bytearray()
-        if self._frames_since_sync >= self.sync_period:
-            out += SYNC_FRAME
-            self._frames_since_sync = 0
-            self._m_sync_frames.inc()
         header = (self.source_id << 4) | len(payload)
         frame = bytes([header]) + payload
-        frame += bytes(FRAME_SIZE - len(frame))
-        out += frame
-        self.frames_emitted += 1
-        self._frames_since_sync += 1
-        self._m_frames.inc()
-        self._m_payload.inc(len(payload))
-        self._m_padding.inc(FRAME_SIZE - 1 - len(payload))
-        return bytes(out)
+        self._m_padding.inc(FRAME_SIZE - len(frame))
+        return frame + bytes(FRAME_SIZE - len(frame))
 
 
-class TpiuDeframer:
+class TpiuDeframer(LinkDeframer):
     """Receiver side: frames (or words) back to the trace byte stream.
 
     Starts unsynchronised: discards bytes until a full-sync frame is
@@ -122,54 +75,16 @@ class TpiuDeframer:
     recovery a real trace receiver performs.
     """
 
+    counters = ("tpiu.frame_resyncs", "tpiu.bytes_discarded")
+
     def __init__(
         self,
         expected_source_id: Optional[int] = None,
         resync_hunt: bool = False,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
+        super().__init__(resync_hunt=resync_hunt, metrics=metrics)
         self.expected_source_id = expected_source_id
-        self.resync_hunt = resync_hunt
-        self._synced = False
-        self._buffer = bytearray()
-        self.frames_consumed = 0
-        self.bytes_discarded = 0
-        self.frame_resyncs = 0
-        self.metrics = metrics or NULL_REGISTRY
-        self._m_frame_resyncs = self.metrics.counter("tpiu.frame_resyncs")
-        self._m_bytes_discarded = self.metrics.counter("tpiu.bytes_discarded")
-
-    def _discard(self, amount: int) -> None:
-        self.bytes_discarded += amount
-        self._m_bytes_discarded.inc(amount)
-
-    def _desync(self) -> None:
-        """A malformed frame: drop sync and hunt for the next one."""
-        self._synced = False
-        self.frame_resyncs += 1
-        self._m_frame_resyncs.inc()
-        self._discard(FRAME_SIZE)
-
-    def export_state(self) -> dict:
-        """JSON-able carry state for checkpointing (see repro.durability)."""
-        return {
-            "synced": self._synced,
-            "buffer": bytes(self._buffer).hex(),
-            "frames_consumed": self.frames_consumed,
-            "bytes_discarded": self.bytes_discarded,
-            "frame_resyncs": self.frame_resyncs,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self._synced = state["synced"]
-        self._buffer = bytearray(bytes.fromhex(state["buffer"]))
-        self.frames_consumed = state["frames_consumed"]
-        self.bytes_discarded = state["bytes_discarded"]
-        self.frame_resyncs = state["frame_resyncs"]
-
-    @property
-    def synced(self) -> bool:
-        return self._synced
 
     def push(self, data: bytes) -> bytes:
         """Consume frame bytes; return recovered trace payload bytes."""
@@ -198,21 +113,20 @@ class TpiuDeframer:
             source_id = header >> 4
             length = header & 0x0F
             if length > PAYLOAD_PER_FRAME:
-                if self.resync_hunt:
-                    self._desync()
-                    continue
-                raise FrameSyncError(f"impossible payload length {length}")
+                self._desync(
+                    FRAME_SIZE, f"impossible payload length {length}"
+                )
+                continue
             if (
                 self.expected_source_id is not None
                 and source_id != self.expected_source_id
             ):
-                if self.resync_hunt:
-                    self._desync()
-                    continue
-                raise FrameSyncError(
+                self._desync(
+                    FRAME_SIZE,
                     f"unexpected trace source {source_id:#x} "
-                    f"(wanted {self.expected_source_id:#x})"
+                    f"(wanted {self.expected_source_id:#x})",
                 )
+                continue
             out += frame[1:1 + length]
             self.frames_consumed += 1
         return bytes(out)

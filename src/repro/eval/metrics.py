@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.eval.report import format_snapshot, format_table
 from repro.faults.plan import FaultPlan
+from repro.frontends import frontend_names, get_frontend
 from repro.miaow.gpu import Gpu
 from repro.obs import MetricsRegistry
 from repro.soc.demo import DEMO_KINDS, demo_events, demo_factory, demo_model
@@ -50,16 +51,11 @@ ROBUSTNESS_COUNTERS = (
     "faults.events.corrupted",
     "faults.vectors.dropped",
     "faults.chunks.corrupted",
-    "coresight.decoder.resyncs",
-    "coresight.decoder.truncated",
-    "coresight.decoder.hunt_bytes",
-    "tpiu.frame_resyncs",
-    "tpiu.bytes_discarded",
-    "etrace.decoder.resyncs",
-    "etrace.decoder.truncated",
-    "etrace.decoder.hunt_bytes",
-    "etrace.deframer.resyncs",
-    "etrace.deframer.bytes_discarded",
+    *(
+        counter
+        for frontend in map(get_frontend, frontend_names())
+        for counter in frontend.decoder_counters + frontend.deframer_counters
+    ),
     "pipeline.integrity.checks",
     "pipeline.integrity.crc_mismatches",
     "pipeline.integrity.gaps",

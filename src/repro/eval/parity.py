@@ -32,7 +32,7 @@ from typing import Dict, Iterator, List, Optional, Sequence
 from repro.eval.report import Check, Report
 from repro.igm.vector_encoder import EncoderMode, InputVector, VectorEncoder
 
-#: The grammars compared by default — every registered frontend.
+#: The grammars compared by default — every frontend.
 DEFAULT_FRONTENDS = ("coresight", "etrace")
 
 

@@ -4,7 +4,7 @@ Everything downstream of the trace port — the PTM FIFO timing model,
 the IGM address mapper, the vector encoder, ML-MIAOW — is grammar
 agnostic.  A :class:`TraceFrontend` bundles the grammar-specific
 pieces (encoder driver, batched encode/frame stages, deframer and
-decoder factories, counter namespaces) so the SoC selects a grammar
+decoder factories, receiver counter names) so the SoC selects a grammar
 with ``RtadConfig(frontend="coresight")`` or ``frontend="etrace"``.
 """
 
@@ -13,7 +13,6 @@ from repro.frontends.base import (
     TraceFrontend,
     frontend_names,
     get_frontend,
-    register_frontend,
 )
 from repro.frontends.coresight import CoreSightFrontend
 
@@ -23,5 +22,4 @@ __all__ = [
     "TraceFrontend",
     "frontend_names",
     "get_frontend",
-    "register_frontend",
 ]

@@ -1,9 +1,10 @@
 """The ARM CoreSight PTM/TPIU grammar behind the frontend interface.
 
-This adapter is a thin veneer: every component already existed
+This adapter is a thin veneer: every component already exists
 (:class:`repro.coresight.driver.CoreSightDriver`, the batched
-:class:`~repro.pipeline.stages.PtmEncodeStage` /
-:class:`~repro.pipeline.stages.TpiuFrameStage`, the
+:class:`~repro.pipeline.stages.PtmEncodeStage` and the shared
+:class:`~repro.pipeline.stages.LinkFrameStage` over
+:class:`~repro.coresight.tpiu.Tpiu`, the
 :class:`~repro.coresight.tpiu.TpiuDeframer` and
 :class:`~repro.coresight.decoder.PftDecoder`) — the frontend simply
 owns the shared configuration and hands the pieces out, so
@@ -17,7 +18,7 @@ from typing import List, Optional
 from repro.coresight.decoder import PftDecoder
 from repro.coresight.driver import CoreSightDriver
 from repro.coresight.ptm import Ptm, PtmConfig
-from repro.coresight.tpiu import DEFAULT_SOURCE_ID, TpiuDeframer
+from repro.coresight.tpiu import DEFAULT_SOURCE_ID, Tpiu, TpiuDeframer
 from repro.frontends.base import TraceFrontend
 from repro.obs import MetricsRegistry
 
@@ -26,16 +27,8 @@ class CoreSightFrontend(TraceFrontend):
     """PTM branch-broadcast packets framed by the 16-byte TPIU port."""
 
     name = "coresight"
-    counter_namespace = "ptm"
-    decoder_counters = (
-        "coresight.decoder.resyncs",
-        "coresight.decoder.truncated",
-        "coresight.decoder.hunt_bytes",
-    )
-    deframer_counters = (
-        "tpiu.frame_resyncs",
-        "tpiu.bytes_discarded",
-    )
+    decoder_counters = PftDecoder.counters
+    deframer_counters = TpiuDeframer.counters
 
     def __init__(
         self,
@@ -66,8 +59,8 @@ class CoreSightFrontend(TraceFrontend):
         # modules the control-plane users of this frontend never need.
         from repro.pipeline.stages import (
             ByteCountEncodeStage,
+            LinkFrameStage,
             PtmEncodeStage,
-            TpiuFrameStage,
         )
 
         config = self.ptm_config
@@ -81,7 +74,9 @@ class CoreSightFrontend(TraceFrontend):
             )
         return [
             encode,
-            TpiuFrameStage(sync_period=self.sync_period, metrics=metrics),
+            LinkFrameStage(
+                "tpiu", Tpiu, sync_period=self.sync_period, metrics=metrics
+            ),
         ]
 
     def new_deframer(

@@ -1,18 +1,14 @@
 """Golden software decoder for the E-Trace-inspired packet stream.
 
-The structural twin of :class:`repro.coresight.decoder.PftDecoder`:
-fully streaming (bytes can arrive in arbitrary chunks with packet
-state carried across calls), three error-handling modes (strict /
-lenient / resync-hunt), an end-of-stream ``finish`` that surfaces
-truncated tail packets, and checkpoint export/restore.  Resync hunting
-scans for the alignment preamble (``4 x 0x00`` then ``0xAA``) the
-encoder emits before every sync burst.
-
-As in :mod:`repro.coresight.decoder`, the byte machine
-(:meth:`EtraceDecoder.step_byte`) is the reference and ``feed`` runs a
-bulk path beside it while the decoder is locked and idle: it claims
-whole address, trap-address and branch-map packets and hands every
-other packet, from its first byte, to the byte machine.
+The streaming scaffold (``feed``, ``finish``, the strict / lenient /
+resync-hunt modes, state) is the shared
+:class:`repro.tracepath.TraceDecoder`, as for
+:class:`repro.coresight.decoder.PftDecoder`.  This module supplies the
+E-Trace byte machine (``_step``), its bulk path (``_claim``, which
+claims whole address, trap-address and branch-map packets while the
+decoder is locked and idle) and the hunt pattern: the alignment
+preamble (``4 x 0x00`` then ``0xAA``) the encoder emits before every
+sync burst.
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ from repro.frontends.etrace.packets import (
     SYNC_SUB_SUPPORT,
     zigzag_decode,
 )
-from repro.obs import MetricsRegistry, NULL_REGISTRY
+from repro.tracepath import TraceDecoder
 
 
 @dataclass(frozen=True)
@@ -107,120 +103,28 @@ class _State(enum.Enum):
     HUNT = "hunt"
 
 
-class EtraceDecoder:
-    """Streaming packet decoder (see :class:`PftDecoder` for modes)."""
+class EtraceDecoder(TraceDecoder):
+    """Streaming E-Trace packet decoder (modes: see :class:`TraceDecoder`)."""
 
-    def __init__(
-        self,
-        strict: bool = True,
-        resync_hunt: bool = False,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
-        self.strict = strict
-        self.resync_hunt = resync_hunt
-        self._state = _State.HUNT if resync_hunt else _State.IDLE
-        self._scratch: List[int] = []
-        self._zeros = 0
-        self._map_count = 0
-        self._trap = False
-        self._pending_address = 0
-        self._last_units = 0
-        self._ever_locked = False
-        self.resyncs = 0
-        self.truncated = 0
-        self.hunt_bytes = 0
-        self.metrics = metrics or NULL_REGISTRY
-        self._m_resyncs = self.metrics.counter("etrace.decoder.resyncs")
-        self._m_truncated = self.metrics.counter("etrace.decoder.truncated")
-        self._m_hunt_bytes = self.metrics.counter("etrace.decoder.hunt_bytes")
-
-    # ------------------------------------------------------------------
-
-    def feed(self, data: bytes) -> List[object]:
-        """Decode a chunk; returns the packets completed by it."""
-        out: List[object] = []
-        index = 0
-        end = len(data)
-        while index < end:
-            if self._state is _State.IDLE:
-                index = self._claim(data, index, out)
-                if index == end:
-                    break
-            decoded = self._step(data[index])
-            if decoded:
-                out.extend(decoded)
-            index += 1
-        return out
-
-    def branches(self, data: bytes) -> List[EtraceBranch]:
-        """Feed and keep only the taken-branch address packets."""
-        return [p for p in self.feed(data) if isinstance(p, EtraceBranch)]
-
-    def step_byte(self, byte: int) -> List[object]:
-        """Decode exactly one byte."""
-        return self._step(byte) or []
-
-    def finish(self) -> List[object]:
-        """Declare end-of-stream; surface a truncated trailing packet.
-
-        Same contract as :meth:`PftDecoder.finish`: strict decoders
-        raise, others count the event and return an
-        :class:`EtraceTruncation` marker; idle or hunting decoders
-        return ``[]``.  Either way the decoder is reset to its start
-        state, ready for a new stream.
-        """
-        state = self._state
-        if state in (_State.IDLE, _State.HUNT):
-            return []
-        pending = (
-            self._zeros if state is _State.ALIGN else len(self._scratch)
-        )
-        self._scratch = []
-        self._zeros = 0
-        self._state = _State.HUNT if self.resync_hunt else _State.IDLE
-        self.truncated += 1
-        self._m_truncated.inc()
-        if self.strict and not self.resync_hunt:
-            raise PacketDecodeError(
-                f"truncated {state.value} packet at end of stream "
-                f"({pending} byte(s) pending)"
-            )
-        return [EtraceTruncation(state=state.value, pending_bytes=pending)]
-
-    # ------------------------------------------------------------------
-    # Durability
-    # ------------------------------------------------------------------
-
-    def export_state(self) -> dict:
-        """JSON-able carry state for checkpointing (see repro.durability)."""
-        return {
-            "state": self._state.value,
-            "scratch": list(self._scratch),
-            "zeros": self._zeros,
-            "map_count": self._map_count,
-            "trap": self._trap,
-            "pending_address": self._pending_address,
-            "last_units": self._last_units,
-            "ever_locked": self._ever_locked,
-            "resyncs": self.resyncs,
-            "truncated": self.truncated,
-            "hunt_bytes": self.hunt_bytes,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self._state = _State(state["state"])
-        self._scratch = list(state["scratch"])
-        self._zeros = state["zeros"]
-        self._map_count = state["map_count"]
-        self._trap = state["trap"]
-        self._pending_address = state["pending_address"]
-        self._last_units = state["last_units"]
-        self._ever_locked = state["ever_locked"]
-        self.resyncs = state["resyncs"]
-        self.truncated = state["truncated"]
-        self.hunt_bytes = state["hunt_bytes"]
-
-    # ------------------------------------------------------------------
+    _IDLE = _State.IDLE
+    _HUNT = _State.HUNT
+    _FILL = _State.ALIGN
+    fill_byte = ALIGN_FILL
+    end_byte = ALIGN_END
+    fill_count = ALIGN_FILL_COUNT
+    counters = (
+        "etrace.decoder.resyncs",
+        "etrace.decoder.truncated",
+        "etrace.decoder.hunt_bytes",
+    )
+    branch_type = EtraceBranch
+    truncation_type = EtraceTruncation
+    grammar_state = {
+        "map_count": 0,
+        "trap": False,
+        "pending_address": 0,
+        "last_units": 0,
+    }
 
     def _error(
         self, byte: Optional[int], message: str
@@ -234,33 +138,6 @@ class EtraceDecoder:
         self._zeros = 0
         self._state = _State.IDLE
         return []
-
-    def _begin_hunt(self, byte: Optional[int]) -> Optional[List[object]]:
-        """Enter hunt mode after an error; optionally retry ``byte``."""
-        self._scratch = []
-        self._zeros = 0
-        self._state = _State.HUNT
-        if byte is None:
-            return None
-        return self._hunt(byte)
-
-    def _hunt(self, byte: int) -> Optional[List[object]]:
-        """Scan for the align preamble (>=4 x 0x00 then 0xAA)."""
-        if byte == ALIGN_FILL:
-            self._zeros += 1
-            return None
-        if byte == ALIGN_END and self._zeros >= ALIGN_FILL_COUNT:
-            self._state = _State.IDLE
-            self._zeros = 0
-            if self._ever_locked:
-                self.resyncs += 1
-                self._m_resyncs.inc()
-            self._ever_locked = True
-            return []
-        self.hunt_bytes += self._zeros + 1
-        self._m_hunt_bytes.inc(self._zeros + 1)
-        self._zeros = 0
-        return None
 
     def _claim(self, data, index: int, out: List[object]) -> int:
         """Bulk path: decode whole common packets from ``data[index:]``.

@@ -1,24 +1,22 @@
 """Kernel-driver-style configuration facade for the E-Trace path.
 
-The E-Trace twin of :class:`repro.coresight.driver.CoreSightDriver`:
-owns the encoder and link framer, exposes the same enable / disable /
-``set_context_id`` control surface and trace/flush data plane, so the
-SoC layer can hold either driver behind the
-:class:`repro.frontends.base.TraceDriver` protocol.
+The shared :class:`repro.tracepath.TraceDriver` over an E-Trace
+encoder and ETP link framer, with the same control surface and data
+plane as :class:`repro.coresight.driver.CoreSightDriver`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from functools import partial
+from typing import Optional
 
-from repro.errors import SocConfigError
 from repro.frontends.etrace.encoder import EtraceConfig, EtraceEncoder
-from repro.frontends.etrace.transport import EtraceDeframer, EtraceFramer
-from repro.obs import MetricsRegistry, NULL_REGISTRY
-from repro.workloads.cfg import BranchEvent
+from repro.frontends.etrace.transport import EtraceFramer
+from repro.obs import MetricsRegistry
+from repro.tracepath import TraceDriver
 
 
-class EtraceDriver:
+class EtraceDriver(TraceDriver):
     """Configures and drives the encoder -> link framer trace path."""
 
     def __init__(
@@ -27,83 +25,12 @@ class EtraceDriver:
         sync_period: int = 64,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.etrace_config = etrace_config or EtraceConfig()
-        self.sync_period = sync_period
-        self.metrics = metrics or NULL_REGISTRY
-        self._encoder: Optional[EtraceEncoder] = None
-        self._framer: Optional[EtraceFramer] = None
-        self.enabled = False
-
-    # ------------------------------------------------------------------
-    # Control-plane
-    # ------------------------------------------------------------------
-
-    def enable(self) -> None:
-        """Power up the encoder and link with the current configuration."""
-        self._encoder = EtraceEncoder(self.etrace_config, metrics=self.metrics)
-        self._framer = EtraceFramer(
-            sync_period=self.sync_period, metrics=self.metrics
+        config = etrace_config or EtraceConfig()
+        super().__init__(
+            config,
+            partial(EtraceEncoder, config),
+            partial(EtraceFramer, sync_period=sync_period),
+            state_keys=("encoder", "framer"),
+            label="E-Trace path",
+            metrics=metrics,
         )
-        self.enabled = True
-
-    def disable(self) -> None:
-        self._encoder = None
-        self._framer = None
-        self.enabled = False
-
-    def set_context_id(self, context_id: int) -> None:
-        """Track a different process (takes effect on next enable)."""
-        if self.enabled:
-            raise SocConfigError("disable tracing before reconfiguring")
-        self.etrace_config.context_id = context_id
-
-    # ------------------------------------------------------------------
-    # Durability
-    # ------------------------------------------------------------------
-
-    def export_state(self) -> dict:
-        """JSON-able carry state for checkpointing (see repro.durability)."""
-        if not self.enabled or self._encoder is None or self._framer is None:
-            raise SocConfigError("E-Trace path not enabled")
-        return {
-            "encoder": self._encoder.export_state(),
-            "framer": self._framer.export_state(),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.disable()
-        self.enable()
-        assert self._encoder is not None and self._framer is not None
-        self._encoder.restore_state(state["encoder"])
-        self._framer.restore_state(state["framer"])
-
-    # ------------------------------------------------------------------
-    # Data-plane
-    # ------------------------------------------------------------------
-
-    def trace(self, event: BranchEvent) -> bytes:
-        """Push one branch event through the encoder; returns frame bytes."""
-        if not self.enabled or self._encoder is None or self._framer is None:
-            raise SocConfigError("E-Trace path not enabled")
-        packet_bytes = self._encoder.feed(event)
-        return self._framer.push(packet_bytes)
-
-    def flush(self) -> bytes:
-        if not self.enabled or self._encoder is None or self._framer is None:
-            raise SocConfigError("E-Trace path not enabled")
-        out = self._framer.push(self._encoder.flush())
-        out += self._framer.flush()
-        return out
-
-    def trace_all(self, events: Iterable[BranchEvent]) -> bytes:
-        """Trace a whole event stream and flush (training collection)."""
-        out = bytearray()
-        for event in events:
-            out += self.trace(event)
-        out += self.flush()
-        return bytes(out)
-
-    @staticmethod
-    def new_deframer() -> EtraceDeframer:
-        """Receiver for the framed stream (what IGM instantiates)."""
-        return EtraceDeframer()

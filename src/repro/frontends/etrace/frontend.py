@@ -7,8 +7,8 @@ from typing import List, Optional
 from repro.frontends.base import TraceFrontend
 from repro.frontends.etrace.decoder import EtraceDecoder
 from repro.frontends.etrace.driver import EtraceDriver
-from repro.frontends.etrace.encoder import EtraceConfig
-from repro.frontends.etrace.transport import EtraceDeframer
+from repro.frontends.etrace.encoder import EtraceConfig, EtraceEncoder
+from repro.frontends.etrace.transport import EtraceDeframer, EtraceFramer
 from repro.obs import MetricsRegistry
 
 
@@ -16,16 +16,8 @@ class EtraceFrontend(TraceFrontend):
     """Branch maps + differential addresses over the checksummed ETP."""
 
     name = "etrace"
-    counter_namespace = "etrace"
-    decoder_counters = (
-        "etrace.decoder.resyncs",
-        "etrace.decoder.truncated",
-        "etrace.decoder.hunt_bytes",
-    )
-    deframer_counters = (
-        "etrace.deframer.resyncs",
-        "etrace.deframer.bytes_discarded",
-    )
+    decoder_counters = EtraceDecoder.counters
+    deframer_counters = EtraceDeframer.counters
 
     def __init__(
         self,
@@ -51,14 +43,22 @@ class EtraceFrontend(TraceFrontend):
     ) -> List:
         # Deferred import: repro.pipeline.stages pulls in numpy-heavy
         # modules the control-plane users of this frontend never need.
-        from repro.frontends.etrace.stages import (
-            EtraceEncodeStage,
-            EtraceFrameStage,
-        )
+        from repro.pipeline.stages import ByteCountEncodeStage, LinkFrameStage
 
+        config = self.etrace_config
+        # No vectorised E-Trace encoder: count a real encoder's bytes.
         return [
-            EtraceEncodeStage(config=self.etrace_config, metrics=metrics),
-            EtraceFrameStage(sync_period=self.sync_period, metrics=metrics),
+            ByteCountEncodeStage(
+                "etrace",
+                lambda: EtraceEncoder(config, metrics=metrics),
+                metrics=metrics,
+            ),
+            LinkFrameStage(
+                "etrace_link",
+                EtraceFramer,
+                sync_period=self.sync_period,
+                metrics=metrics,
+            ),
         ]
 
     def new_deframer(

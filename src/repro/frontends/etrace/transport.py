@@ -1,8 +1,8 @@
 """E-Trace transport link ("ETP"): packet bytes -> checksummed frames.
 
-The structural twin of :mod:`repro.coresight.tpiu`, with the layout a
-RISC-V trace funnel would use instead of the TPIU's fixed 16-byte
-frames:
+Like :mod:`repro.coresight.tpiu`, a framer/deframer pair over the
+shared :mod:`repro.tracepath` link skeleton, with the layout a RISC-V
+trace funnel would use instead of the TPIU's fixed 16-byte frames:
 
     byte 0       ``0xE0 | payload_length`` (length 1..15)
     bytes 1..n   payload (raw encoder packet bytes)
@@ -20,10 +20,7 @@ header position.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.errors import FrameSyncError
-from repro.obs import MetricsRegistry, NULL_REGISTRY
+from repro.tracepath import LinkDeframer, LinkFramer
 
 #: Header byte high nibble; low nibble carries the payload length.
 FRAME_HEADER_BASE = 0xE0
@@ -44,74 +41,24 @@ def frame_checksum(payload: bytes) -> int:
     return check
 
 
-class EtraceFramer:
+class EtraceFramer(LinkFramer):
     """Link transmitter: accepts packet bytes, emits complete frames."""
 
-    def __init__(
-        self,
-        sync_period: int = 64,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
-        if sync_period < 1:
-            raise ValueError("sync_period must be >= 1")
-        self.sync_period = sync_period
-        self._buffer = bytearray()
-        self._frames_since_sync = sync_period  # sync immediately at start
-        self.frames_emitted = 0
-        self.metrics = metrics or NULL_REGISTRY
-        self._m_frames = self.metrics.counter("etrace.link.frames")
-        self._m_sync_frames = self.metrics.counter("etrace.link.sync_frames")
-        self._m_payload = self.metrics.counter("etrace.link.payload_bytes")
-
-    def export_state(self) -> dict:
-        """JSON-able carry state for checkpointing (see repro.durability)."""
-        return {
-            "buffer": bytes(self._buffer).hex(),
-            "frames_since_sync": self._frames_since_sync,
-            "frames_emitted": self.frames_emitted,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self._buffer = bytearray(bytes.fromhex(state["buffer"]))
-        self._frames_since_sync = state["frames_since_sync"]
-        self.frames_emitted = state["frames_emitted"]
-
-    def push(self, data: bytes) -> bytes:
-        """Buffer packet bytes; return any complete frames produced."""
-        self._buffer += data
-        out = bytearray()
-        while len(self._buffer) >= PAYLOAD_PER_FRAME:
-            payload = bytes(self._buffer[:PAYLOAD_PER_FRAME])
-            del self._buffer[:PAYLOAD_PER_FRAME]
-            out += self._frame(payload)
-        return bytes(out)
-
-    def flush(self) -> bytes:
-        """Emit a final short frame with whatever remains buffered."""
-        if not self._buffer:
-            return b""
-        payload = bytes(self._buffer)
-        self._buffer.clear()
-        return self._frame(payload)
+    payload_per_frame = PAYLOAD_PER_FRAME
+    frame_size = FRAME_SIZE
+    sync_pattern = SYNC_PATTERN
+    padded_tail = False
+    counter_prefix = "etrace.link"
 
     def _frame(self, payload: bytes) -> bytes:
-        assert 1 <= len(payload) <= PAYLOAD_PER_FRAME
-        out = bytearray()
-        if self._frames_since_sync >= self.sync_period:
-            out += SYNC_PATTERN
-            self._frames_since_sync = 0
-            self._m_sync_frames.inc()
-        out.append(FRAME_HEADER_BASE | len(payload))
-        out += payload
-        out.append(frame_checksum(payload))
-        self.frames_emitted += 1
-        self._frames_since_sync += 1
-        self._m_frames.inc()
-        self._m_payload.inc(len(payload))
-        return bytes(out)
+        return (
+            bytes([FRAME_HEADER_BASE | len(payload)])
+            + payload
+            + bytes([frame_checksum(payload)])
+        )
 
 
-class EtraceDeframer:
+class EtraceDeframer(LinkDeframer):
     """Receiver side: frames back to the raw packet byte stream.
 
     Starts unsynchronised: discards bytes until the sync pattern is
@@ -122,58 +69,7 @@ class EtraceDeframer:
     next sync pattern.
     """
 
-    def __init__(
-        self,
-        resync_hunt: bool = False,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
-        self.resync_hunt = resync_hunt
-        self._synced = False
-        self._buffer = bytearray()
-        self.frames_consumed = 0
-        self.bytes_discarded = 0
-        self.frame_resyncs = 0
-        self.metrics = metrics or NULL_REGISTRY
-        self._m_resyncs = self.metrics.counter("etrace.deframer.resyncs")
-        self._m_bytes_discarded = self.metrics.counter(
-            "etrace.deframer.bytes_discarded"
-        )
-
-    def _discard(self, amount: int) -> None:
-        self.bytes_discarded += amount
-        self._m_bytes_discarded.inc(amount)
-
-    def _desync(self, amount: int, message: str) -> int:
-        """A malformed frame: drop sync, discard ``amount`` bytes and
-        hunt for the next pattern (returns ``amount``)."""
-        if not self.resync_hunt:
-            raise FrameSyncError(message)
-        self._synced = False
-        self.frame_resyncs += 1
-        self._m_resyncs.inc()
-        self._discard(amount)
-        return amount
-
-    def export_state(self) -> dict:
-        """JSON-able carry state for checkpointing (see repro.durability)."""
-        return {
-            "synced": self._synced,
-            "buffer": bytes(self._buffer).hex(),
-            "frames_consumed": self.frames_consumed,
-            "bytes_discarded": self.bytes_discarded,
-            "frame_resyncs": self.frame_resyncs,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self._synced = state["synced"]
-        self._buffer = bytearray(bytes.fromhex(state["buffer"]))
-        self.frames_consumed = state["frames_consumed"]
-        self.bytes_discarded = state["bytes_discarded"]
-        self.frame_resyncs = state["frame_resyncs"]
-
-    @property
-    def synced(self) -> bool:
-        return self._synced
+    counters = ("etrace.deframer.resyncs", "etrace.deframer.bytes_discarded")
 
     def push(self, data: bytes) -> bytes:
         """Consume frame bytes; return recovered packet payload bytes.

@@ -11,7 +11,7 @@ chain, like the IGM's fixed hardware blocks:
   tag at every stage boundary, and threads ``repro.obs`` instruments
   through every stage,
 - :mod:`~repro.pipeline.stages` — the concrete trace-path stages
-  (PTM encode, TPIU framing, PTM-FIFO batching, IGM map+encode,
+  (PTM encode, link framing, PTM-FIFO batching, IGM map+encode,
   delivery), rewritten to operate on numpy *batches* of events.
 
 The batched stages are **behaviour-preserving**: every simulated
@@ -27,9 +27,9 @@ from repro.pipeline.stage import Stage, StageBase
 from repro.pipeline.stages import (
     DeliverStage,
     IgmStage,
+    LinkFrameStage,
     PtmEncodeStage,
     PtmFifoStage,
-    TpiuFrameStage,
 )
 
 __all__ = [
@@ -37,12 +37,12 @@ __all__ = [
     "EventBatch",
     "FifoFlush",
     "IgmStage",
+    "LinkFrameStage",
     "Pipeline",
     "PtmEncodeStage",
     "PtmFifoStage",
     "Stage",
     "StageBase",
-    "TpiuFrameStage",
     "TraceBatch",
     "build_trace_pipeline",
 ]

@@ -44,9 +44,6 @@ _SYNC_BURST_BYTES = 17
 #: Timestamp packet appended to the burst when enabled.
 _TIMESTAMP_BYTES = 9
 
-_TPIU_PAYLOAD = 15
-_TPIU_FRAME = 16
-
 
 def _sync_burst_bytes(config: PtmConfig) -> int:
     return _SYNC_BURST_BYTES + (
@@ -393,29 +390,45 @@ class ByteCountEncodeStage(StageBase):
         return batch
 
 
-class TpiuFrameStage(StageBase):
-    """PTM byte counts -> TPIU frame bytes leaving the trace port."""
+class LinkFrameStage(StageBase):
+    """Packet byte counts -> link-frame bytes leaving the trace port.
 
-    name = "tpiu"
+    The vectorised model of a :class:`~repro.tracepath.LinkFramer`
+    subclass (``framer``), which supplies the link geometry — payload
+    bytes per frame, full-frame bytes, sync-pattern bytes, and whether
+    the tail frame is padded to full size (TPIU) or sent short (ETP) —
+    and the counter names; ``name`` is the stage's (``tpiu``,
+    ``etrace_link``).
+    """
 
     def __init__(
         self,
+        name: str,
+        framer: type,
         sync_period: int = 64,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
+        # Counter names derive from ``self.name`` inside StageBase.
+        self.name = name
         super().__init__(metrics=metrics)
         if sync_period < 1:
             raise ValueError("sync_period must be >= 1")
         self.sync_period = sync_period
+        self._payload = framer.payload_per_frame
+        self._frame = framer.frame_size
+        self._sync = len(framer.sync_pattern)
+        self._padded_tail = framer.padded_tail
         self.reset()
-        self._m_frames = self.metrics.counter("tpiu.frames")
-        self._m_sync_frames = self.metrics.counter("tpiu.sync_frames")
-        self._m_payload = self.metrics.counter("tpiu.payload_bytes")
-        self._m_padding = self.metrics.counter("tpiu.padding_bytes")
+        prefix = framer.counter_prefix
+        self._m_frames = self.metrics.counter(f"{prefix}.frames")
+        self._m_sync_frames = self.metrics.counter(f"{prefix}.sync_frames")
+        self._m_payload = self.metrics.counter(f"{prefix}.payload_bytes")
+        if self._padded_tail:
+            self._m_padding = self.metrics.counter(f"{prefix}.padding_bytes")
 
     def reset(self) -> None:
         self._buffer = 0
-        # A fresh TPIU emits a full-sync frame before its first frame.
+        # A fresh framer emits the sync pattern before its first frame.
         self._frames_since_sync = self.sync_period
 
     def export_state(self) -> dict:
@@ -429,7 +442,7 @@ class TpiuFrameStage(StageBase):
         self._frames_since_sync = state["frames_since_sync"]
 
     def _advance_frames(self, frames: int) -> int:
-        """Consume ``frames`` data-frame slots; return sync frames."""
+        """Consume ``frames`` data-frame slots; return sync patterns."""
         period = self.sync_period
         g0 = period - self._frames_since_sync
         if frames <= g0:
@@ -442,25 +455,36 @@ class TpiuFrameStage(StageBase):
 
     def process(self, batch: TraceBatch) -> TraceBatch:
         self._account_batch(batch)
+        payload = self._payload
         if batch.tail:
             total = self._buffer + batch.tail_ptm_bytes
-            complete, remainder = divmod(total, _TPIU_PAYLOAD)
+            complete, remainder = divmod(total, payload)
             data_frames = complete + (1 if remainder else 0)
             syncs = self._advance_frames(data_frames)
-            batch.tail_frame_bytes = _TPIU_FRAME * (data_frames + syncs)
+            tail_frame = 0
+            if remainder:
+                # A short tail frame keeps the full frame's overhead.
+                tail_frame = (
+                    self._frame
+                    if self._padded_tail
+                    else self._frame - payload + remainder
+                )
+            batch.tail_frame_bytes = (
+                complete * self._frame + tail_frame + syncs * self._sync
+            )
             self._buffer = 0
             self._m_frames.inc(data_frames)
             self._m_sync_frames.inc(syncs)
             self._m_payload.inc(total)
-            if remainder:
-                self._m_padding.inc(_TPIU_PAYLOAD - remainder)
+            if remainder and self._padded_tail:
+                self._m_padding.inc(payload - remainder)
             return batch
         if len(batch) == 0:
             batch.frame_bytes = np.zeros(0, dtype=np.int64)
             return batch
         assert batch.ptm_bytes is not None
         cumulative = self._buffer + np.cumsum(batch.ptm_bytes)
-        frames_after = cumulative // _TPIU_PAYLOAD
+        frames_after = cumulative // payload
         frames_per_event = np.diff(frames_after, prepend=0)
         total_frames = int(frames_after[-1])
         period = self.sync_period
@@ -471,13 +495,15 @@ class TpiuFrameStage(StageBase):
             (frames_after - g0 - 1) // period + 1,
         )
         syncs_per_event = np.diff(syncs_before, prepend=0)
-        batch.frame_bytes = (frames_per_event + syncs_per_event) * _TPIU_FRAME
+        batch.frame_bytes = (
+            frames_per_event * self._frame + syncs_per_event * self._sync
+        )
         total_syncs = int(syncs_before[-1])
         self._advance_frames(total_frames)
-        self._buffer = int(cumulative[-1]) % _TPIU_PAYLOAD
+        self._buffer = int(cumulative[-1]) % payload
         self._m_frames.inc(total_frames)
         self._m_sync_frames.inc(total_syncs)
-        self._m_payload.inc(_TPIU_PAYLOAD * total_frames)
+        self._m_payload.inc(payload * total_frames)
         return batch
 
 

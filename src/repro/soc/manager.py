@@ -164,10 +164,9 @@ class TenantRuntime:
             metrics=metrics,
         )
         self.schedule: List[Tuple[InputVector, float]] = []
-        # Deferred imports: repro.pipeline depends on repro.soc.clocks
-        # and repro.frontends late-binds its builtins; module-level
-        # imports here would be circular through the repro.soc package
-        # __init__.
+        # Deferred imports: repro.pipeline depends on repro.soc.clocks;
+        # module-level imports here would be circular through the
+        # repro.soc package __init__.
         from repro.frontends import get_frontend
         from repro.pipeline import build_trace_pipeline
         from repro.soc.loop import LoopDataplane

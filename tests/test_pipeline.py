@@ -1,8 +1,8 @@
 """Unit tests for the staged dataplane (repro.pipeline).
 
 Each batched stage is checked *differentially* against the per-event
-reference component it replaces (Ptm, Tpiu, PtmFifoModel, mapper +
-encoder loop), under randomized event streams and randomized chunk
+reference component it replaces (Ptm, Tpiu/EtraceFramer, PtmFifoModel,
+mapper + encoder loop), under randomized event streams and randomized chunk
 boundaries — the carry state across batches is where the bugs live.
 """
 
@@ -16,6 +16,7 @@ from repro.coresight.tpiu import Tpiu
 from repro.errors import SocConfigError
 from repro.frontends import get_frontend
 from repro.frontends.coresight import CoreSightFrontend
+from repro.frontends.etrace import EtraceFramer
 from repro.igm.address_mapper import AddressMapper
 from repro.igm.vector_encoder import EncoderMode, InputVector, VectorEncoder
 from repro.obs import MetricsRegistry
@@ -24,11 +25,11 @@ from repro.pipeline import (
     EventBatch,
     FifoFlush,
     IgmStage,
+    LinkFrameStage,
     Pipeline,
     PtmEncodeStage,
     PtmFifoStage,
     Stage,
-    TpiuFrameStage,
     TraceBatch,
     build_trace_pipeline,
 )
@@ -98,7 +99,7 @@ def test_concrete_stages_satisfy_protocol():
     encoder = VectorEncoder(window=2, vocabulary_size=3)
     stages = [
         PtmEncodeStage(),
-        TpiuFrameStage(),
+        LinkFrameStage("tpiu", Tpiu),
         PtmFifoStage(),
         IgmStage(mapper, encoder),
         DeliverStage(lambda v, t: None),
@@ -209,36 +210,63 @@ class TestPtmEncodeStage:
 
 
 # ----------------------------------------------------------------------
-# TPIU framing stage vs the reference Tpiu
+# Link framing stage vs each grammar's reference framer
 # ----------------------------------------------------------------------
 
+#: Grammar -> (stage name, reference framer) of its link layer.
+LINKS = {"coresight": ("tpiu", Tpiu), "etrace": ("etrace_link", EtraceFramer)}
 
-class TestTpiuFrameStage:
+
+def _link_counters(registry: MetricsRegistry, framer) -> dict:
+    prefix = framer.counter_prefix + "."
+    counters = registry.snapshot()["counters"]
+    return {k: v for k, v in counters.items() if k.startswith(prefix)}
+
+
+class TestLinkFrameStage:
     @pytest.mark.parametrize("sync_period", [1, 3, 64])
-    def test_matches_reference_tpiu(self, sync_period):
+    @pytest.mark.parametrize("grammar", sorted(LINKS))
+    def test_matches_reference_framer(self, grammar, sync_period):
+        name, framer = LINKS[grammar]
         rng = np.random.default_rng(13)
         ptm_bytes = rng.integers(0, 9, size=500)
-        reference = Tpiu(sync_period=sync_period)
-        expect = [
-            len(reference.push(bytes(int(n)))) for n in ptm_bytes
-        ]
-        expect_tail = len(reference.flush())
-
-        stage = TpiuFrameStage(sync_period=sync_period)
+        reference_metrics = MetricsRegistry()
+        reference = framer(sync_period=sync_period, metrics=reference_metrics)
+        stage_metrics = MetricsRegistry()
+        stage = LinkFrameStage(
+            name, framer, sync_period=sync_period, metrics=stage_metrics
+        )
+        assert stage.name == name
         got: list = []
+        expect: list = []
         start = 0
         while start < len(ptm_bytes):
             size = int(rng.integers(1, 64))
             chunk = ptm_bytes[start : start + size]
+            expect.extend(len(reference.push(bytes(int(n)))) for n in chunk)
             batch = TraceBatch()
             batch.events = EventBatch.from_events([])  # placeholder
             batch.events.cycle = np.zeros(len(chunk), dtype=np.int64)
             batch.ptm_bytes = chunk.astype(np.int64)
             got.extend(stage.process(batch).frame_bytes.tolist())
+            # The carry state agrees at every chunk boundary.
+            carry = reference.export_state()
+            assert stage.export_state() == {
+                "buffer": len(bytes.fromhex(carry["buffer"])),
+                "frames_since_sync": carry["frames_since_sync"],
+            }
             start += size
+        expect_tail = len(reference.flush())
         tail = stage.flush()
         assert got == expect
         assert tail.tail_frame_bytes == expect_tail
+        assert (
+            stage.export_state()["frames_since_sync"]
+            == reference.export_state()["frames_since_sync"]
+        )
+        assert _link_counters(stage_metrics, framer) == _link_counters(
+            reference_metrics, framer
+        )
 
 
 # ----------------------------------------------------------------------
