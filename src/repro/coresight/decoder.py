@@ -129,7 +129,7 @@ class PftDecoder(TraceDecoder):
     )
     branch_type = DecodedBranch
     truncation_type = TruncatedPacket
-    grammar_state = {"last_address": 0, "branch_complete": False}
+    grammar_state = {"last_address": 0}
 
     def _claim(self, data, index: int, out: List[object]) -> int:
         """Bulk path: decode whole common packets from ``data[index:]``.

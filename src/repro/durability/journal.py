@@ -36,11 +36,12 @@ import struct
 import zlib
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import JournalCorruptionError
+from repro.eventbatch import KIND_CODE, KIND_ORDER, EventBatch
 from repro.obs import NULL_REGISTRY
 from repro.workloads.cfg import BranchEvent, BranchKind
 
@@ -477,65 +478,63 @@ class TraceChunk:
     tenant: str
     round_index: int
     chunk_index: int
-    events: Tuple[BranchEvent, ...]
+    batch: EventBatch
+
+    @property
+    def events(self) -> Sequence[BranchEvent]:
+        """The chunk's events as objects (built on first use)."""
+        return self.batch.events
+
+
+#: Packed bytes per event: cycle/source/target int64, kind/taken uint8.
+_EVENT_BYTES = 3 * 8 + 2
+
+
+def _palette(kind: np.ndarray) -> Tuple[np.ndarray, List[str]]:
+    """A kind column renumbered by first appearance, and the kind
+    names in that order (the chunk's palette)."""
+    present = np.flatnonzero(np.bincount(kind))
+    firsts = [int(np.argmax(kind == code)) for code in present]
+    present = present[np.argsort(firsts)]
+    table = np.zeros(len(KIND_ORDER), np.uint8)
+    table[present] = np.arange(len(present))
+    return table[kind], [KIND_ORDER[code].name for code in present]
 
 
 def encode_trace_chunk(
     tenant: str,
     round_index: int,
     chunk_index: int,
-    events: Sequence[BranchEvent],
+    events: Union[EventBatch, Sequence[BranchEvent]],
 ) -> bytes:
     """Pack a slice of one tenant's trace into a ``TRACE_CHUNK`` payload.
 
     Layout: one JSON header line (tenant, round, chunk, count, and a
-    self-describing :class:`BranchKind` *name palette* — the enum's
-    declaration order is never relied upon on disk), then the packed
-    columns: ``cycle``/``source``/``target`` as little-endian int64 and
-    ``kind``/``taken`` as uint8.
+    self-describing :class:`BranchKind` *name palette* in order of
+    first appearance — the enum's declaration order is never relied
+    upon on disk), then the packed columns: ``cycle``/``source``/
+    ``target`` as little-endian int64 and ``kind``/``taken`` as uint8.
     """
-    count = len(events)
-    palette: List[str] = []
-    palette_index = {}
-    kind_codes = np.empty(count, dtype=np.uint8)
-    for position, event in enumerate(events):
-        name = event.kind.name
-        code = palette_index.get(name)
-        if code is None:
-            code = len(palette)
-            palette_index[name] = code
-            palette.append(name)
-        kind_codes[position] = code
+    batch = EventBatch.of(events)
+    codes, palette = _palette(batch.kind)
     header = encode_json_payload(
         {
             "tenant": tenant,
             "round": round_index,
             "chunk": chunk_index,
-            "count": count,
+            "count": len(batch),
             "kinds": palette,
         }
-    )
-    cycles = np.fromiter(
-        (event.cycle for event in events), dtype="<i8", count=count
-    )
-    sources = np.fromiter(
-        (event.source for event in events), dtype="<i8", count=count
-    )
-    targets = np.fromiter(
-        (event.target for event in events), dtype="<i8", count=count
-    )
-    taken = np.fromiter(
-        (event.taken for event in events), dtype=np.uint8, count=count
     )
     return b"".join(
         (
             header,
             b"\n",
-            cycles.tobytes(),
-            sources.tobytes(),
-            targets.tobytes(),
-            kind_codes.tobytes(),
-            taken.tobytes(),
+            batch.cycle.astype("<i8", copy=False).tobytes(),
+            batch.source.astype("<i8", copy=False).tobytes(),
+            batch.target.astype("<i8", copy=False).tobytes(),
+            codes.tobytes(),
+            batch.taken.tobytes(),
         )
     )
 
@@ -562,19 +561,36 @@ def decode_trace_chunk(payload) -> TraceChunk:
     """Inverse of :func:`encode_trace_chunk`.
 
     Accepts ``bytes`` or any buffer-protocol object (e.g. a
-    memoryview into a shared-memory ring slot); with a view input the
-    packed columns are mapped as zero-copy numpy views over the
-    underlying buffer.
+    memoryview into a shared-memory ring slot).  The cycle, source,
+    target and taken columns are zero-copy read-only views over the
+    payload, so they live no longer than the caller keeps the
+    payload's buffer mapped; only the kind codes are translated
+    (through the palette) into a new column.  Any malformed header,
+    palette, kind code or ``taken`` byte raises
+    :class:`~repro.errors.JournalCorruptionError`.
     """
     newline = _find_newline(payload)
     if newline < 0:
         raise JournalCorruptionError("trace chunk missing header line")
-    header = decode_json_payload(bytes(payload[:newline]))
-    count = int(header["count"])
-    kinds = [BranchKind[name] for name in header["kinds"]]
+    try:
+        header = decode_json_payload(bytes(payload[:newline]))
+        tenant = str(header["tenant"])
+        round_index = int(header["round"])
+        chunk_index = int(header["chunk"])
+        count = int(header["count"])
+        table = np.array(
+            [KIND_CODE[BranchKind[name]] for name in header["kinds"]],
+            dtype=np.uint8,
+        )
+    except (KeyError, TypeError, ValueError) as error:
+        # ValueError covers bad JSON, bad UTF-8 and non-numeric fields.
+        raise JournalCorruptionError(
+            f"trace chunk header is malformed: "
+            f"{type(error).__name__}: {error}"
+        ) from error
     body = payload[newline + 1:]
-    expected = count * (3 * 8 + 2)
-    if len(body) != expected:
+    expected = count * _EVENT_BYTES
+    if count < 0 or len(body) != expected:
         raise JournalCorruptionError(
             f"trace chunk body is {len(body)} bytes, expected {expected}"
         )
@@ -587,27 +603,28 @@ def decode_trace_chunk(payload) -> TraceChunk:
     taken = np.frombuffer(
         body, dtype=np.uint8, count=count, offset=25 * count
     )
-    events = tuple(
-        BranchEvent(
-            cycle=int(cycles[i]),
-            source=int(sources[i]),
-            target=int(targets[i]),
-            kind=kinds[kind_codes[i]],
-            taken=bool(taken[i]),
+    if count and int(kind_codes.max()) >= len(table):
+        raise JournalCorruptionError(
+            f"trace chunk kind code {int(kind_codes.max())} outside its "
+            f"{len(table)}-name palette"
         )
-        for i in range(count)
-    )
+    if count and int(taken.max()) > 1:
+        raise JournalCorruptionError(
+            f"trace chunk taken byte {int(taken.max())} is not 0 or 1"
+        )
     return TraceChunk(
-        tenant=str(header["tenant"]),
-        round_index=int(header["round"]),
-        chunk_index=int(header["chunk"]),
-        events=events,
+        tenant=tenant,
+        round_index=round_index,
+        chunk_index=chunk_index,
+        batch=EventBatch(
+            cycles, sources, targets, table[kind_codes], taken.view(bool)
+        ),
     )
 
 
 def encode_round(
     round_index: int,
-    traces: Mapping[str, Sequence[BranchEvent]],
+    traces: Mapping[str, Union[EventBatch, Sequence[BranchEvent]]],
     chunk_events: int,
 ) -> List[bytes]:
     """One round's traces as ``TRACE_CHUNK`` payloads.
@@ -619,15 +636,16 @@ def encode_round(
     """
     payloads: List[bytes] = []
     for name, events in traces.items():
+        batch = EventBatch.of(events)
         for chunk_index, start in enumerate(
-            range(0, len(events), chunk_events)
+            range(0, len(batch), chunk_events)
         ):
             payloads.append(
                 encode_trace_chunk(
                     name,
                     round_index,
                     chunk_index,
-                    events[start : start + chunk_events],
+                    batch[start : start + chunk_events],
                 )
             )
     return payloads
@@ -635,14 +653,16 @@ def encode_round(
 
 def decode_round(
     round_index: int, payloads: Sequence
-) -> Dict[str, Tuple[BranchEvent, ...]]:
+) -> Dict[str, EventBatch]:
     """Inverse of :func:`encode_round`: per-tenant traces, in payload order.
 
     ``payloads`` may be ``bytes`` or buffer-protocol views (e.g. over
-    a shared-memory ring slot).  A chunk of another round raises
+    a shared-memory ring slot); a tenant's one-chunk trace is a
+    zero-copy view over its payload (see :func:`decode_trace_chunk`).
+    A chunk of another round raises
     :class:`~repro.errors.JournalCorruptionError`.
     """
-    pending: Dict[str, List[BranchEvent]] = {}
+    pending: Dict[str, List[EventBatch]] = {}
     for payload in payloads:
         chunk = decode_trace_chunk(payload)
         if chunk.round_index != round_index:
@@ -650,5 +670,7 @@ def decode_round(
                 f"trace chunk for round {chunk.round_index} "
                 f"inside round {round_index}"
             )
-        pending.setdefault(chunk.tenant, []).extend(chunk.events)
-    return {name: tuple(events) for name, events in pending.items()}
+        pending.setdefault(chunk.tenant, []).append(chunk.batch)
+    return {
+        name: EventBatch.concat(batches) for name, batches in pending.items()
+    }

@@ -190,8 +190,8 @@ class EventFaultStage(StageBase):
         self._account_batch(batch)
         if batch.tail or len(batch) == 0:
             return batch
-        events = batch.events.events if batch.events else None
-        assert events is not None
+        assert batch.events is not None
+        events = batch.events.events
         start = self._offset
         self._offset += len(events)
         mutated, counts = apply_event_faults(events, self.plan, start)
@@ -254,7 +254,11 @@ class ChunkCorruptStage(StageBase):
             assert batch.events is not None
             pos = self.plan.value(FaultKind.CHUNK_CORRUPT, index) % len(batch)
             # Flip to the neighbouring word-aligned address — silently.
-            batch.events.target[pos] ^= 4
+            # The columns may be read-only views shared with the
+            # caller's batch, so the flip lands in a copy.
+            target = batch.events.target.copy()
+            target[pos] ^= 4
+            batch.events.target = target
             self.corrupted_chunks += 1
             self._m_corrupted.inc()
         return batch

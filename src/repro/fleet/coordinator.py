@@ -62,7 +62,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.durability.journal import encode_round
 from repro.errors import (
@@ -72,6 +72,7 @@ from repro.errors import (
     SocConfigError,
     TransportError,
 )
+from repro.eventbatch import EventBatch
 from repro.fleet import messages
 from repro.fleet.transport import (
     DEFAULT_RING_BYTES,
@@ -999,7 +1000,7 @@ class FleetCoordinator:
     def _split_round(
         self,
         round_index: int,
-        traces: Mapping[str, Sequence[BranchEvent]],
+        traces: Mapping[str, Union[EventBatch, Sequence[BranchEvent]]],
     ):
         """Group one round's traces into per-shard chunk dispatches."""
         out = []
@@ -1015,7 +1016,8 @@ class FleetCoordinator:
         return out
 
     def run_events(
-        self, traces: Mapping[str, Sequence[BranchEvent]]
+        self,
+        traces: Mapping[str, Union[EventBatch, Sequence[BranchEvent]]],
     ) -> Dict[str, List[InferenceRecord]]:
         """One fleet-wide monitoring round (the SocManager surface).
 

@@ -190,26 +190,31 @@ class ShmRing:
             )
         return cls(shm, int(capacity), owner=False)
 
-    def close(self) -> None:
-        """Release the mapping; the owner also unlinks the segment."""
+    def close(self) -> bool:
+        """Release the mapping; the owner also unlinks the segment.
+
+        Returns False when views into the ring were still alive, so
+        the mapping outlives this call (process exit, or the views'
+        refcount hitting zero, reclaims it).
+        """
         if self._closed:
-            return
+            return True
         self._closed = True
+        released = True
         try:
             self.data.release()
         except BufferError:
-            pass
+            released = False
         try:
             self._shm.close()
         except BufferError:
-            # A consumer still holds payload views; process exit (or
-            # the views' refcount hitting zero) reclaims the mapping.
-            pass
+            released = False
         if self._owner:
             try:
                 self._shm.unlink()
             except FileNotFoundError:
                 pass
+        return released
 
     # -- producer -----------------------------------------------------------
 

@@ -112,10 +112,16 @@ def _serve(conn, manager: SocManager, factory, transport) -> None:
                 consumed = sum(len(buffer) for buffer in buffers)
                 started_ns = time.perf_counter_ns()
                 # The fleet's round number and the received chunks
-                # themselves: the shard journals them verbatim.
-                traces = decode_round(round_index, buffers)
-                records = manager.run_events(traces, round_index, buffers)
-                del buffers  # drop ring views before the slots recycle
+                # themselves: the shard journals them verbatim, and the
+                # traces are zero-copy column views over them.
+                try:
+                    traces = decode_round(round_index, buffers)
+                    records = manager.run_events(
+                        traces, round_index, buffers
+                    )
+                finally:
+                    # Drop every ring view before the slot recycles.
+                    traces = buffers = None
                 reply = {
                     "records": records,
                     "health": {

@@ -11,8 +11,9 @@ an assertion, which the protocol tests exercise.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Deque, Tuple
 
 from repro.errors import FsmProtocolError
 
@@ -33,13 +34,21 @@ _TRANSITIONS = {
     (McmState.READ_RESULT, "result_read"): McmState.WAIT_INPUT,
 }
 
+#: Transitions the inspection trace keeps.  The FSM runs five per
+#: inference for a tenant's whole lifetime, so a full trace would grow
+#: with every inference a long-running worker serves.
+HISTORY_TRANSITIONS = 64
+
 
 @dataclass
 class ControlFsm:
-    """The MCM sequencer, with a transition trace for inspection."""
+    """The MCM sequencer, with a trace of its latest transitions for
+    inspection."""
 
     state: McmState = McmState.WAIT_INPUT
-    history: List[Tuple[float, McmState]] = field(default_factory=list)
+    history: Deque[Tuple[float, McmState]] = field(
+        default_factory=lambda: deque(maxlen=HISTORY_TRANSITIONS)
+    )
     #: RTAD-clock cycles of control overhead charged per transition.
     cycles_per_transition: int = 2
 

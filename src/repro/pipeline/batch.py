@@ -1,7 +1,8 @@
 """Batch carriers flowing between dataplane stages.
 
 A :class:`TraceBatch` is the unit of work a stage processes: a chunk
-of branch events in struct-of-arrays form plus the per-event artifacts
+of branch events (an :class:`~repro.eventbatch.EventBatch`, the
+columnar carrier a round travels in) plus the per-event artifacts
 each stage annotates as the batch moves down the pipeline (PTM byte
 counts, TPIU frame bytes, FIFO flush edges, encoded vectors).  A
 *tail* batch carries no events; it tells every stage to drain its
@@ -11,78 +12,13 @@ flush does.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
+from repro.eventbatch import EventBatch
 from repro.igm.vector_encoder import InputVector
-from repro.soc.clocks import CPU_CLOCK, ClockDomain
-from repro.workloads.cfg import BranchEvent, BranchKind, is_map_only
-
-
-@dataclass
-class EventBatch:
-    """Struct-of-arrays view of a chunk of :class:`BranchEvent`.
-
-    ``time_ns`` is precomputed with the CPU clock so downstream stages
-    never touch the event objects on the hot path.  ``events`` keeps a
-    reference to the original slice for stages that fall back to the
-    per-event reference implementation under non-default configs.
-    """
-
-    cycle: np.ndarray      # int64 CPU cycles
-    source: np.ndarray     # int64 branch source addresses
-    target: np.ndarray     # int64 branch target addresses
-    atom: np.ndarray       # bool: conditional and not taken (PTM atom)
-    syscall: np.ndarray    # bool: SYSCALL kind (exception info byte)
-    time_ns: np.ndarray    # float64 retirement times
-    events: Optional[Sequence[BranchEvent]] = None
-
-    @classmethod
-    def from_events(
-        cls,
-        events: Sequence[BranchEvent],
-        clock: ClockDomain = CPU_CLOCK,
-    ) -> "EventBatch":
-        n = len(events)
-        cycle = np.fromiter((e.cycle for e in events), np.int64, count=n)
-        source = np.fromiter((e.source for e in events), np.int64, count=n)
-        target = np.fromiter((e.target for e in events), np.int64, count=n)
-        atom = np.fromiter(
-            (is_map_only(e) for e in events), bool, count=n
-        )
-        syscall = np.fromiter(
-            (e.kind is BranchKind.SYSCALL for e in events), bool, count=n
-        )
-        # Identical float op sequence to ClockDomain.to_ns per event.
-        time_ns = cycle.astype(np.float64) * clock.period_ns
-        return cls(
-            cycle=cycle,
-            source=source,
-            target=target,
-            atom=atom,
-            syscall=syscall,
-            time_ns=time_ns,
-            events=events,
-        )
-
-    def __len__(self) -> int:
-        return int(self.cycle.shape[0])
-
-    def integrity_crc(self) -> int:
-        """CRC32 over the event columns (end-to-end integrity tag).
-
-        Covers exactly the data stages consume (cycle, source, target,
-        atom, syscall), so any in-flight mutation of a batch — silent
-        corruption the resync path cannot see — changes the tag.
-        """
-        crc = zlib.crc32(self.cycle.tobytes())
-        crc = zlib.crc32(self.source.tobytes(), crc)
-        crc = zlib.crc32(self.target.tobytes(), crc)
-        crc = zlib.crc32(self.atom.tobytes(), crc)
-        return zlib.crc32(self.syscall.tobytes(), crc)
 
 
 @dataclass(frozen=True)

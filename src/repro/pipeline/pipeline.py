@@ -3,7 +3,7 @@
 The :class:`Pipeline` owns an ordered list of stages, like the IGM's
 fixed hardware chain (trace analyzers, address mapper, vector
 encoder): nothing queues between them.  ``run`` slices the event
-stream into chunks and passes each chunk through every stage in
+columns into chunks and passes each chunk through every stage in
 order, checking its integrity tag at each stage boundary.  After the
 last chunk, a single tail batch walks the chain, draining carried
 state exactly like the per-event loop's end-of-session flush.
@@ -11,7 +11,7 @@ state exactly like the per-event loop's end-of-session flush.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Union
 
 from repro.errors import SocConfigError
 from repro.igm.address_mapper import AddressMapper
@@ -121,11 +121,19 @@ class Pipeline:
     # The chain
     # ------------------------------------------------------------------
 
-    def run(self, events: Sequence[BranchEvent]) -> TraceBatch:
-        """Push a whole event stream through, then drain the tail."""
+    def run(
+        self, events: Union[EventBatch, Sequence[BranchEvent]]
+    ) -> TraceBatch:
+        """Push a whole event stream through, then drain the tail.
+
+        Chunks are column slices of the batch; objects are converted
+        once, here, when the caller holds them.
+        """
+        events = EventBatch.of(events)
         for start in range(0, len(events), self.chunk_events):
-            chunk = events[start : start + self.chunk_events]
-            batch = TraceBatch(events=EventBatch.from_events(chunk))
+            batch = TraceBatch(
+                events=events[start : start + self.chunk_events]
+            )
             batch.chunk_sequence = self._chunk_sequence
             batch.chunk_crc = batch.events.integrity_crc()
             self._chunk_sequence += 1

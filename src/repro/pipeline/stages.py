@@ -381,7 +381,8 @@ class ByteCountEncodeStage(StageBase):
         if self._encoder is None:
             self._encoder = self._encoder_factory()
         encoder = self._encoder
-        assert batch.events is not None and batch.events.events is not None
+        assert batch.events is not None
+        # The one per-event encode: it walks the batch's object view.
         batch.ptm_bytes = np.fromiter(
             (len(encoder.feed(event)) for event in batch.events.events),
             np.int64,

@@ -30,10 +30,11 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.durability.journal import decode_trace_chunk, encode_trace_chunk
 from repro.errors import FrameProtocolError
+from repro.eventbatch import EventBatch
 from repro.workloads.cfg import BranchEvent
 
 _HEADER = struct.Struct("<II")
@@ -167,17 +168,20 @@ def hello_frame(
     return encode_frame(FrameType.HELLO, encode_json(document))
 
 
-def events_frame(events: Sequence[BranchEvent], sequence: int = 0) -> bytes:
+def events_frame(
+    events: Union[EventBatch, Sequence[BranchEvent]], sequence: int = 0
+) -> bytes:
     """Pack a pre-decoded event batch (columnar TRACE_CHUNK codec)."""
     return encode_frame(
         FrameType.EVENTS, encode_trace_chunk("", 0, sequence, events)
     )
 
 
-def decode_events_payload(payload: bytes) -> Tuple[BranchEvent, ...]:
-    """Inverse of :func:`events_frame`'s payload packing."""
+def decode_events_payload(payload: bytes) -> EventBatch:
+    """Inverse of :func:`events_frame`'s payload packing: column views
+    over ``payload``."""
     try:
-        return decode_trace_chunk(payload).events
+        return decode_trace_chunk(payload).batch
     except Exception as error:  # codec raises Journal/struct errors
         raise FrameProtocolError(
             f"undecodable event batch: {error}"

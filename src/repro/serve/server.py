@@ -25,9 +25,12 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import FrameProtocolError, ServeError, SocConfigError
+from repro.eventbatch import KIND_CODE, EventBatch
 from repro.frontends import TraceFrontend, frontend_names, get_frontend
 from repro.obs import MetricsRegistry, NULL_REGISTRY
 from repro.serve import protocol
@@ -40,7 +43,10 @@ from repro.serve.admission import (
 )
 from repro.serve.windows import IngestBatch, TenantWindow
 from repro.soc.manager import SocManager
-from repro.workloads.cfg import BranchEvent, BranchKind
+from repro.workloads.cfg import BranchKind
+
+_SYSCALL = KIND_CODE[BranchKind.SYSCALL]
+_INDIRECT = KIND_CODE[BranchKind.INDIRECT]
 
 #: Canonical ``serve.*`` counters, surfaced by the metrics report
 #: with a stable shape (0 when the front door never ran).
@@ -148,6 +154,10 @@ class _RawIngest:
     grammar's trap/exception marker, cycles assigned at a fixed
     cadence.  Atom/branch-map outcome bits carry no address and are
     skipped — they can never hit the IGM mapper anyway.
+
+    Decoded items append straight to column builders; the cycle and
+    source columns follow from the running counters, so no per-event
+    object is built.
     """
 
     def __init__(
@@ -167,34 +177,33 @@ class _RawIngest:
         self._cycle = 0
         self._last_target = 0
 
-    def _to_events(self, items) -> List[BranchEvent]:
-        events: List[BranchEvent] = []
-        for item in items:
-            if not hasattr(item, "is_syscall"):
-                continue  # sync/support/context/outcome items
-            self._cycle += self._cycles_per_event
-            target = int(item.address)
-            events.append(
-                BranchEvent(
-                    cycle=self._cycle,
-                    source=self._last_target,
-                    target=target,
-                    kind=(
-                        BranchKind.SYSCALL
-                        if item.is_syscall
-                        else BranchKind.INDIRECT
-                    ),
-                )
-            )
-            self._last_target = target
-        return events
+    def _columns(self, items) -> EventBatch:
+        branch = self.decoder.branch_type  # skip sync/outcome items
+        branches = [item for item in items if type(item) is branch]
+        targets = [item.address for item in branches]
+        syscalls = [item.is_syscall for item in branches]
+        count = len(targets)
+        step = self._cycles_per_event
+        cycle = np.arange(1, count + 1, dtype=np.int64) * step + self._cycle
+        target = np.array(targets, dtype=np.int64)
+        source = np.empty(count, dtype=np.int64)
+        if count:
+            source[0] = self._last_target
+            source[1:] = target[:-1]
+            self._cycle = int(cycle[-1])
+            self._last_target = targets[-1]
+        kind = np.full(count, _INDIRECT, dtype=np.uint8)
+        kind[np.array(syscalls, dtype=bool)] = _SYSCALL
+        return EventBatch(
+            cycle, source, target, kind, np.ones(count, dtype=bool)
+        )
 
-    def feed(self, stream: bytes) -> List[BranchEvent]:
+    def feed(self, stream: bytes) -> EventBatch:
         payload = self.deframer.push(stream)
-        return self._to_events(self.decoder.feed(payload))
+        return self._columns(self.decoder.feed(payload))
 
-    def finish(self) -> List[BranchEvent]:
-        return self._to_events(self.decoder.finish())
+    def finish(self) -> EventBatch:
+        return self._columns(self.decoder.finish())
 
 
 class _Session:
@@ -646,7 +655,7 @@ class IngestServer:
                 await writer.drain()
                 return False
             self._count("serve.frames.raw")
-            events: Sequence[BranchEvent] = session.raw.feed(frame.payload)
+            events = session.raw.feed(frame.payload)
         else:
             if session.mode != protocol.MODE_EVENTS:
                 self._count("serve.protocol.errors")
@@ -728,7 +737,7 @@ class IngestServer:
         if age >= budget_ns:
             self.drain_once()
 
-    def _admit(self, session, events: Sequence[BranchEvent]) -> bytes:
+    def _admit(self, session, events: EventBatch) -> bytes:
         """Run one frame's events through the layered funnel."""
         tenant = session.tenant
         assert tenant is not None
@@ -763,7 +772,7 @@ class IngestServer:
             deadline_ns = now_ns + int(self.config.deadline_us * 1e3)
         batch = IngestBatch(
             tenant=tenant,
-            events=tuple(events),
+            events=events,
             admit_ns=now_ns,
             deadline_ns=deadline_ns,
         )
@@ -815,7 +824,7 @@ class IngestServer:
         harness control round grouping exactly.
         """
         now_ns = self.clock_ns()
-        traces: Dict[str, Tuple[BranchEvent, ...]] = {}
+        traces: Dict[str, EventBatch] = {}
         consumed: List[IngestBatch] = []
         for name, window in self.windows.items():
             fresh, stale = window.take(
@@ -830,10 +839,9 @@ class IngestServer:
                 self.admission.shed_stale(len(batch.events))
                 self.breakers[name].record_shed()
             if fresh:
-                events: List[BranchEvent] = []
-                for batch in fresh:
-                    events.extend(batch.events)
-                traces[name] = tuple(events)
+                traces[name] = EventBatch.concat(
+                    [batch.events for batch in fresh]
+                )
                 consumed.extend(fresh)
         total_events = sum(len(events) for events in traces.values())
         if traces:

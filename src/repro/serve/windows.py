@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, List, Optional, Tuple
 
-from repro.workloads.cfg import BranchEvent
+from repro.eventbatch import EventBatch
 
 
 @dataclass
@@ -24,7 +24,7 @@ class IngestBatch:
     """One admitted frame's worth of events, waiting to be drained."""
 
     tenant: str
-    events: Tuple[BranchEvent, ...]
+    events: EventBatch
     #: Wall-clock admission time (``time.monotonic_ns`` domain).
     admit_ns: int
     #: Absolute staleness bound; ``None`` = never sheds as stale.

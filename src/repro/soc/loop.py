@@ -21,8 +21,9 @@ construction: there are no in-flight chunks here to corrupt.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Union
 
+from repro.eventbatch import EventBatch
 from repro.igm.address_mapper import AddressMapper
 from repro.igm.vector_encoder import InputVector, VectorEncoder
 from repro.obs import MetricsRegistry, NULL_REGISTRY
@@ -118,10 +119,15 @@ class LoopDataplane:
         if self._overflow is not None:
             self._overflow.reset()
 
-    def run(self, events: Sequence[BranchEvent]) -> None:
-        """Feed a whole event stream through, then flush the tail."""
+    def run(self, events: Union[EventBatch, Sequence[BranchEvent]]) -> None:
+        """Feed a whole event stream through, then flush the tail.
+
+        The oracle walks objects: a batch hands in its object view.
+        """
         if not len(events):
             return
+        if isinstance(events, EventBatch):
+            events = events.events
         if not self.driver.enabled:
             self.driver.enable()
         plan = self.fault_plan

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.durability.journal import (
     MIN_RECORD_BYTES,
@@ -51,6 +51,7 @@ from repro.errors import (
     SocConfigError,
     TenantCrashError,
 )
+from repro.eventbatch import EventBatch
 from repro.faults.crashpoints import CrashPointInjector
 from repro.faults.service import ServiceFaultInjector, crash_fraction
 from repro.igm.address_mapper import AddressMapper
@@ -218,10 +219,9 @@ class TenantRuntime:
         self.encoder.reset(reset_sequence=True)
         self.mcm.driver.reset()
 
-    def run_trace(
-        self, events: Sequence[BranchEvent], round_index: int
-    ) -> None:
-        """Run this round's trace, honouring a planned tenant crash."""
+    def run_trace(self, events: EventBatch, round_index: int) -> None:
+        """Run this round's trace, honouring a planned tenant crash
+        (the crash cuts the columns at the planned fraction)."""
         fraction = crash_fraction(self.fault_plan, round_index)
         if fraction is None:
             self.pipeline.run(events)
@@ -418,14 +418,16 @@ class SocManager:
 
     def run_events(
         self,
-        traces: Mapping[str, Sequence[BranchEvent]],
+        traces: Mapping[str, Union[EventBatch, Sequence[BranchEvent]]],
         round_index: Optional[int] = None,
         payloads: Optional[Sequence] = None,
     ) -> Dict[str, List[InferenceRecord]]:
         """One monitoring round; per-tenant records from this round.
 
-        ``traces`` maps tenant names to branch event streams; tenants
-        without an entry idle this round.  Unknown names are refused
+        ``traces`` maps tenant names to branch event streams (columnar
+        :class:`~repro.eventbatch.EventBatch` carriers; object
+        sequences are converted once, here); tenants without an entry
+        idle this round.  Unknown names are refused
         rather than silently ignored.  Quarantined tenants are skipped
         (their traces produce no vectors) until probation expires.
 
@@ -447,6 +449,9 @@ class SocManager:
                 f"round {round_index} is behind the manager's next "
                 f"round {self._round}"
             )
+        traces = {
+            name: EventBatch.of(events) for name, events in traces.items()
+        }
         journaling = self._journal is not None and not self._replaying
         if journaling:
             # Write-ahead: the round's inputs are durable before any
@@ -538,7 +543,7 @@ class SocManager:
     def _journal_round(
         self,
         round_index: int,
-        traces: Mapping[str, Sequence[BranchEvent]],
+        traces: Mapping[str, EventBatch],
         payloads: Sequence,
     ) -> None:
         """Make one round's inputs durable ahead of processing.
@@ -757,7 +762,7 @@ class SocManager:
 
     def _update_health(
         self,
-        traces: Mapping[str, Sequence[BranchEvent]],
+        traces: Mapping[str, EventBatch],
         ran: Mapping[str, bool],
     ) -> None:
         for runtime in self.tenants:

@@ -139,6 +139,22 @@ class TestDecoderRobustness:
         assert len(batch) == len(streamed)
         assert all(a == b for a, b in zip(batch, streamed))
 
+    def test_state_from_before_branch_complete_was_dropped(
+        self, small_trace
+    ):
+        # Older decoder states carry a dead ``branch_complete`` key;
+        # restoring reads only the grammar's keys, so they still load.
+        data = encode_trace(small_trace.events[:800])
+        cut = len(data) // 2 + 1
+        decoder = PftDecoder()
+        decoder.feed(data[:cut])
+        state = decoder.export_state()
+        assert "branch_complete" not in state
+        restored = PftDecoder()
+        restored.restore_state({**state, "branch_complete": False})
+        assert restored.export_state() == state
+        assert restored.feed(data[cut:]) == decoder.feed(data[cut:])
+
 
 class TestTpiu:
     def test_frames_are_fixed_size(self):

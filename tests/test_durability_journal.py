@@ -7,6 +7,7 @@ only in the newest segment; a sequence gap is always corruption), and
 the TRACE_CHUNK payload codec.
 """
 
+import json
 import os
 
 import pytest
@@ -247,6 +248,51 @@ def test_trace_chunk_truncated_body_is_corruption():
 def test_trace_chunk_missing_header_is_corruption():
     with pytest.raises(JournalCorruptionError):
         decode_trace_chunk(b"no newline anywhere")
+
+
+def _split_chunk(payload):
+    newline = payload.find(b"\n")
+    return json.loads(payload[:newline]), bytearray(payload[newline + 1:])
+
+
+def _join_chunk(header, body):
+    return json.dumps(header).encode() + b"\n" + bytes(body)
+
+
+def test_trace_chunk_unknown_palette_name_is_corruption():
+    header, body = _split_chunk(encode_trace_chunk("t", 0, 0, _events(8)))
+    header["kinds"][0] = "TELEPORT"
+    with pytest.raises(JournalCorruptionError, match="malformed"):
+        decode_trace_chunk(_join_chunk(header, body))
+
+
+def test_trace_chunk_kind_code_outside_palette_is_corruption():
+    events = _events(8)
+    header, body = _split_chunk(encode_trace_chunk("t", 0, 0, events))
+    body[24 * len(events) + 5] = len(header["kinds"])
+    with pytest.raises(JournalCorruptionError, match="kind code"):
+        decode_trace_chunk(_join_chunk(header, body))
+
+
+def test_trace_chunk_missing_header_key_is_corruption():
+    header, body = _split_chunk(encode_trace_chunk("t", 0, 0, _events(8)))
+    del header["count"]
+    with pytest.raises(JournalCorruptionError, match="malformed"):
+        decode_trace_chunk(_join_chunk(header, body))
+
+
+def test_trace_chunk_bad_header_json_is_corruption():
+    payload = encode_trace_chunk("t", 0, 0, _events(8))
+    with pytest.raises(JournalCorruptionError, match="malformed"):
+        decode_trace_chunk(b"{not json" + payload[payload.find(b"\n"):])
+
+
+def test_trace_chunk_taken_byte_above_one_is_corruption():
+    events = _events(8)
+    header, body = _split_chunk(encode_trace_chunk("t", 0, 0, events))
+    body[25 * len(events) + 3] = 5
+    with pytest.raises(JournalCorruptionError, match="taken byte 5"):
+        decode_trace_chunk(_join_chunk(header, body))
 
 
 def test_min_record_bytes_matches_empty_record():

@@ -1,8 +1,9 @@
 """Seeded randomized properties of the write-ahead journal.
 
-Like the CoreSight round-trip property suite next door, these use a
-plain seeded ``random.Random`` so every run, on every machine, sees
-the identical cases.  Three durability properties are exercised:
+The journal properties use a plain seeded ``random.Random`` so every
+run, on every machine, sees the identical cases; the round-codec
+properties draw their rounds with Hypothesis.  Four durability
+properties are exercised:
 
 1. **Round trip** — arbitrary payloads, kinds, segment rolls, and
    event chunkings survive append -> scan (and a file reopen) exactly.
@@ -15,22 +16,35 @@ the identical cases.  Three durability properties are exercised:
    :class:`JournalCorruptionError` (interior damage) or it truncates
    to strictly fewer records (tail damage).  No flip is ever silently
    absorbed into a full-length replay.
+4. **Columns equal objects** — a round encoded from
+   :class:`~repro.eventbatch.EventBatch` columns is byte-identical to
+   the one-event-at-a-time object encoding every existing journal
+   holds (palette in first-appearance order), and decoded columns —
+   derived ones and the integrity tag included — equal the columns
+   of the original objects.
 """
 
+import json
 import os
 import random
+import struct
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.durability import (
     FileJournal,
     MemoryJournal,
     RecordKind,
+    decode_round,
     decode_trace_chunk,
     encode_record,
+    encode_round,
     encode_trace_chunk,
 )
 from repro.errors import JournalCorruptionError
+from repro.eventbatch import EventBatch
 from repro.workloads.cfg import BranchEvent, BranchKind
 
 SEEDS = (2024, 7, 90125)
@@ -174,3 +188,148 @@ def test_any_single_bit_flip_is_detected(tmp_path, seed):
         assert survived < len(records), (
             f"flip at byte {position} went undetected"
         )
+
+
+# ---------------------------------------------------------------------------
+# Round codec: columns equal objects
+# ---------------------------------------------------------------------------
+
+def _reference_chunk(tenant, round_index, chunk_index, events):
+    """The object encoder: one event at a time, palette by first
+    appearance (the layout every existing journal holds)."""
+    palette, codes = [], []
+    for event in events:
+        if event.kind.name not in palette:
+            palette.append(event.kind.name)
+        codes.append(palette.index(event.kind.name))
+    header = json.dumps(
+        {
+            "tenant": tenant,
+            "round": round_index,
+            "chunk": chunk_index,
+            "count": len(events),
+            "kinds": palette,
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    ).encode()
+    count = len(events)
+    return b"".join(
+        (
+            header,
+            b"\n",
+            struct.pack(f"<{count}q", *(e.cycle for e in events)),
+            struct.pack(f"<{count}q", *(e.source for e in events)),
+            struct.pack(f"<{count}q", *(e.target for e in events)),
+            bytes(codes),
+            bytes(int(e.taken) for e in events),
+        )
+    )
+
+
+def _reference_round(round_index, traces, chunk_events):
+    return [
+        _reference_chunk(
+            name, round_index, index, events[start:start + chunk_events]
+        )
+        for name, events in traces.items()
+        for index, start in enumerate(range(0, len(events), chunk_events))
+    ]
+
+
+@st.composite
+def _streams(draw):
+    """One tenant's stream: a few hand-drawn events, or a long seeded
+    walk over every kind and both outcomes."""
+    if draw(st.booleans()):
+        return draw(
+            st.lists(
+                st.builds(
+                    BranchEvent,
+                    cycle=st.integers(0, 1 << 40),
+                    source=st.integers(0, (1 << 32) - 1),
+                    target=st.integers(0, (1 << 32) - 1),
+                    kind=st.sampled_from(_KINDS),
+                    taken=st.booleans(),
+                ),
+                max_size=40,
+            )
+        )
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(0, 12_000))
+    cycle = rng.randrange(1 << 20)
+    events = []
+    for _ in range(count):
+        cycle += rng.randrange(1, 500)
+        kind = rng.choice(_KINDS)
+        events.append(
+            BranchEvent(
+                cycle,
+                rng.randrange(1 << 32),
+                rng.randrange(1 << 32),
+                kind,
+                rng.random() < 0.5,
+            )
+        )
+    return events
+
+
+_ROUNDS = st.tuples(
+    st.integers(0, 1 << 20),
+    st.dictionaries(
+        st.sampled_from([f"tenant{index}" for index in range(4)]),
+        _streams(),
+        max_size=4,
+    ),
+    st.integers(1, 5_000),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ROUNDS)
+def test_round_encoding_from_columns_equals_the_object_encoding(case):
+    round_index, traces, chunk_events = case
+    expected = _reference_round(round_index, traces, chunk_events)
+    columns = {
+        name: EventBatch.from_events(events)
+        for name, events in traces.items()
+    }
+    assert encode_round(round_index, traces, chunk_events) == expected
+    # Decoded columns carry no object view: they re-encode the same.
+    decoded = decode_round(round_index, expected)
+    assert encode_round(round_index, decoded, chunk_events) == expected
+    assert encode_round(round_index, columns, chunk_events) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(_streams())
+def test_palette_keeps_first_appearance_order(events):
+    payload = encode_trace_chunk("t", 0, 0, EventBatch.from_events(events))
+    header = json.loads(payload[:payload.find(b"\n")])
+    first_seen = []
+    for event in events:
+        if event.kind.name not in first_seen:
+            first_seen.append(event.kind.name)
+    assert header["kinds"] == first_seen
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ROUNDS)
+def test_decoded_columns_equal_the_object_columns(case):
+    round_index, traces, chunk_events = case
+    decoded = decode_round(
+        round_index, encode_round(round_index, traces, chunk_events)
+    )
+    # A tenant without events writes no chunk, so it decodes to none.
+    assert list(decoded) == [name for name, ev in traces.items() if ev]
+    for name, batch in decoded.items():
+        reference = EventBatch.from_events(traces[name])
+        for column in (
+            "cycle", "source", "target", "kind", "taken",
+            "atom", "syscall", "time_ns",
+        ):
+            got, want = getattr(batch, column), getattr(reference, column)
+            assert got.dtype == want.dtype, column
+            assert np.array_equal(got, want), column
+        assert batch.integrity_crc() == reference.integrity_crc()
+        assert list(batch.events) == list(traces[name])

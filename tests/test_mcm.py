@@ -9,7 +9,7 @@ from repro.mcm.arbiter import ArbitratedMcm
 from repro.mcm.driver import MlMiaowDriver
 from repro.mcm.engines import ProtocolConverter, RxEngine, TxEngine
 from repro.mcm.fifo import InternalFifo
-from repro.mcm.fsm import ControlFsm, McmState
+from repro.mcm.fsm import HISTORY_TRANSITIONS, ControlFsm, McmState
 from repro.mcm.interrupt import Interrupt, InterruptManager
 from repro.mcm.mcm import Mcm, McmConfig
 from repro.miaow.gpu import Gpu
@@ -71,6 +71,13 @@ class TestFsm:
         assert transitions == 5
         assert fsm.state is McmState.WAIT_INPUT
         assert len(fsm.history) == 5
+
+    def test_history_keeps_only_the_latest_transitions(self):
+        fsm = ControlFsm()
+        for index in range(100):
+            fsm.run_inference_sequence(time_ns=float(index))
+        assert len(fsm.history) == HISTORY_TRANSITIONS
+        assert fsm.history[-1] == (99.0, McmState.WAIT_INPUT)
 
     def test_illegal_event_raises(self):
         fsm = ControlFsm()
