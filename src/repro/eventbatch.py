@@ -18,7 +18,8 @@ objects:
   per-event encode stage, the event fault injector).
 
 :meth:`EventBatch.from_events` is the edge where callers that hold
-objects (tests, the engine workload, ``RtadSoc``) enter the columns.
+objects (``RtadSoc``, direct ``SocManager.run_events`` callers, tests)
+enter the columns.
 
 This module imports nothing from the SoC packages, so the codec, the
 server and the dataplane can all import it.
