@@ -6,10 +6,13 @@ that holds no batch between calls) and all per-round state is about
 to be reset anyway (``TenantRuntime.reset`` runs at the top of every
 round).  What must survive is the *lifetime* state: the manager's
 round counter, the arbiter's per-lane watchdog trip counts, each
-tenant's health-machine fields, the MCM's accumulated records and
-counters, the session dataplane/encoder carry state, and the metrics
-registries.  Models and drivers are deliberately absent — they are
-code plus weights, re-supplied at :meth:`SocManager.recover` time.
+tenant's health-machine fields, the MCM's counters, the session
+dataplane/encoder carry state, and the metrics registries.  There is
+no record log — a round returns its records — but the last round run
+is kept whole (its index and each tenant's records), so a caller that
+lost that round's return can still fetch it after a crash.  Models
+and drivers are deliberately absent — they are code plus weights,
+re-supplied at :meth:`SocManager.recover` time.
 
 The payload is a plain JSON-able dict so it rides in a single
 :class:`~repro.durability.journal.RecordKind.CHECKPOINT` record.
@@ -20,12 +23,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.errors import JournalCorruptionError
+from repro.mcm.mcm import InferenceRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.soc.manager import SocManager, TenantRuntime
 
 #: Bump on any incompatible change to the checkpoint layout.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def capture_tenant_state(runtime: "TenantRuntime") -> dict:
@@ -45,7 +49,6 @@ def capture_tenant_state(runtime: "TenantRuntime") -> dict:
         "quarantined_rounds": runtime._quarantined_rounds,
         "seen_loss": runtime._seen_loss,
         "seen_trips": runtime._seen_trips,
-        "observed_records": runtime._observed_records,
         "mcm": runtime.mcm.export_state(),
         "session": {
             "pipeline": runtime.pipeline.export_state(),
@@ -76,7 +79,6 @@ def restore_tenant_state(runtime: "TenantRuntime", doc: dict) -> None:
     runtime._quarantined_rounds = doc["quarantined_rounds"]
     runtime._seen_loss = doc["seen_loss"]
     runtime._seen_trips = doc["seen_trips"]
-    runtime._observed_records = doc["observed_records"]
     runtime.mcm.restore_state(doc["mcm"])
     runtime.pipeline.restore_state(doc["session"]["pipeline"])
     runtime.encoder.restore_state(doc["session"]["encoder"])
@@ -91,6 +93,11 @@ def capture_checkpoint(manager: "SocManager") -> dict:
     return {
         "version": CHECKPOINT_VERSION,
         "round": manager._round,
+        "last_round": manager.last_round,
+        "last_records": {
+            name: [dict(vars(r), score=float(r.score)) for r in records]
+            for name, records in manager.last_records.items()
+        },
         "watchdog_trips": list(manager.arbiter.watchdog_trips),
         "tenants": tenants,
         "metrics": manager.metrics.export_state(),
@@ -116,6 +123,11 @@ def restore_checkpoint(manager: "SocManager", state: dict) -> None:
             f"checkpoint tenants {names} do not match deployments {live}"
         )
     manager._round = state["round"]
+    manager.last_round = state["last_round"]
+    manager.last_records = {
+        name: [InferenceRecord(**doc) for doc in docs]
+        for name, docs in state["last_records"].items()
+    }
     trips = state["watchdog_trips"]
     if len(trips) != len(manager.arbiter.watchdog_trips):
         raise JournalCorruptionError(

@@ -242,6 +242,12 @@ def stage_table(result: MetricsRunResult) -> str:
     )
 
 
+def _counters(snapshot: Dict[str, object], names) -> Dict[str, int]:
+    """``names`` from one registry snapshot, in order, 0 when absent."""
+    counters: Dict[str, int] = snapshot.get("counters", {})  # type: ignore
+    return {name: int(counters.get(name, 0)) for name in names}
+
+
 def robustness_counters(snapshot: Dict[str, object]) -> Dict[str, int]:
     """Loss/recovery counters from one registry snapshot.
 
@@ -250,8 +256,7 @@ def robustness_counters(snapshot: Dict[str, object]) -> Dict[str, int]:
     queue to stall or drop, so its integrity counters are the whole
     of its own loss accounting.
     """
-    counters: Dict[str, int] = snapshot.get("counters", {})  # type: ignore
-    return {name: int(counters.get(name, 0)) for name in ROBUSTNESS_COUNTERS}
+    return _counters(snapshot, ROBUSTNESS_COUNTERS)
 
 
 def perf_counters(snapshot: Dict[str, object]) -> Dict[str, int]:
@@ -260,8 +265,7 @@ def perf_counters(snapshot: Dict[str, object]) -> Dict[str, int]:
     Mirrors :func:`robustness_counters`: every canonical
     compiled-fast-path counter is present even when it reads zero.
     """
-    counters: Dict[str, int] = snapshot.get("counters", {})  # type: ignore
-    return {name: int(counters.get(name, 0)) for name in PERF_COUNTERS}
+    return _counters(snapshot, PERF_COUNTERS)
 
 
 def serve_counters(snapshot: Dict[str, object]) -> Dict[str, int]:
@@ -274,47 +278,15 @@ def serve_counters(snapshot: Dict[str, object]) -> Dict[str, int]:
     """
     from repro.serve.server import SERVE_COUNTERS
 
-    counters: Dict[str, int] = snapshot.get("counters", {})  # type: ignore
-    return {name: int(counters.get(name, 0)) for name in SERVE_COUNTERS}
+    return _counters(snapshot, SERVE_COUNTERS)
 
 
-def serve_table(result: MetricsRunResult) -> str:
-    rows = [
-        (name, value)
-        for name, value in serve_counters(result.snapshot).items()
-    ]
-    return format_table(
-        ["counter", "count"],
-        rows,
-        title=f"{result.kind}: ingestion front door (admission / "
-              "shed / breaker)",
-    )
-
-
-def perf_table(result: MetricsRunResult) -> str:
-    rows = [
-        (name, value)
-        for name, value in perf_counters(result.snapshot).items()
-    ]
-    return format_table(
-        ["counter", "count"],
-        rows,
-        title=f"{result.kind}: engine fast path (compile cache / "
-              "dispatch routing)",
-    )
-
-
-def robustness_table(result: MetricsRunResult) -> str:
-    rows = [
-        (name, value)
-        for name, value in robustness_counters(result.snapshot).items()
-    ]
-    return format_table(
-        ["counter", "count"],
-        rows,
-        title=f"{result.kind}: robustness (drops / stalls / faults / "
-              "recovery)",
-    )
+#: The counter tables of the text report: counter source and title.
+COUNTER_TABLES = (
+    (perf_counters, "engine fast path (compile cache / dispatch routing)"),
+    (robustness_counters, "robustness (drops / stalls / faults / recovery)"),
+    (serve_counters, "ingestion front door (admission / shed / breaker)"),
+)
 
 
 def format_metrics(results: Sequence[MetricsRunResult]) -> str:
@@ -322,9 +294,14 @@ def format_metrics(results: Sequence[MetricsRunResult]) -> str:
     sections = []
     for result in results:
         sections.append(stage_table(result))
-        sections.append(perf_table(result))
-        sections.append(robustness_table(result))
-        sections.append(serve_table(result))
+        for counters, title in COUNTER_TABLES:
+            sections.append(
+                format_table(
+                    ["counter", "count"],
+                    list(counters(result.snapshot).items()),
+                    title=f"{result.kind}: {title}",
+                )
+            )
         sections.append(
             format_snapshot(
                 result.snapshot, title=f"{result.kind} full metrics"

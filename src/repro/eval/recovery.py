@@ -2,8 +2,9 @@
 
 The durability contract under test (docs/DURABILITY.md): a journaled
 multi-tenant run that is killed at an arbitrary crash point and then
-recovered via :meth:`SocManager.recover` must end with a per-tenant
-inference-record log *byte-identical* to the uninterrupted run's.
+recovered via :meth:`SocManager.recover` must deliver every round's
+per-tenant inference records exactly once, *byte-identical* to the
+uninterrupted run's per-round returns.
 
 The harness, per dataplane (``batched`` and ``loop``) and per seed:
 
@@ -17,7 +18,10 @@ The harness, per dataplane (``batched`` and ``loop``) and per seed:
    until the injected :class:`~repro.errors.ProcessCrashError` fires,
    reopens the journal (torn tails are truncated on reopen), recovers,
    re-feeds the rounds from :attr:`SocManager.next_round`, and
-   compares the final record logs against the baseline byte by byte;
+   compares the delivered stream against the baseline byte by byte:
+   the rounds the victim returned before the kill, then the recovered
+   manager's last round if the killed round committed, then the
+   resumed rounds' returns;
 4. flips single journal bytes (positions drawn from the ``BIT_FLIP``
    channel hash) and checks every flip is *detected* — surfaced as a
    :class:`~repro.errors.JournalCorruptionError` or as a truncated
@@ -37,6 +41,7 @@ from repro.errors import JournalCorruptionError, ProcessCrashError
 from repro.eval.report import Check, Report, record_signature
 from repro.faults.crashpoints import CrashPointInjector
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
+from repro.mcm.mcm import InferenceRecord
 from repro.obs import MetricsRegistry
 from repro.soc.manager import SocManager
 
@@ -45,14 +50,19 @@ DEFAULT_KILLS_PER_SEED = 3
 _DATAPLANES = ("batched", "loop")
 
 
-def _record_log(manager: SocManager) -> Dict[str, List[str]]:
-    """The lifetime per-tenant record log, serialized."""
+#: One round's per-tenant records, serialized.
+RoundLog = Dict[str, List[str]]
+
+
+def _round_log(records: Dict[str, List[InferenceRecord]]) -> RoundLog:
     return {
-        runtime.name: [
-            record_signature(r) for r in runtime.mcm.records
-        ]
-        for runtime in manager.tenants
+        name: [record_signature(r) for r in tenant_records]
+        for name, tenant_records in records.items()
     }
+
+
+def _run_rounds(manager: SocManager, rounds) -> List[RoundLog]:
+    return [_round_log(manager.run_events(traces)) for traces in rounds]
 
 
 @dataclass
@@ -182,7 +192,7 @@ def _run_cell(
     scenario: _Scenario,
     dataplane: str,
     seed: int,
-    baseline_log: Dict[str, List[str]],
+    baseline: List[RoundLog],
     kills: int,
     workdir: str,
 ) -> Tuple[DataplaneRecoveryResult, Optional[str]]:
@@ -194,13 +204,12 @@ def _run_cell(
     manager = scenario.manager(
         journal=FileJournal(clean_dir), crash_points=counting
     )
-    for traces in scenario.traces:
-        manager.run_events(traces)
+    journaled = _run_rounds(manager, scenario.traces)
     result = DataplaneRecoveryResult(
         dataplane=dataplane,
         seed=seed,
         total_sites=counting.sites_reached,
-        journaled_identical=_record_log(manager) == baseline_log,
+        journaled_identical=journaled == baseline,
     )
     for kill_at in _pick_kill_points(
         seed, counting.sites_reached, kills
@@ -211,23 +220,26 @@ def _run_cell(
             journal=FileJournal(kill_dir), crash_points=injector
         )
         crashed_round = -1
+        delivered: List[RoundLog] = []
         try:
             for round_index, traces in enumerate(scenario.traces):
-                victim.run_events(traces)
+                delivered.append(_round_log(victim.run_events(traces)))
         except ProcessCrashError:
             crashed_round = round_index
         # Reopen (truncates any torn tail) and recover.
         recovered = scenario.recover(FileJournal(kill_dir))
         resumed = recovered.next_round
-        for traces in scenario.traces[resumed:]:
-            recovered.run_events(traces)
+        if 0 <= crashed_round < resumed:
+            # The killed round committed before its return was lost.
+            delivered.append(_round_log(recovered.last_records))
+        delivered += _run_rounds(recovered, scenario.traces[resumed:])
         result.trials.append(
             KillTrial(
                 kill_at=kill_at,
                 site=injector.fired_site or "(never fired)",
                 crashed_round=crashed_round,
                 resumed_round=resumed,
-                identical=_record_log(recovered) == baseline_log,
+                identical=delivered == baseline,
             )
         )
     return result, clean_dir
@@ -319,15 +331,12 @@ def run_recovery(
                     journal_chunk_events=512,
                     checkpoint_interval_events=checkpoint_interval,
                 )
-                baseline = scenario.manager()
-                for traces in scenario.traces:
-                    baseline.run_events(traces)
                 workdir = os.path.join(root, f"{dataplane}-s{seed}")
                 cell, clean_dir = _run_cell(
                     scenario,
                     dataplane,
                     seed,
-                    _record_log(baseline),
+                    _run_rounds(scenario.manager(), scenario.traces),
                     kills_per_seed,
                     workdir,
                 )

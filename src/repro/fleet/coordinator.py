@@ -328,9 +328,6 @@ class FleetCoordinator:
             )
             for name in names
         }
-        #: Lifetime records already handed to the caller, per tenant —
-        #: the reconciliation cursor for post-commit crashes.
-        self._delivered: Dict[str, int] = {name: 0 for name in names}
         self._health: Dict[str, TenantHealth] = {
             name: TenantHealth.HEALTHY for name in names
         }
@@ -588,10 +585,8 @@ class FleetCoordinator:
         if not siblings:
             return
         health = self._request(
-            shard,
-            (messages.HEALTH,),
-            self.config.heartbeat_timeout_s,
-        )
+            shard, (messages.ROUND,), self.config.heartbeat_timeout_s
+        )["health"]
         movable = [
             name
             for name in shard.tenants
@@ -903,34 +898,27 @@ class FleetCoordinator:
         The recovered worker's ``next_round`` says whether the crashed
         dispatch committed: if not, the held payloads are re-fed (the
         WAL may replay them too — replay is deterministic, records are
-        byte-identical); if it did commit, the records are fetched
-        past the coordinator's delivery cursor instead of re-running.
+        byte-identical); if it did commit, the shard's last round is
+        that round, and its records are delivered instead of
+        re-running.  A last round of any other index is refused: its
+        records belong to another round.
         """
-        next_round = self._request(
+        status = self._request(
             shard, (messages.ROUND,), self.config.heartbeat_timeout_s
         )
-        if next_round <= round_index:
+        if status["next_round"] <= round_index:
             self._count("fleet.rounds.refed")
             reply = self._send_round(shard, round_index, payloads, crc)
             self._absorb_health(reply["health"])
             return reply["records"]
-        cursors = {
-            name: self._delivered[name] for name in shard.tenants
-        }
-        records = self._request(
-            shard,
-            (messages.RECORDS_AFTER, cursors),
-            self.config.round_timeout_s,
-        )
-        self._absorb_health(
-            self._request(
-                shard,
-                (messages.HEALTH,),
-                self.config.heartbeat_timeout_s,
+        if status["last_round"] != round_index:
+            raise FleetError(
+                f"shard {shard.id} recovered past round {round_index}, "
+                f"but its last round is {status['last_round']}"
             )
-        )
+        self._absorb_health(status["health"])
         self._count("fleet.rounds.reconciled")
-        return records
+        return status["records"]
 
     def _absorb_health(self, health: Mapping[str, str]) -> None:
         for name, value in health.items():
@@ -1067,9 +1055,6 @@ class FleetCoordinator:
                 self._observe_load(shard, records)
                 for name, tenant_records in records.items():
                     results[name] = tenant_records
-                    self._delivered[name] = self._delivered.get(
-                        name, 0
-                    ) + len(tenant_records)
                     self._count(
                         "fleet.records.delivered", len(tenant_records)
                     )

@@ -33,17 +33,15 @@ from __future__ import annotations
 RUN = "run"
 #: Liveness probe: ``(PING, token)`` -> ``(OK, token)``.
 PING = "ping"
-#: Current tenant health: ``-> (OK, {tenant: health_value})``.
-HEALTH = "health"
 #: Manager-level counter snapshot: ``-> (OK, {name: value})``.
 COUNTERS = "counters"
-#: Round cursor: ``-> (OK, next_round)``, one past the shard's last
-#: committed round (fleet numbering).
+#: The shard's last round: ``-> (OK, {"next_round", "last_round",
+#: "records", "health"})`` — one past its last committed round and
+#: that round's index (fleet numbering), the records that round
+#: returned (``{tenant: [records]}``) and the current tenant health
+#: (``{tenant: health_value}``).  Reconciliation after a crash between
+#: commit and reply reads the round from here.
 ROUND = "round"
-#: Lifetime records past a cursor: ``(RECORDS_AFTER, {tenant: count})``
-#: -> ``(OK, {tenant: [records]})`` — the post-commit-pre-reply crash
-#: reconciliation path.
-RECORDS_AFTER = "records_after"
 #: Migration out: ``(EVICT, [names])`` -> ``(OK, [tenant docs])``.
 EVICT = "evict"
 #: Migration in: ``(ADOPT, [names], [tenant docs])`` -> ``(OK, None)``.

@@ -21,7 +21,7 @@ offered load.  One transport now moves those bytes, as a
   wire is inline: payloads and replies ride the pipe inside the
   pickled request/reply tuples.
 
-Control messages — PING heartbeats, HEALTH, COUNTERS, EVICT/ADOPT,
+Control messages — PING heartbeats, ROUND, COUNTERS, EVICT/ADOPT,
 ARM_KILL, STOP — always stay on the pipe: they are tiny, and the pipe
 is the liveness channel the supervisor watches.
 

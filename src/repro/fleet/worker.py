@@ -16,7 +16,9 @@ TRACE_CHUNK payloads it received as they are; nothing is re-encoded.
 The worker appends a fresh checkpoint after recovery and after any
 topology change (EVICT/ADOPT): recovery work stays bounded across
 repeated crashes, and a journal never replays into a tenant set it
-does not describe.
+does not describe.  That checkpoint carries the last committed round,
+so a worker that dies again before the coordinator fetched the round
+still answers ROUND with it.
 """
 
 from __future__ import annotations
@@ -79,6 +81,10 @@ def worker_main(
         transport.close()
 
 
+def _health(manager: SocManager) -> dict:
+    return {name: health.value for name, health in manager.health().items()}
+
+
 def _serve(conn, manager: SocManager, factory, transport) -> None:
     while True:
         try:
@@ -124,10 +130,7 @@ def _serve(conn, manager: SocManager, factory, transport) -> None:
                     traces = buffers = None
                 reply = {
                     "records": records,
-                    "health": {
-                        name: health.value
-                        for name, health in manager.health().items()
-                    },
+                    "health": _health(manager),
                     # End-to-end transport receipt + the compute share
                     # of the coordinator's wall clock (decode + run),
                     # so transport time = wall - compute on both paths;
@@ -147,28 +150,17 @@ def _serve(conn, manager: SocManager, factory, transport) -> None:
                 )
             elif verb == messages.PING:
                 conn.send((messages.OK, args[0]))
-            elif verb == messages.HEALTH:
-                conn.send(
-                    (
-                        messages.OK,
-                        {
-                            name: health.value
-                            for name, health in manager.health().items()
-                        },
-                    )
-                )
             elif verb == messages.COUNTERS:
                 snapshot = manager.metrics.snapshot()
                 conn.send((messages.OK, dict(snapshot["counters"])))
             elif verb == messages.ROUND:
-                conn.send((messages.OK, manager.next_round))
-            elif verb == messages.RECORDS_AFTER:
-                cursors = args[0]
-                out = {
-                    name: manager.tenant(name).mcm.records[cursor:]
-                    for name, cursor in cursors.items()
+                reply = {
+                    "next_round": manager.next_round,
+                    "last_round": manager.last_round,
+                    "records": manager.last_records,
+                    "health": _health(manager),
                 }
-                conn.send((messages.OK, out))
+                conn.send((messages.OK, reply))
             elif verb == messages.EVICT:
                 from repro.durability.checkpoint import (
                     capture_tenant_state,

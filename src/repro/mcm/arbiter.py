@@ -175,12 +175,13 @@ class ArbitratedMcm:
         return self.lanes[lane_index].enqueue(vector, arrival_ns)
 
     def finalize(self) -> List[List[InferenceRecord]]:
-        """Serve everything queued; per-lane record lists."""
+        """Serve everything queued; this session's per-lane records."""
         self._drain(until_ns=float("inf"))
         self._complete()
         return [lane.records for lane in self.lanes]
 
     def reset_session(self) -> None:
+        """Start a session: every lane gets fresh record lists."""
         # Work granted in the ending session completes first, against
         # the model state and smoothing window it was granted under.
         self._complete()
@@ -188,7 +189,7 @@ class ArbitratedMcm:
         self._next_lane = 0
         self.hung = False
         for lane in self.lanes:
-            lane.reset_session()
+            lane.start_session()
         for injector in self.service_faults:
             if injector is not None:
                 injector.reset()

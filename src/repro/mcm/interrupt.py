@@ -20,7 +20,8 @@ class Interrupt:
 
 
 class InterruptManager:
-    """Collects fired interrupts; optionally calls a host handler."""
+    """Collects this session's fired interrupts; optionally calls a
+    host handler."""
 
     def __init__(
         self, handler: Optional[Callable[[Interrupt], None]] = None

@@ -252,14 +252,22 @@ class Mcm:
         return entry.item
 
     def reset_session(self) -> None:
-        """Forget per-session timing state (new trace session).
+        """Forget the timing state: the engine goes idle and the
+        score-smoothing accumulator empties (a watchdog abort).
 
-        The engine goes idle and the score-smoothing accumulator
-        empties; accumulated ``records``/``interrupts`` and every
-        counter are preserved — they are the lifetime log.
+        This session's ``records``/``interrupts`` and every counter
+        are kept.
         """
         self._busy_until_ns = 0.0
         self._recent_scores.clear()
+
+    def start_session(self) -> None:
+        """A new trace session: :meth:`reset_session`, then fresh
+        ``records`` and ``interrupts`` lists.  They are new objects, so
+        a list handed out for an earlier session stays intact."""
+        self.reset_session()
+        self.records = []
+        self.interrupts.fired = []
 
     # ------------------------------------------------------------------
     # Compute and assembly (after the timing pass)
@@ -350,29 +358,17 @@ class Mcm:
     # ------------------------------------------------------------------
 
     def export_state(self) -> dict:
-        """Lifetime + session state for checkpointing.
+        """Session state and counters for checkpointing.
 
         Requires a quiescent MCM (empty FIFO — guaranteed at round
-        boundaries after the arbiter's ``finalize``): queued vectors hold live numpy
-        arrays that a checkpoint deliberately does not carry.
+        boundaries after the arbiter's ``finalize``): queued vectors
+        hold live numpy arrays that a checkpoint deliberately does not
+        carry.  Records and interrupts are not state: a round returns
+        them.
         """
         if not self.fifo.empty:
             raise McmError("cannot checkpoint an MCM with queued vectors")
         return {
-            "records": [
-                {
-                    "sequence_number": record.sequence_number,
-                    "trigger_cycle": record.trigger_cycle,
-                    "arrival_ns": record.arrival_ns,
-                    "start_ns": record.start_ns,
-                    "done_ns": record.done_ns,
-                    "score": float(record.score),
-                    "anomalous": record.anomalous,
-                    "gpu_cycles": record.gpu_cycles,
-                    "divergent": record.divergent,
-                }
-                for record in self.records
-            ],
             "cancelled": self.cancelled,
             "busy_until_ns": self._busy_until_ns,
             "recent_scores": [float(s) for s in self._recent_scores],
@@ -381,31 +377,15 @@ class Mcm:
                 "drops": self.fifo.drops,
                 "max_occupancy": self.fifo.max_occupancy,
             },
-            "interrupts": [
-                {
-                    "time_ns": interrupt.time_ns,
-                    "score": float(interrupt.score),
-                    "sequence_number": interrupt.sequence_number,
-                }
-                for interrupt in self.interrupts.fired
-            ],
         }
 
     def restore_state(self, state: dict) -> None:
-        from repro.mcm.interrupt import Interrupt
-
-        self.records = [
-            InferenceRecord(**doc) for doc in state["records"]
-        ]
         self.cancelled = state["cancelled"]
         self._busy_until_ns = state["busy_until_ns"]
         self._recent_scores = list(state["recent_scores"])
         self.fifo.pushes = state["fifo"]["pushes"]
         self.fifo.drops = state["fifo"]["drops"]
         self.fifo.max_occupancy = state["fifo"]["max_occupancy"]
-        self.interrupts.fired = [
-            Interrupt(**doc) for doc in state["interrupts"]
-        ]
 
     # ------------------------------------------------------------------
     # Reporting

@@ -320,7 +320,7 @@ class IngestServer:
     # ------------------------------------------------------------------
 
     def _attach_tenant(self, name: str) -> None:
-        config = self.config if hasattr(self, "config") else ServeConfig()
+        config = self.config
         self.windows[name] = TenantWindow(
             name, capacity_batches=config.window_batches
         )

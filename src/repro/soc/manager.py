@@ -198,7 +198,6 @@ class TenantRuntime:
         self._fault_stages = [
             stage for stage in candidates if hasattr(stage, "fault_drops")
         ]
-        self._observed_records = 0
         # --- health bookkeeping (plain attributes: decisions must not
         # depend on whether an obs registry is attached) ---
         self.health = TenantHealth.HEALTHY
@@ -243,11 +242,6 @@ class TenantRuntime:
         delta = total - self._seen_loss
         self._seen_loss = total
         return delta
-
-    def take_new_records(self) -> List[InferenceRecord]:
-        records = self.mcm.records[self._observed_records :]
-        self._observed_records = len(self.mcm.records)
-        return records
 
 
 class SocManager:
@@ -336,6 +330,10 @@ class SocManager:
             batch_limit=batch_limit,
         )
         self._round = 0
+        #: The last round run (or restored): its index and each
+        #: tenant's records, which are what that round returned.
+        self.last_round: Optional[int] = None
+        self.last_records: Dict[str, List[InferenceRecord]] = {}
         # --- durability (repro.durability; docs/DURABILITY.md) ---
         self._journal = journal
         self._checkpoint_interval = checkpoint_interval_events
@@ -508,13 +506,13 @@ class SocManager:
             for deliver_ns, lane, _, vector in merged:
                 self.arbiter.push(lane, vector, deliver_ns)
             self._m_vectors.inc(len(merged))
-            self.arbiter.finalize()
+            lanes = self.arbiter.finalize()
             self._update_health(traces, ran)
             self._m_runs.inc()
             results = {
-                runtime.name: runtime.take_new_records()
-                for runtime in self.tenants
+                runtime.name: lanes[runtime.index] for runtime in self.tenants
             }
+            self.last_round, self.last_records = round_index, results
             if journaling:
                 self._commit_round(
                     round_index,
@@ -646,9 +644,12 @@ class SocManager:
         replayed inference records are byte-identical to the
         uninterrupted run's), and discards an uncommitted tail —
         :attr:`next_round` is one past the last committed round, so the
-        caller re-feeds from there.  ``crash_points`` is armed only
-        after replay finishes; recovery itself never re-fires the
-        injector that killed the original process.
+        caller re-feeds from there.  That round (the newest replayed,
+        or the checkpoint's) stays readable as :attr:`last_round` and
+        :attr:`last_records`, for a caller that lost its return.
+        ``crash_points`` is armed only after replay finishes; recovery
+        itself never re-fires the injector that killed the original
+        process.
         """
         manager = cls(deployments, journal=journal, **settings)
         records = journal.records()

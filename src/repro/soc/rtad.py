@@ -155,9 +155,9 @@ class RtadSoc:
         Every call is an independent trace session: per-session state
         (trace encoder context, link framer, PTM FIFO bytes, encoder
         window, LSTM recurrent state, MCM busy window) is reset first,
-        so back-to-back calls behave like fresh SoCs.  ``mcm.records``
-        and the observability counters keep accumulating — they are
-        the lifetime log.
+        so back-to-back calls behave like fresh SoCs.  The returned
+        list holds this session's records; the observability counters
+        keep accumulating.
         """
         tenant = self.tenant
         with self.metrics.trace("soc.run_events", events=len(events)):
@@ -171,7 +171,7 @@ class RtadSoc:
                 self.arbiter.push(0, vector, deliver_ns)
             with self.metrics.trace("mcm.finalize"):
                 [records] = self.arbiter.finalize()
-            self._observe_records()
+            self._observe_records(records)
             return records
 
     def _reset_session(self) -> None:
@@ -179,9 +179,9 @@ class RtadSoc:
         self.arbiter.reset_session()
         self.tenant.reset()
 
-    def _observe_records(self) -> None:
-        """End-to-end latency of every inference not yet observed."""
-        for record in self.tenant.take_new_records():
+    def _observe_records(self, records: List[InferenceRecord]) -> None:
+        """End-to-end latency of every inference of the session."""
+        for record in records:
             trigger_ns = CPU_CLOCK.to_ns(record.trigger_cycle)
             self._m_e2e.observe(max(0.0, record.done_ns - trigger_ns))
 
@@ -207,7 +207,7 @@ class RtadSoc:
         """Feed already-filtered monitored branch IDs with timestamps.
 
         Like :meth:`run_events`, every call is an independent trace
-        session; the returned list is the lifetime log.
+        session; the returned list holds this session's records.
         """
         if len(ids) != len(times_ns):
             raise SocConfigError("ids/times length mismatch")
@@ -231,7 +231,7 @@ class RtadSoc:
                     self._m_read.observe(latency)
                     self.arbiter.push(0, vector, time_ns + latency)
             [records] = self.arbiter.finalize()
-            self._observe_records()
+            self._observe_records(records)
             return records
 
     # ------------------------------------------------------------------
@@ -286,15 +286,12 @@ class RtadSoc:
                 normal_times[onset_index:] + shift,
             ]
         )
-        # Judge only this trial: the MCM's records, interrupts and FIFO
-        # drops are lifetime logs on a reused SoC.
-        mcm = self.mcm
-        seen_records = len(mcm.records)
-        seen_interrupts = len(mcm.interrupts.fired)
-        seen_drops = mcm.dropped_vectors
-        records = self.run_monitored_stream(ids, times)[seen_records:]
-        interrupts = mcm.interrupts.fired[seen_interrupts:]
-        dropped = mcm.dropped_vectors - seen_drops
+        # The trial is one session; only the FIFO drop count is a
+        # lifetime counter on a reused SoC.
+        seen_drops = self.mcm.dropped_vectors
+        records = self.run_monitored_stream(ids, times)
+        interrupts = self.mcm.interrupts.fired
+        dropped = self.mcm.dropped_vectors - seen_drops
         false_before = sum(1 for i in interrupts if i.time_ns < onset_ns)
         # One deadline for the whole trial: the window filter below and
         # the judgment check further down must use the same instant, so

@@ -83,10 +83,10 @@ def _apply_mix(manager, mix):
             runtime.crashes = 1
 
 
-def _log(manager):
+def _log(records):
     return {
-        runtime.name: [record_signature(r) for r in runtime.mcm.records]
-        for runtime in manager.tenants
+        name: [record_signature(r) for r in tenant_records]
+        for name, tenant_records in records.items()
     }
 
 
@@ -109,9 +109,9 @@ class TestFullCheckpointRoundTrip:
         # The next round — quarantine skips, probation clocks, record
         # numbering, carry state — must evolve identically.
         traces = _traces(num_tenants, rounds)
-        original.run_events(traces)
-        restored.run_events(traces)
-        assert _log(restored) == _log(original)
+        assert _log(restored.run_events(traces)) == _log(
+            original.run_events(traces)
+        )
         assert restored.health() == original.health()
 
     @given(scenario=scenarios())
@@ -130,9 +130,9 @@ class TestFullCheckpointRoundTrip:
         restored = _manager(num_tenants)
         restore_checkpoint(restored, json.loads(json.dumps(document)))
         traces = _traces(num_tenants, rounds)
-        manager.run_events(traces)
-        restored.run_events(traces)
-        assert _log(restored) == _log(manager)
+        assert _log(restored.run_events(traces)) == _log(
+            manager.run_events(traces)
+        )
 
 
 class TestTenantHandoff:
@@ -167,9 +167,9 @@ class TestTenantHandoff:
         trace = demo_events(
             KIND, 0, EVENTS, run_label=f"ckpt-handoff-{name}"
         )
-        original.run_events({name: trace})
-        adopter.run_events({name: trace})
-        assert _log(adopter)[name] == _log(original)[name]
+        assert _log(adopter.run_events({name: trace}))[name] == _log(
+            original.run_events({name: trace})
+        )[name]
         assert (
             adopter.tenant(name).health is original.tenant(name).health
         )

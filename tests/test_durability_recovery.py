@@ -10,6 +10,7 @@ a quarantined tenant's quarantine (including its probation progress).
 import pytest
 
 from repro.durability import (
+    FileJournal,
     MemoryJournal,
     RecordKind,
     capture_checkpoint,
@@ -60,27 +61,28 @@ def _recover(journal, **kwargs):
     )
 
 
-def _log(manager):
+def _log(records):
+    """One round's returned records, serialized."""
     return {
-        runtime.name: [record_signature(r) for r in runtime.mcm.records]
-        for runtime in manager.tenants
+        name: [record_signature(r) for r in tenant_records]
+        for name, tenant_records in records.items()
     }
 
 
 def _baseline_log(rounds):
     manager = _manager()
-    for r in range(rounds):
-        manager.run_events(_traces(r))
-    return _log(manager)
+    return [_log(manager.run_events(_traces(r))) for r in range(rounds)]
 
 
 def test_journaling_is_invisible():
     journal = MemoryJournal()
     journaled = _manager(journal=journal)
+    delivered = []
     for r in range(2):
         records = journaled.run_events(_traces(r))
         assert any(records.values())  # the round actually inferred
-    assert _log(journaled) == _baseline_log(2)
+        delivered.append(_log(records))
+    assert delivered == _baseline_log(2)
     # Wire protocol: BEGIN, then chunks, then COMMIT, for every round.
     kinds = [record.kind for record in journal.records()]
     assert kinds[0] is RecordKind.ROUND_BEGIN
@@ -106,7 +108,7 @@ def test_kill_mid_round_recovers_byte_identical():
         journal=journal,
         crash_points=CrashPointInjector(kill_at=round_sites + 1),
     )
-    victim.run_events(_traces(0))
+    delivered = [_log(victim.run_events(_traces(0)))]
     with pytest.raises(ProcessCrashError):
         victim.run_events(_traces(1))
 
@@ -116,8 +118,8 @@ def test_kill_mid_round_recovers_byte_identical():
     assert (
         recovered.metrics.counter("socmgr.rounds_replayed").value == 1
     )
-    recovered.run_events(_traces(1))
-    assert _log(recovered) == _baseline_log(2)
+    delivered.append(_log(recovered.run_events(_traces(1))))
+    assert delivered == _baseline_log(2)
 
 
 @pytest.mark.parametrize("dataplane", ["batched", "loop"])
@@ -146,8 +148,7 @@ def test_kill_mid_batched_round_recovers_byte_identical(dataplane):
         )
 
     baseline = batched_manager()
-    for r in range(2):
-        baseline.run_events(_traces(r))
+    baseline_log = [_log(baseline.run_events(_traces(r))) for r in range(2)]
     counters = baseline.metrics.snapshot()["counters"]
     assert counters["mcm.arbiter.batch.grants"] > 0  # fusion happened
 
@@ -161,7 +162,7 @@ def test_kill_mid_batched_round_recovers_byte_identical(dataplane):
         journal=journal,
         crash_points=CrashPointInjector(kill_at=round_sites + 1),
     )
-    victim.run_events(_traces(0))
+    delivered = [_log(victim.run_events(_traces(0)))]
     with pytest.raises(ProcessCrashError):
         victim.run_events(_traces(1))
 
@@ -173,8 +174,8 @@ def test_kill_mid_batched_round_recovers_byte_identical(dataplane):
         batch_limit=TENANTS,
     )
     assert recovered.next_round == 1
-    recovered.run_events(_traces(1))
-    assert _log(recovered) == _log(baseline)
+    delivered.append(_log(recovered.run_events(_traces(1))))
+    assert delivered == baseline_log
 
 
 def test_recovery_from_checkpoint_skips_replayed_segments():
@@ -183,8 +184,7 @@ def test_recovery_from_checkpoint_skips_replayed_segments():
     # round's event count), so recovery restores state instead of
     # replaying from round zero.
     manager = _manager(journal=journal, checkpoint_interval_events=1)
-    manager.run_events(_traces(0))
-    manager.run_events(_traces(1))
+    delivered = [_log(manager.run_events(_traces(r))) for r in range(2)]
     kinds = [record.kind for record in journal.records()]
     assert kinds.count(RecordKind.CHECKPOINT) == 2
 
@@ -194,8 +194,8 @@ def test_recovery_from_checkpoint_skips_replayed_segments():
     assert (
         recovered.metrics.counter("socmgr.rounds_replayed").value == 0
     )
-    recovered.run_events(_traces(2))
-    assert _log(recovered) == _baseline_log(3)
+    delivered.append(_log(recovered.run_events(_traces(2))))
+    assert delivered == _baseline_log(3)
 
 
 def test_remove_then_admit_same_deployment_resets_session():
@@ -204,9 +204,8 @@ def test_remove_then_admit_same_deployment_resets_session():
     # *cleanly reset* readmitted tenant must be indistinguishable from.
     twin = _manager()
     round0 = _traces(0)
-    manager.run_events(round0)
+    assert manager.run_events(round0)["tenant1"]
     twin.run_events({"tenant0": round0["tenant0"]})
-    assert manager.tenant("tenant1").mcm.records
 
     deployment = manager.remove_tenant("tenant1")
     assert [r.name for r in manager.tenants] == ["tenant0"]
@@ -216,11 +215,12 @@ def test_remove_then_admit_same_deployment_resets_session():
     assert runtime.mcm.records == []
 
     round1 = _traces(1)
-    manager.run_events(round1)
-    twin.run_events(round1)
-    assert _log(manager)["tenant1"] == _log(twin)["tenant1"]
+    records = manager.run_events(round1)
+    assert _log(records)["tenant1"] == _log(twin.run_events(round1))[
+        "tenant1"
+    ]
     # The readmitted lane restarts its record numbering from zero.
-    assert manager.tenant("tenant1").mcm.records[0].sequence_number == 0
+    assert records["tenant1"][0].sequence_number == 0
 
 
 def test_remove_last_tenant_refused():
@@ -251,10 +251,10 @@ def test_recovery_preserves_quarantine():
     # readmission round included.
     for r in (2, 3, 4):
         traces = _traces(r)
-        manager.run_events(traces)
-        recovered.run_events(traces)
+        assert _log(recovered.run_events(traces)) == _log(
+            manager.run_events(traces)
+        )
         assert recovered.health() == manager.health()
-    assert _log(recovered) == _log(manager)
     assert (
         recovered.tenant("tenant1").health is not TenantHealth.QUARANTINED
     )
@@ -320,7 +320,7 @@ def test_skipped_round_numbers_recover_like_an_uninterrupted_run(interval):
 
     recovered = _recover(journal, checkpoint_interval_events=interval)
     assert recovered.next_round == 6
-    assert _log(recovered) == _log(manager)
+    assert _log(recovered.last_records) == _log(manager.last_records)
 
     def state(soc):
         # The manager-level registry differs by the recovery counters.
@@ -331,9 +331,9 @@ def test_skipped_round_numbers_recover_like_an_uninterrupted_run(interval):
         }
 
     assert state(recovered) == state(manager)
-    for soc in (manager, recovered):
-        soc.run_events(_traces(7), 7)
-    assert _log(recovered) == _log(manager)
+    assert _log(recovered.run_events(_traces(7), 7)) == _log(
+        manager.run_events(_traces(7), 7)
+    )
 
 
 def test_lower_round_index_is_refused():
@@ -346,3 +346,65 @@ def test_lower_round_index_is_refused():
             manager.run_events(_traces(behind), behind)
     assert len(journal.records()) == journaled
     assert manager.next_round == 4
+
+
+def test_record_state_is_bounded_by_one_round(tmp_path):
+    # A round returns its records and nothing keeps them: after 1,000
+    # rounds the lane holds only the last round's records and
+    # interrupts, and the checkpoint is no larger than after 10.
+    import json
+
+    from repro.durability import capture_checkpoint
+
+    manager = SocManager(
+        build_demo_deployments(num_tenants=1, kind=KIND),
+        metrics=MetricsRegistry(),
+        journal=FileJournal(str(tmp_path)),
+    )
+    # A walk whose round raises an interrupt, so both lists are held.
+    trace = {"tenant0": demo_events(KIND, 0, 300, run_label="bounded-2")}
+    sizes = {}
+    for r in range(1, 1001):
+        records = manager.run_events(trace)["tenant0"]
+        if r in (10, 1000):
+            sizes[r] = len(json.dumps(capture_checkpoint(manager)))
+    lane = manager.tenant("tenant0").mcm
+    assert records and lane.records is records
+    anomalous = [r.sequence_number for r in records if r.anomalous]
+    assert anomalous  # the round raised interrupts
+    assert [i.sequence_number for i in lane.interrupts.fired] == anomalous
+    assert sizes[1000] <= 1.1 * sizes[10]
+
+
+def test_a_round_committed_before_a_double_fault_is_read_from_the_checkpoint(
+    tmp_path,
+):
+    # Killed at round 1's commit, recovered and checkpointed (as a
+    # restarted fleet worker does), then killed again before anyone
+    # fetched round 1: the second recovery still answers with round
+    # 1's records, from the checkpoint alone.
+    baseline = _manager()
+    expected = [_log(baseline.run_events(_traces(r))) for r in range(3)]
+
+    counting = CrashPointInjector(kill_at=None)
+    _manager(journal=MemoryJournal(), crash_points=counting).run_events(
+        _traces(0)
+    )
+    round_sites = counting.sites_reached  # the commit is the last one
+    injector = CrashPointInjector(kill_at=2 * round_sites - 1)
+    directory = str(tmp_path)
+    victim = _manager(journal=FileJournal(directory), crash_points=injector)
+    victim.run_events(_traces(0))
+    with pytest.raises(ProcessCrashError):
+        victim.run_events(_traces(1))
+    assert injector.fired_site == "wal.commit"
+
+    _recover(FileJournal(directory)).checkpoint()
+    journal = FileJournal(directory)
+    # Nothing after the checkpoint: the second recovery replays nothing.
+    assert journal.records()[-1].kind is RecordKind.CHECKPOINT
+    recovered = _recover(journal)
+    assert recovered.next_round == 2
+    assert recovered.last_round == 1
+    assert _log(recovered.last_records) == expected[1]
+    assert _log(recovered.run_events(_traces(2))) == expected[2]

@@ -22,7 +22,7 @@ import tempfile
 
 import pytest
 
-from repro.errors import Backoff
+from repro.errors import Backoff, FleetError
 from repro.eval.metrics import demo_events
 from repro.eval.report import record_signature, verdict_flags
 from repro.faults import FaultKind, FaultPlan, FaultSpec
@@ -154,6 +154,20 @@ class TestMidRoundKill:
                     ] == [
                         record_signature(r) for r in reference[name]
                     ]
+
+
+class TestReconcileReadsTheLastRound:
+    def test_a_last_round_other_than_the_one_in_flight_is_refused(
+        self, make_fleet
+    ):
+        with make_fleet() as fleet:
+            fleet.run_events(_traces(0))
+            fleet.run_events(_traces(1))
+            # The shard is past round 0, but its last round is round 1,
+            # whose records must not be delivered as round 0's.
+            with pytest.raises(FleetError, match="last round is 1"):
+                fleet._reconcile(fleet.shards[0], 0, [], None)
+            assert fleet.counts["fleet.rounds.reconciled"] == 0
 
 
 class TestCrashLoopMigration:

@@ -122,12 +122,11 @@ def test_dataplanes_agree_across_a_context_change(name):
     events_b = demo_events("lstm", 1, 1500, run_label="ctx-plane-b")
 
     def verdicts(dataplane):
-        # Fresh SoC per dataplane: run_events returns the MCM's
-        # lifetime record log, covering both sessions.
+        # Fresh SoC per dataplane; the verdicts cover both sessions.
         soc = build_demo_soc(
             "lstm", seed=0, frontend=name, dataplane=dataplane
         )
-        soc.run_events(events_a)
+        records = soc.run_events(events_a)
         # The loop dataplane owns a live driver; the batched pipeline
         # has none, so reconfigure through a fresh (disabled) driver.
         # Either way the frontend's shared config carries the change.
@@ -136,7 +135,7 @@ def test_dataplanes_agree_across_a_context_change(name):
             driver = soc.frontend.create_driver()
         driver.disable()
         driver.set_context_id(CONTEXT_B)
-        records = soc.run_events(events_b)
+        records = records + soc.run_events(events_b)
         return [
             (r.sequence_number, r.score, bool(r.anomalous))
             for r in records

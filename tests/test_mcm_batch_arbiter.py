@@ -296,14 +296,12 @@ class TestWatchdogWithBatching:
         # A late arrival on lane 3 makes the drain grant the three
         # queued heads; the reset then lands before any finalize.
         arb.push(3, vector([0], seq=0), 1e9)
+        session = [lane.records for lane in lanes[:3]]
         arb.reset_session()
         eager_lanes, eager = build(batch_limit=1, mcm=EagerMcm)
         round_(eager, 0)
-        eager.finalize()
-        assert [lane.records for lane in lanes[:3]] == [
-            lane.records for lane in eager_lanes[:3]
-        ]
-        assert all(len(lane.records) == 1 for lane in lanes[:3])
+        assert session == eager.finalize()[:3]
+        assert all(len(records) == 1 for records in session)
         # a fresh round after the reset serves (and fuses) like a
         # fresh arbiter; lane 3's leftover arrives after all of it
         for lane in lanes:
@@ -313,7 +311,7 @@ class TestWatchdogWithBatching:
         fresh_lanes, fresh = build()
         round_(fresh, 1)
         fresh.finalize()
-        assert [lane.records[1:] for lane in lanes[:3]] == [
+        assert [lane.records for lane in lanes[:3]] == [
             lane.records for lane in fresh_lanes[:3]
         ]
         counters = arb.metrics.snapshot()["counters"]
@@ -431,9 +429,12 @@ class TestDifferentialAgainstUnbatched:
         arb.set_batch_eligible(INELIGIBLE, False)
         now = 0.0
         sequence = [0] * NUM_LANES
+        earlier = [([], []) for _ in lanes]
         for position, (lane, value, edits, gap) in enumerate(pushes):
             if position == reset_at:
                 # a new session mid-stream, as the SoC manager starts one
+                earlier = [(each.records, each.interrupts.fired)
+                           for each in lanes]
                 arb.reset_session()
                 for each in lanes:
                     each.driver.reset()
@@ -447,8 +448,14 @@ class TestDifferentialAgainstUnbatched:
             sequence[lane] += 1
         arb.finalize()
         return {
-            "records": [lane.records for lane in lanes],
-            "interrupts": [lane.interrupts.fired for lane in lanes],
+            "records": [
+                records + lane.records
+                for (records, _), lane in zip(earlier, lanes)
+            ],
+            "interrupts": [
+                fired + lane.interrupts.fired
+                for (_, fired), lane in zip(earlier, lanes)
+            ],
             "drops": [lane.dropped_vectors for lane in lanes],
             "cancels": [lane.cancelled for lane in lanes],
             "watchdog_trips": arb.watchdog_trips,

@@ -40,11 +40,9 @@ class TestRepeatedRuns:
     def test_second_run_matches_fresh_soc(self, dataplane):
         events = demo_events("lstm", 0, 6_000)
         soc = build_demo_soc("lstm", dataplane=dataplane)
-        # run_events returns the live lifetime log (mcm.records), so
-        # snapshot a copy before the second call appends to it.
-        first = list(soc.run_events(events))
-        both = soc.run_events(events)
-        second = both[len(first):]
+        first = soc.run_events(events)
+        second = soc.run_events(events)
+        assert first is not second  # a session's list stays intact
         fresh = build_demo_soc("lstm", dataplane=dataplane).run_events(
             events
         )
@@ -57,8 +55,8 @@ class TestRepeatedRuns:
         a = demo_events("lstm", 0, 4_000, run_label="session-a")
         b = demo_events("lstm", 0, 4_000, run_label="session-b")
         soc = build_demo_soc("lstm")
-        run_a = list(soc.run_events(a))
-        run_b = soc.run_events(b)[len(run_a):]
+        soc.run_events(a)
+        run_b = soc.run_events(b)
         fresh_b = build_demo_soc("lstm").run_events(b)
         assert [record_key(r) for r in run_b] == [
             record_key(r) for r in fresh_b

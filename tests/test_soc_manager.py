@@ -110,8 +110,7 @@ class TestFourTenants:
     def test_idle_tenant_and_second_round(self, four_tenant_run):
         manager, traces, first, _ = four_tenant_run
         # Second round: only tenant1 runs; others idle and return no
-        # *new* records.  take_new_records semantics keep rounds
-        # separable even though mcm.records accumulates.
+        # records — a round returns only its own records.
         second = manager.run_events({"tenant1": traces["tenant1"]})
         assert len(second["tenant1"]) == len(first["tenant1"])
         for name in ("tenant0", "tenant2", "tenant3"):
