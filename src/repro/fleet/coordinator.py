@@ -122,6 +122,10 @@ TRANSPORT_COUNTERS = (
     "fleet.transport.shm.reinits",  # rings rebuilt after a worker death
 )
 
+#: EWMA smoothing for the per-shard makespan signal that load-aware
+#: rebalancing compares.
+REBALANCE_EWMA_ALPHA = 0.4
+
 #: Load-aware placement counters.
 PLACEMENT_COUNTERS = (
     "fleet.placement.rounds",      # boundaries the placer evaluated
@@ -198,8 +202,6 @@ class FleetConfig:
     #: ``None`` (default) keeps placement static — construction-time
     #: round-robin, migrations only on crash-loops.
     rebalance_ratio: Optional[float] = None
-    #: EWMA smoothing for the per-shard makespan signal.
-    rebalance_ewma_alpha: float = 0.4
     #: Rounds to observe before the first rebalance decision.
     rebalance_warmup_rounds: int = 2
     #: Rounds to hold still after a rebalance (hysteresis).
@@ -223,8 +225,6 @@ class FleetConfig:
             raise FleetError("shm_ring_bytes must be >= 4096")
         if self.rebalance_ratio is not None and self.rebalance_ratio <= 1.0:
             raise FleetError("rebalance_ratio must be > 1.0")
-        if not 0.0 < self.rebalance_ewma_alpha <= 1.0:
-            raise FleetError("rebalance_ewma_alpha must be in (0, 1]")
         if self.rebalance_warmup_rounds < 0:
             raise FleetError("rebalance_warmup_rounds must be >= 0")
         if self.rebalance_cooldown_rounds < 0:
@@ -625,7 +625,7 @@ class FleetCoordinator:
         makes "moving this tenant narrows the gap by ~its share" a
         sound estimate.
         """
-        alpha = self.config.rebalance_ewma_alpha
+        alpha = REBALANCE_EWMA_ALPHA
         spans = [
             (record.arrival_ns, record.done_ns)
             for tenant_records in records.values()

@@ -26,22 +26,26 @@ Data-dependent control flow — divergence via EXEC masks,
 block by block inside the dispatch loop, so any kernel the compiler
 accepts behaves exactly like the interpreter.
 
-Exactness contract (enforced by ``tests/test_miaow_compiler.py``):
+Exactness contract (enforced by ``tests/test_miaow_compiler.py`` and
+``tests/test_miaow_batch_equivalence.py``):
 
-- every architectural effect observable after a dispatch (LDS and
-  global-memory contents, counters) is bit-identical to the
-  interpreter, statement for statement mirroring
-  :mod:`repro.miaow.alu`;
+- every architectural effect observable after a dispatch (global
+  memory contents, counters) is bit-identical to the interpreter,
+  statement for statement mirroring :mod:`repro.miaow.alu`;
 - per-block cycle costs are precomputed from :class:`GpuTimings` using
   the same ``max(issue, cost)`` recurrence the scheduler loop follows
   at occupancy 1, so ``DispatchResult.cycles`` / ``per_cu_cycles`` /
   instruction counts match exactly;
-- runtime faults (illegal trimmed opcodes, memory faults, scalar
-  operand misuse) raise the same exception types with the same
-  messages, with instruction counters advanced only past the
-  instructions that fully executed (the completed-block count is
-  recovered from the generated frame's locals, the partial block from
-  the faulting line number).
+- a compiled run commits nothing and writes no LDS (LDS stores and
+  atomics decline at every batch size).  The dispatcher journals its
+  global-memory writes, and on any exception rolls them back and
+  replays on the exact path, so a fault's type, message, partial
+  effects and instruction counters come from the interpreter itself.
+
+One lowering serves every batch size K >= 1.  K = 1 is a single
+dispatch; K >= 2 fuses K members over stacked lane arrays (see
+"Batched runtime helpers" below), and only then are scalar operands
+widened to per-member arrays.
 
 Anything the compiler cannot prove it can mirror raises
 :class:`CompileUnsupported` and the :class:`~repro.miaow.gpu.Gpu`
@@ -49,23 +53,16 @@ falls back to the interpreter for that kernel.  Multi-wavefront
 occupancy (``max_resident > 1``) interleaves instructions from
 different wavefronts, which fusion cannot reproduce — the Gpu only
 routes dispatches here at occupancy 1 (the FPGA/MCM regime).
-
-One known granularity difference: the ``MAX_INSTRUCTIONS_PER_WAVE``
-runaway guard is checked per *block* rather than per instruction, so a
-runaway kernel still raises the same :class:`GpuError` but may execute
-up to one block (bounded by the loop body length) more than the
-interpreter before doing so.
 """
 
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import GpuError, IllegalInstructionError, KernelLaunchError
+from repro.errors import GpuError, IllegalInstructionError
 from repro.miaow.alu import _mask_to_words, _words_to_mask
 from repro.miaow.assembler import Kernel
 from repro.miaow.compute_unit import MAX_INSTRUCTIONS_PER_WAVE, GpuTimings
@@ -81,12 +78,10 @@ from repro.miaow.isa import (
 )
 
 __all__ = [
-    "BatchCompiledKernel",
     "BatchDivergence",
     "CompileUnsupported",
     "CompiledKernel",
     "compile_kernel",
-    "compile_kernel_batched",
 ]
 
 
@@ -99,12 +94,12 @@ class CompileUnsupported(Exception):
 
 
 class BatchDivergence(Exception):
-    """Runtime signal from a *batched* executor: the fused members
+    """Runtime signal from a fused (K >= 2) executor: the members
     disagree on a control-flow decision (per-tenant VCC/EXEC branch).
 
-    Never user-visible: the dispatcher catches it (like any other
-    batched-run exception), rolls the memory journal back and replays
-    the members serially through the exact single-dispatch path.
+    Never user-visible: the dispatcher catches it like any other
+    compiled-run exception, rolls the memory journal back and replays
+    the members serially, each as a batch of one.
     """
 
 
@@ -131,7 +126,7 @@ _COND_EXPR = {
     "s_cbranch_execz": "not EX.any()",
 }
 
-#: Batched variants: mask branches must agree across every fused member
+#: Fused (K >= 2) variants: mask branches must agree across every member
 #: (``_uany`` raises :class:`BatchDivergence` otherwise).  SCC branches
 #: need no helper — a varying SCC is a (K,) bool array, and ``not`` /
 #: ``if`` on it raises, which the dispatcher turns into a serial replay.
@@ -269,10 +264,10 @@ _BASE_GLOBALS = {
 # Batched runtime helpers
 # ---------------------------------------------------------------------------
 #
-# A batched executor runs K fused members over one stacked lane array of
+# A fused executor (K >= 2) runs K members over one stacked lane array of
 # K * WAVE_SIZE lanes (member m owns the contiguous block
 # [m * WAVE_SIZE, (m + 1) * WAVE_SIZE)).  The vector domain is therefore
-# the same code the single path emits, just over longer arrays; the
+# the same code a batch of one emits, just over longer arrays; the
 # scalar domain is *mixed*: kernel arguments every member agrees on stay
 # plain python ints (and fold through the scalar templates unchanged),
 # while per-member arguments are (K,) int64 arrays.  Any scalar
@@ -384,7 +379,7 @@ class _Gen:
     """
 
     def __init__(
-        self, f32_regs: frozenset = frozenset(), batch: int = 0
+        self, f32_regs: frozenset = frozenset(), batch: int = 1
     ) -> None:
         self.lines: List[str] = []
         self.consts: Dict[str, object] = {}
@@ -393,8 +388,9 @@ class _Gen:
         self.f32_seen: set = set()
         self.vregs: set = set()
         self.sregs: set = set()
-        self.batch = batch
-        self.total_lanes = WAVE_SIZE * batch if batch else WAVE_SIZE
+        #: K >= 2: members are stacked and scalars may vary per member
+        self.fused = batch > 1
+        self.total_lanes = WAVE_SIZE * batch
 
     def const(self, value) -> str:
         name = f"_K{len(self.consts)}"
@@ -421,10 +417,6 @@ class _Gen:
 
     def is_f32(self, index: int) -> bool:
         return index in self.f32_regs or index in self.f32_seen
-
-    @property
-    def next_line(self) -> int:
-        return len(self.lines) + 1
 
 
 # -- operand expression builders (all pure; safe to build before emit) ------
@@ -467,11 +459,11 @@ def _vdst(g: _Gen, operand) -> int:
 def _batch_scalar(g: _Gen, operand) -> bool:
     """True when a scalar operand may vary per fused member at runtime.
 
-    In batched mode any SGPR (or vcc/exec read-back) can carry a (K,)
+    In a fused run any SGPR (or vcc/exec read-back) can carry a (K,)
     per-member array, so scalar operands in vector contexts must expand
     through the always-array ``_vx*`` helpers.  Literals stay scalar.
     """
-    return bool(g.batch) and isinstance(operand, (SReg, Special))
+    return g.fused and isinstance(operand, (SReg, Special))
 
 
 def _v_u32(g: _Gen, operand) -> Tuple[str, bool]:
@@ -697,7 +689,7 @@ def _e_s_load(g, inst):
     dst = _sdst(g, inst.operands[0])
     base = _sexpr(g, inst.operands[1])
     offset = _sexpr(g, inst.operands[2])
-    if g.batch:
+    if g.fused:
         # the address may be a (K,) per-member array: _sld gathers one
         # word per member (and keeps the plain-int path for uniforms)
         g.w(f"S{dst} = _sld(GM, ({base}) + ({offset}))")
@@ -970,7 +962,7 @@ for _name, _py in (("eq", "=="), ("lt", "<"), ("ge", ">=")):
 
 @_emit("s_saveexec_b64")
 def _e_s_saveexec(g, inst):
-    if g.batch:
+    if g.fused:
         raise CompileUnsupported("batch: exec-mask save/restore")
     dst = _sdst(g, inst.operands[0])
     g.sregs.add(dst + 1)
@@ -981,7 +973,7 @@ def _e_s_saveexec(g, inst):
 
 @_emit("s_mov_exec_b64")
 def _e_s_mov_exec(g, inst):
-    if g.batch:
+    if g.fused:
         raise CompileUnsupported("batch: exec-mask save/restore")
     src = _sdst(g, inst.operands[0])
     g.sregs.add(src + 1)
@@ -991,7 +983,7 @@ def _e_s_mov_exec(g, inst):
 
 @_emit("v_readfirstlane_b32")
 def _e_v_readfirstlane(g, inst):
-    if g.batch:
+    if g.fused:
         # the first active lane of the *stacked* mask belongs to one
         # member only — a cross-member scalar leak, so decline
         raise CompileUnsupported("batch: v_readfirstlane_b32")
@@ -1020,26 +1012,12 @@ def _e_ds_read(g, inst):
 
 
 @_emit("ds_write_b32")
-def _e_ds_write(g, inst):
-    if g.batch:
-        # LDS is shared model state across fused members; a per-member
-        # store would clobber the other members' view of it
-        raise CompileUnsupported("batch: LDS store")
-    addr = _v_addr(g, inst.operands[0])
-    value = _v_addr(g, inst.operands[1])
-    g.w("if _ef:")
-    g.w(f"    LM.scatter_all_u32({addr}, {value})")
-    g.w("else:")
-    g.w(f"    LM.scatter_u32({addr}, {value}, EX)")
-
-
 @_emit("ds_add_u32")
-def _e_ds_add(g, inst):
-    if g.batch:
-        raise CompileUnsupported("batch: LDS atomic")
-    addr = _v_addr(g, inst.operands[0])
-    value = _v_addr(g, inst.operands[1])
-    g.w(f"LM.atomic_add_u32({addr}, {value}, EX)")
+def _e_ds_write(g, inst):
+    # Declined at every K: a fault rollback restores global memory
+    # only, and LDS is model state every fused member shares.  No
+    # shipped kernel writes LDS; kernels that do run on the interpreter.
+    raise CompileUnsupported(f"LDS write: {inst.op}")
 
 
 @_emit("ds_swizzle_b32")
@@ -1060,7 +1038,7 @@ def _e_ds_swizzle(g, inst):
         )
         _write_u32(g, dst, f"({src})[{lanes}]", True)
     else:
-        if g.batch:
+        if g.fused:
             # a varying pattern would need per-member index tables
             raise CompileUnsupported("batch: data-dependent swizzle")
         xor = _sexpr(g, xor_op)
@@ -1095,100 +1073,68 @@ def _e_flat_store(g, inst):
 # ---------------------------------------------------------------------------
 
 class CompiledKernel:
-    """A kernel lowered to one fused executor (occupancy-1 only).
+    """A kernel lowered to one fused executor over K stacked members.
+
+    The generated function is a label-dispatch loop over K * WAVE_SIZE
+    element lane arrays (member m owns lanes [m * 64, (m + 1) * 64));
+    K = 1 is a single dispatch.  Kernel arguments are plain ints
+    (uniform across members) or, for K >= 2, (K,) int64 arrays
+    (per-member).
 
     ``run_workgroups`` mirrors the interpreter scheduler for a single
     resident wavefront: per-wavefront issue times accumulate as
     ``sum(max(issue, cost))`` per executed instruction, precomputed per
     block and folded into the generated function, which returns
     ``(instructions, ready_offset, next_now_offset)`` per wavefront.
-    The dispatch's elapsed cycles and instruction counters come out
-    bit-identical to :meth:`ComputeUnit.run_workgroups`.
+    It deliberately commits *nothing*: the dispatcher commits the
+    returned (elapsed, count) pair, or on any exception rolls back its
+    memory journal and replays on the exact path.  Every fused member
+    executes the identical instruction stream in lockstep (divergence
+    raises :class:`BatchDivergence`), so the one pair is bit-identical
+    to what :meth:`ComputeUnit.run_workgroups` reports for each member.
     """
 
-    __slots__ = (
-        "kernel", "fn", "filename", "source", "num_blocks",
-        "_first_lines", "_block_starts",
-    )
+    __slots__ = ("kernel", "fn", "filename", "source", "batch")
 
     def __init__(
-        self,
-        kernel: Kernel,
-        fn,
-        filename: str,
-        source: str,
-        num_blocks: int,
-        fault_blocks: List[Tuple[int, List[int]]],
+        self, kernel: Kernel, fn, filename: str, source: str, batch: int
     ) -> None:
         self.kernel = kernel
         self.fn = fn
         self.filename = filename
         self.source = source
-        self.num_blocks = num_blocks
-        self._first_lines = [line for line, _ in fault_blocks]
-        self._block_starts = [starts for _, starts in fault_blocks]
-
-    def _fault_count(self, tb) -> int:
-        """Total instructions that completed before a fault.
-
-        The generated frame's ``n`` local counts every finished block;
-        the faulting line number locates the partial block and, within
-        it, how many of its instructions finished.
-        """
-        frame = None
-        lineno = 0
-        while tb is not None:
-            if tb.tb_frame.f_code.co_filename == self.filename:
-                frame = tb.tb_frame
-                lineno = tb.tb_lineno
-            tb = tb.tb_next
-        if frame is None:
-            return 0
-        count = int(frame.f_locals.get("n", 0))
-        index = bisect_right(self._first_lines, lineno) - 1
-        if index < 0:
-            return count
-        starts = self._block_starts[index]
-        return count + max(0, bisect_right(starts, lineno) - 1)
+        self.batch = batch
 
     def run_workgroups(
         self,
-        cu,
+        global_memory,
+        local_memory,
         workgroup_ids: Sequence[int],
         num_workgroups_total: int,
-        args: Sequence[int],
-    ) -> int:
-        """Execute the given workgroups; returns elapsed CU cycles."""
-        if len(args) > NUM_SGPRS - 2:
-            raise KernelLaunchError("too many kernel arguments")
-        arg_words = tuple(int(value) & 0xFFFFFFFF for value in args)
-        num_args = len(arg_words)
-        nwg = num_workgroups_total & 0xFFFFFFFF
+        args: Sequence[object],
+    ) -> Tuple[int, int]:
+        """Execute workgroups; returns per-member (cycles, instructions).
+
+        Run it under ``np.errstate(all="ignore")``, as the interpreter's
+        lane arithmetic is (the dispatcher enters it once per dispatch).
+        """
         fn = self.fn
-        global_memory = cu.global_memory
-        local_memory = cu.local_memory
+        nwg = num_workgroups_total & 0xFFFFFFFF
+        num_args = len(args)
         now = 0
         cycles_end = 0
-        with np.errstate(all="ignore"):
-            for wg_id in workgroup_ids:
-                try:
-                    count, ready_off, next_off = fn(
-                        global_memory, local_memory,
-                        wg_id, nwg, arg_words, num_args,
-                    )
-                except Exception as exc:
-                    cu.total_instructions += self._fault_count(
-                        exc.__traceback__
-                    )
-                    raise
-                cu.total_instructions += count
-                end_ready = now + ready_off
-                if end_ready > cycles_end:
-                    cycles_end = end_ready
-                now += next_off
+        total = 0
+        for wg_id in workgroup_ids:
+            count, ready_off, next_off = fn(
+                global_memory, local_memory, wg_id, nwg, args, num_args,
+            )
+            total += count
+            end_ready = now + ready_off
+            if end_ready > cycles_end:
+                cycles_end = end_ready
+            now += next_off
         elapsed = now if now > cycles_end else cycles_end
-        cu.total_cycles += elapsed
-        return elapsed
+        return elapsed, total
 
 
 # ---------------------------------------------------------------------------
@@ -1233,17 +1179,20 @@ def compile_kernel(
     kernel: Kernel,
     timings: Optional[GpuTimings] = None,
     allowed_ops=None,
-    batch: int = 0,
+    batch: int = 1,
 ) -> CompiledKernel:
-    """Lower ``kernel`` into one fused executor function.
+    """Lower ``kernel`` into one fused executor over ``batch`` members.
 
-    ``batch=K`` (K >= 2) lowers the *batched* variant instead: the
-    executor runs K members' lanes stacked into K * WAVE_SIZE element
-    arrays (use :func:`compile_kernel_batched` for the wrapped form).
-
-    Raises :class:`CompileUnsupported` for any shape this compiler
-    cannot mirror exactly — the caller falls back to the interpreter.
+    ``batch=K`` stacks K members' lanes into K * WAVE_SIZE element
+    arrays; K = 1 is a single dispatch.  Raises
+    :class:`CompileUnsupported` for any shape this compiler cannot
+    mirror exactly at that K (K >= 2 also declines exec-mask
+    save/restore, ``v_readfirstlane`` and data-dependent swizzles) —
+    the caller falls back to the interpreter, or to serial batches of
+    one.
     """
+    if batch < 1:
+        raise ValueError("batch size must be >= 1")
     timings = timings or GpuTimings()
     instructions = kernel.instructions
     n = len(instructions)
@@ -1273,7 +1222,7 @@ def compile_kernel(
     ]
 
     gen = _Gen(f32_regs=frozenset(scan.f32_seen), batch=batch)
-    cond_exprs = _BATCH_COND_EXPR if batch else _COND_EXPR
+    cond_exprs = _BATCH_COND_EXPR if gen.fused else _COND_EXPR
     raise_arms: Dict[int, int] = {}
     next_arm = len(spans)
 
@@ -1323,8 +1272,6 @@ def compile_kernel(
     gen.w("_L = 0")
     gen.w("while True:")
 
-    fault_blocks: List[Tuple[int, List[int]]] = []
-
     for block_index, (start, end) in enumerate(spans):
         span = instructions[start:end]
         costs = [
@@ -1335,18 +1282,14 @@ def compile_kernel(
         adv = sum(advances)
 
         keyword = "if" if block_index == 0 else "elif"
-        first_line = gen.next_line
         gen.indent = "        "
         gen.w(f"{keyword} _L == {block_index}:")
         gen.indent = "            "
         gen.w(f"if n > {MAX_INSTRUCTIONS_PER_WAVE}:")
         gen.w(f"    raise GpuError({guard_prefix!r} + str(wg_id)"
               f" + {guard_suffix!r})")
-        inst_starts: List[int] = []
         for inst in span:
-            inst_starts.append(gen.next_line)
             _emit_instruction(gen, inst, kernel, allowed_ops)
-        fault_blocks.append((first_line, inst_starts))
 
         last = span[-1]
         gen.w(f"n += {count}")
@@ -1371,15 +1314,13 @@ def compile_kernel(
 
     for pc, arm_index in sorted(raise_arms.items(), key=lambda kv: kv[1]):
         message = f"kernel {kernel.name}: pc {pc} out of range"
-        first_line = gen.next_line
         gen.indent = "        "
         gen.w(f"elif _L == {arm_index}:")
         gen.indent = "            "
         gen.w(f"raise GpuError({message!r})")
-        fault_blocks.append((first_line, []))
 
     source = "\n".join(gen.lines)
-    if batch:
+    if gen.fused:
         filename = (
             f"<miaow-batchpath-k{batch}:{kernel.name}:"
             f"{kernel.content_digest()[:8]}>"
@@ -1401,95 +1342,5 @@ def compile_kernel(
         fn=namespace["_run"],
         filename=filename,
         source=source,
-        num_blocks=len(spans),
-        fault_blocks=fault_blocks,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Batched compilation
-# ---------------------------------------------------------------------------
-
-class BatchCompiledKernel:
-    """A kernel lowered to one fused executor over K stacked members.
-
-    The generated function is the same label-dispatch loop the single
-    path emits, run over K * WAVE_SIZE element lane arrays (member m
-    owns lanes [m * 64, (m + 1) * 64)).  Kernel arguments may be plain
-    ints (uniform across members) or (K,) int64 arrays (per-member).
-
-    ``run_workgroups`` deliberately commits *nothing*: it returns the
-    per-member elapsed cycles and instruction count and lets the
-    dispatcher decide — on any exception the dispatcher rolls back its
-    memory journal and replays the members serially, so faults surface
-    with exactly the single-path semantics.  Because every fused member
-    executes the identical instruction stream in lockstep (divergence
-    raises :class:`BatchDivergence`), one (elapsed, count) pair is
-    bit-identical to what each member's single dispatch would report.
-    """
-
-    __slots__ = ("kernel", "fn", "filename", "source", "batch")
-
-    def __init__(
-        self, kernel: Kernel, fn, filename: str, source: str, batch: int
-    ) -> None:
-        self.kernel = kernel
-        self.fn = fn
-        self.filename = filename
-        self.source = source
-        self.batch = batch
-
-    def run_workgroups(
-        self,
-        global_memory,
-        local_memory,
-        workgroup_ids: Sequence[int],
-        num_workgroups_total: int,
-        args: Sequence[object],
-    ) -> Tuple[int, int]:
-        """Execute workgroups fused; returns per-member (cycles, instructions)."""
-        fn = self.fn
-        nwg = num_workgroups_total & 0xFFFFFFFF
-        num_args = len(args)
-        now = 0
-        cycles_end = 0
-        total = 0
-        with np.errstate(all="ignore"):
-            for wg_id in workgroup_ids:
-                count, ready_off, next_off = fn(
-                    global_memory, local_memory, wg_id, nwg, args, num_args,
-                )
-                total += count
-                end_ready = now + ready_off
-                if end_ready > cycles_end:
-                    cycles_end = end_ready
-                now += next_off
-        elapsed = now if now > cycles_end else cycles_end
-        return elapsed, total
-
-
-def compile_kernel_batched(
-    kernel: Kernel,
-    batch: int,
-    timings: Optional[GpuTimings] = None,
-    allowed_ops=None,
-) -> BatchCompiledKernel:
-    """Lower ``kernel`` into a fused K-member batched executor.
-
-    Raises :class:`CompileUnsupported` when the kernel uses a shape the
-    batched lowering cannot keep bit-exact per member (LDS stores,
-    exec-mask save/restore, readfirstlane, data-dependent swizzles) —
-    the dispatcher then serves the members through the single path.
-    """
-    if batch < 2:
-        raise ValueError("batch size must be >= 2")
-    compiled = compile_kernel(
-        kernel, timings=timings, allowed_ops=allowed_ops, batch=batch
-    )
-    return BatchCompiledKernel(
-        kernel=kernel,
-        fn=compiled.fn,
-        filename=compiled.filename,
-        source=compiled.source,
         batch=batch,
     )

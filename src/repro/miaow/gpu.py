@@ -10,7 +10,7 @@ way the MCM loads them at application-load time).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
@@ -18,11 +18,9 @@ import numpy as np
 from repro.errors import GpuError, GpuMemoryError, KernelLaunchError
 from repro.miaow.assembler import Kernel
 from repro.miaow.compiler import (
-    BatchCompiledKernel,
     CompiledKernel,
     CompileUnsupported,
     compile_kernel,
-    compile_kernel_batched,
 )
 from repro.miaow.isa import NUM_SGPRS
 from repro.miaow.compute_unit import ComputeUnit, GpuTimings
@@ -30,54 +28,49 @@ from repro.miaow.coverage import CoverageCollector
 from repro.miaow.memory import GlobalMemory
 from repro.obs import MetricsRegistry, NULL_REGISTRY
 
-#: Compiled-kernel LRU capacity.  The whole shipped model zoo needs six
-#: kernels; 32 leaves generous headroom for synthetic/test kernels
-#: without letting a kernel-churning workload hold executors forever.
-COMPILED_CACHE_CAPACITY = 32
-
 #: Dispatch-plan LRU capacity (keyed by workgroup count).
 PLAN_CACHE_CAPACITY = 64
 
-#: Batched-executor LRU capacity, keyed on (digest, K).  Each batch
+#: Compiled-executor LRU capacity, keyed on (digest, K).  Each batch
 #: size needs its own lowering (stacked-lane constants are sized
-#: K * WAVE_SIZE), so the key space is larger than the single cache's.
-BATCH_CACHE_CAPACITY = 64
+#: K * WAVE_SIZE); the shipped model zoo's six kernels at a handful of
+#: widths fit with headroom for synthetic/test kernels, without letting
+#: a kernel-churning workload hold executors forever.
+EXECUTOR_CACHE_CAPACITY = 64
 
 _FALLBACK_REASONS = ("disabled", "coverage", "occupancy", "unsupported")
 
-#: Why a dispatch_batch call fell back to serial single dispatches:
-#: ``engine`` — the engine itself is off the fast path (interpreter
-#: mode, coverage, occupancy > 1); ``unsupported`` — the kernel has no
-#: batched lowering; ``replayed`` — the fused run raised (member fault
-#: or control divergence) and was rolled back and replayed serially.
+#: Why a fused (K >= 2) dispatch_batch call fell back to serial batches
+#: of one: ``engine`` — the engine itself is off the fast path
+#: (interpreter mode, coverage, occupancy > 1); ``unsupported`` — the
+#: kernel has no fused lowering at this K; ``replayed`` — the fused run
+#: raised (member fault or control divergence) and was rolled back and
+#: replayed serially.
 _BATCH_FALLBACK_REASONS = ("engine", "unsupported", "replayed")
 
 
 class _JournaledGlobalMemory:
-    """Write-journaling view of :class:`GlobalMemory` for fused runs.
+    """Write-journaling view of :class:`GlobalMemory` for compiled runs.
 
-    Records the pre-image of every scatter so a faulting fused dispatch
-    can be rolled back to the exact pre-batch memory state before the
-    members are replayed serially — that replay then reproduces the
-    single path's results, partial effects and fault bit for bit.
-    Reads delegate untouched; LDS needs no journal because the batched
-    compiler statically rejects LDS-writing kernels.
+    Records the pre-image of every scatter so a compiled run that
+    raises can be rolled back to the exact pre-dispatch memory state
+    before the exact path replays it — that replay then reproduces the
+    interpreter's results, partial effects and fault bit for bit.
+    Reads delegate untouched; LDS needs no journal because the compiler
+    statically rejects LDS-writing kernels.
     """
 
-    __slots__ = ("_memory", "_journal")
+    __slots__ = (
+        "_memory", "_journal", "load_u32", "gather_all_u32", "gather_u32",
+    )
 
     def __init__(self, memory, journal: list) -> None:
         self._memory = memory
         self._journal = journal
-
-    def load_u32(self, address: int) -> int:
-        return self._memory.load_u32(address)
-
-    def gather_all_u32(self, addresses):
-        return self._memory.gather_all_u32(addresses)
-
-    def gather_u32(self, addresses, mask):
-        return self._memory.gather_u32(addresses, mask)
+        # reads bind straight through: no extra call frame per load
+        self.load_u32 = memory.load_u32
+        self.gather_all_u32 = memory.gather_all_u32
+        self.gather_u32 = memory.gather_u32
 
     def scatter_all_u32(self, addresses, values) -> None:
         memory = self._memory
@@ -130,15 +123,10 @@ class Gpu:
         self.allowed_ops = allowed_ops
         self.max_resident = max_resident
         self.fast_path = fast_path
-        # digest -> CompiledKernel, or None for kernels the compiler
+        # (digest, K) -> CompiledKernel, or None when the compiler
         # declined (negative cache: don't retry a hopeless compile on
         # every dispatch).
-        self._compiled_cache: "OrderedDict[str, Optional[CompiledKernel]]" = (
-            OrderedDict()
-        )
-        # (digest, K) -> BatchCompiledKernel, or None when the batched
-        # lowering declined (negative cache, like _compiled_cache).
-        self._batch_cache: "OrderedDict[tuple, Optional[BatchCompiledKernel]]" = (
+        self._executors: "OrderedDict[tuple, Optional[CompiledKernel]]" = (
             OrderedDict()
         )
         # workgroup count -> per-CU workgroup-id lists (round-robin);
@@ -250,23 +238,25 @@ class Gpu:
             return "occupancy"
         return None
 
-    def _compiled_for(self, kernel: Kernel) -> Optional[CompiledKernel]:
-        """LRU-cached compile of ``kernel`` (None = interpreter only)."""
-        digest = kernel.content_digest()
-        cache = self._compiled_cache
-        if digest in cache:
-            cache.move_to_end(digest)
+    def _executor_for(
+        self, kernel: Kernel, batch: int
+    ) -> Optional[CompiledKernel]:
+        """LRU-cached compile at width ``batch`` (None = no lowering)."""
+        key = (kernel.content_digest(), batch)
+        cache = self._executors
+        if key in cache:
+            cache.move_to_end(key)
             self._m_compile_hits.inc()
-            return cache[digest]
+            return cache[key]
         self._m_compile_misses.inc()
         try:
             compiled: Optional[CompiledKernel] = compile_kernel(
-                kernel, self.timings, self.allowed_ops
+                kernel, self.timings, self.allowed_ops, batch
             )
         except CompileUnsupported:
             compiled = None
-        cache[digest] = compiled
-        if len(cache) > COMPILED_CACHE_CAPACITY:
+        cache[key] = compiled
+        if len(cache) > EXECUTOR_CACHE_CAPACITY:
             cache.popitem(last=False)
             self._m_compile_evictions.inc()
         return compiled
@@ -288,43 +278,13 @@ class Gpu:
     def fastpath_stats(self) -> Dict[str, int]:
         """Cache occupancy snapshot (for benchmarks and tests)."""
         compiled = sum(
-            1 for value in self._compiled_cache.values() if value is not None
+            1 for value in self._executors.values() if value is not None
         )
         return {
             "compiled_cached": compiled,
-            "unsupported_cached": len(self._compiled_cache) - compiled,
+            "unsupported_cached": len(self._executors) - compiled,
             "plans_cached": len(self._plan_cache),
         }
-
-    def batch_stats(self) -> Dict[str, int]:
-        """Batched-executor cache snapshot (keyed on (digest, K))."""
-        compiled = sum(
-            1 for value in self._batch_cache.values() if value is not None
-        )
-        return {
-            "batch_compiled_cached": compiled,
-            "batch_unsupported_cached": len(self._batch_cache) - compiled,
-        }
-
-    def _batched_for(
-        self, kernel: Kernel, batch: int
-    ) -> Optional[BatchCompiledKernel]:
-        """LRU-cached batched compile (None = no batched lowering)."""
-        key = (kernel.content_digest(), batch)
-        cache = self._batch_cache
-        if key in cache:
-            cache.move_to_end(key)
-            return cache[key]
-        try:
-            batched: Optional[BatchCompiledKernel] = compile_kernel_batched(
-                kernel, batch, self.timings, self.allowed_ops
-            )
-        except CompileUnsupported:
-            batched = None
-        cache[key] = batched
-        if len(cache) > BATCH_CACHE_CAPACITY:
-            cache.popitem(last=False)
-        return batched
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -336,61 +296,12 @@ class Gpu:
         num_workgroups: int,
         args: Sequence[int] = (),
     ) -> DispatchResult:
-        """Run ``num_workgroups`` workgroups of ``kernel``.
+        """Run ``num_workgroups`` workgroups of ``kernel``: a batch of one.
 
         Workgroup ids are distributed round-robin across CUs; the
-        dispatch's latency is the slowest CU's elapsed cycles.  When
-        eligible (fast path enabled, no coverage collector, occupancy
-        1) the kernel runs through its cached compiled executors; the
-        result is bit-identical to the interpreter either way.
+        dispatch's latency is the slowest CU's elapsed cycles.
         """
-        if num_workgroups < 1:
-            raise KernelLaunchError("num_workgroups must be >= 1")
-        plan = self._dispatch_plan(num_workgroups)
-        reason = self._fallback_reason()
-        compiled: Optional[CompiledKernel] = None
-        if reason is None:
-            compiled = self._compiled_for(kernel)
-            if compiled is None:
-                reason = "unsupported"
-
-        per_cu_cycles: Dict[int, int] = {}
-        instructions_before = sum(
-            cu.total_instructions for cu in self.compute_units
-        )
-        for cu in self.compute_units:
-            wg_ids = plan[cu.cu_id]
-            if not wg_ids:
-                per_cu_cycles[cu.cu_id] = 0
-                continue
-            if compiled is not None:
-                per_cu_cycles[cu.cu_id] = compiled.run_workgroups(
-                    cu, wg_ids, num_workgroups, args
-                )
-            else:
-                per_cu_cycles[cu.cu_id] = cu.run_workgroups(
-                    kernel, wg_ids, num_workgroups, args
-                )
-        instructions = (
-            sum(cu.total_instructions for cu in self.compute_units)
-            - instructions_before
-        )
-        self.dispatches += 1
-        if compiled is not None:
-            self._m_fast_dispatches.inc()
-        else:
-            self._m_interpreted.inc()
-            self._m_fallback[reason].inc()
-        result = DispatchResult(
-            kernel=kernel.name,
-            cycles=max(per_cu_cycles.values()),
-            instructions=instructions,
-            per_cu_cycles=per_cu_cycles,
-        )
-        self._m_dispatches.inc()
-        self._m_cycles.inc(result.cycles)
-        self._m_instructions.inc(result.instructions)
-        return result
+        return self.dispatch_batch(kernel, num_workgroups, [args])[0]
 
     def dispatch_batch(
         self,
@@ -402,106 +313,155 @@ class Gpu:
 
         ``args_lists`` holds one argument list per member; argument
         positions every member agrees on stay uniform scalars, the rest
-        become (K,) per-member arrays inside the batched executor.
+        become (K,) per-member arrays inside the fused executor.
 
-        The results — scores in memory, per-member cycle counts,
-        instruction counters, fault type/message and partial effects —
-        are bit-identical to dispatching the members one at a time:
-        fused members run in lockstep (so each member's timing equals
-        its single-dispatch timing), all global-memory writes are
-        journaled, and any fused-run exception (member fault, control
-        divergence, unsupported runtime shape) rolls the journal back
-        and replays the members serially through :meth:`dispatch`.
-        Singletons and kernels without a batched lowering take the
-        serial path directly.
+        When eligible (fast path enabled, no coverage collector,
+        occupancy 1) the members run through the cached executor for
+        (kernel, K).  The results — scores in memory, per-member cycle
+        counts, instruction counters, fault type/message and partial
+        effects — are bit-identical to interpreting the members one at
+        a time: members run in lockstep (so each member's timing equals
+        its solo timing), all global-memory writes are journaled, and
+        any compiled-run exception rolls the journal back and replays
+        on the exact path — the interpreter for a batch of one, serial
+        batches of one for K >= 2 (member fault, control divergence).
         """
         members = len(args_lists)
         if members == 0:
             raise KernelLaunchError("dispatch_batch needs at least one member")
-        if members == 1:
-            return [self.dispatch(kernel, num_workgroups, args_lists[0])]
         if num_workgroups < 1:
             raise KernelLaunchError("num_workgroups must be >= 1")
-
-        def serial(reason: str) -> List[DispatchResult]:
-            self._m_batch_fallback[reason].inc()
-            return [
-                self.dispatch(kernel, num_workgroups, args)
-                for args in args_lists
-            ]
-
-        if self._fallback_reason() is not None:
-            return serial("engine")
-        batched = self._batched_for(kernel, members)
-        if batched is None:
-            return serial("unsupported")
+        reason = self._fallback_reason()
+        if reason is not None:
+            return self._exact(
+                kernel, num_workgroups, args_lists, reason, "engine"
+            )
+        compiled = self._executor_for(kernel, members)
         width = len(args_lists[0])
-        if width > NUM_SGPRS - 2 or any(
-            len(args) != width for args in args_lists
+        if (
+            compiled is None
+            or width > NUM_SGPRS - 2
+            or any(len(args) != width for args in args_lists)
         ):
-            return serial("unsupported")
+            return self._exact(
+                kernel, num_workgroups, args_lists, "unsupported",
+                "unsupported",
+            )
 
         # Column-wise argument stacking: uniform positions stay plain
-        # ints (and fold through the scalar domain exactly like a
-        # single dispatch); varying positions become (K,) arrays.
-        columns: List[object] = []
-        for position in range(width):
-            values = [
-                int(args[position]) & 0xFFFFFFFF for args in args_lists
-            ]
-            first = values[0]
-            if all(value == first for value in values[1:]):
-                columns.append(first)
-            else:
-                columns.append(np.array(values, dtype=np.int64))
+        # ints (and fold through the scalar domain exactly like a batch
+        # of one); varying positions become (K,) arrays.
+        if members == 1:
+            columns = [int(value) & 0xFFFFFFFF for value in args_lists[0]]
+        else:
+            columns = []
+            for column in zip(*args_lists):
+                values = [int(value) & 0xFFFFFFFF for value in column]
+                first = values[0]
+                if all(value == first for value in values[1:]):
+                    columns.append(first)
+                else:
+                    columns.append(np.array(values, dtype=np.int64))
 
         plan = self._dispatch_plan(num_workgroups)
         journal: List[tuple] = []
         memory = _JournaledGlobalMemory(self.global_memory, journal)
-        per_cu_cycles: Dict[int, int] = {}
-        per_cu_counts: Dict[int, int] = {}
+        runs = []
         try:
-            for cu in self.compute_units:
-                wg_ids = plan[cu.cu_id]
-                if not wg_ids:
-                    per_cu_cycles[cu.cu_id] = 0
-                    continue
-                elapsed, count = batched.run_workgroups(
-                    memory, cu.local_memory, wg_ids, num_workgroups,
-                    columns,
-                )
-                per_cu_cycles[cu.cu_id] = elapsed
-                per_cu_counts[cu.cu_id] = count
+            with np.errstate(all="ignore"):
+                for cu in self.compute_units:
+                    wg_ids = plan[cu.cu_id]
+                    if wg_ids:
+                        runs.append((cu, compiled.run_workgroups(
+                            memory, cu.local_memory, wg_ids,
+                            num_workgroups, columns,
+                        )))
         except Exception:
             for addresses, values in reversed(journal):
                 self.global_memory.scatter_all_u32(addresses, values)
-            return serial("replayed")
+            # A batch of one that raised is served as if it had no
+            # lowering: the interpreter reproduces its fault exactly.
+            return self._exact(
+                kernel, num_workgroups, args_lists, "unsupported",
+                "replayed",
+            )
 
         # Commit: every member executed the identical instruction
         # stream in lockstep, so per-member timing and counts equal the
         # fused run's — scatter them back K-fold.
-        for cu in self.compute_units:
-            count = per_cu_counts.get(cu.cu_id, 0)
-            if count:
-                cu.total_instructions += count * members
-            elapsed = per_cu_cycles[cu.cu_id]
-            if elapsed:
-                cu.total_cycles += elapsed * members
-        instructions = sum(per_cu_counts.values())
+        per_cu_cycles = dict.fromkeys(range(self.num_cus), 0)
+        instructions = 0
+        for cu, (elapsed, count) in runs:
+            cu.total_cycles += elapsed * members
+            cu.total_instructions += count * members
+            per_cu_cycles[cu.cu_id] = elapsed
+            instructions += count
         cycles = max(per_cu_cycles.values())
-        self.dispatches += members
-        self._m_dispatches.inc(members)
+        self._tally(members, cycles, instructions)
         self._m_fast_dispatches.inc(members)
-        self._m_cycles.inc(cycles * members)
-        self._m_instructions.inc(instructions * members)
-        self._m_batch_dispatches.inc()
-        self._m_batch_requests.inc(members)
+        if members > 1:
+            self._m_batch_dispatches.inc()
+            self._m_batch_requests.inc(members)
         return [
             DispatchResult(
                 kernel=kernel.name,
                 cycles=cycles,
                 instructions=instructions,
-                per_cu_cycles=dict(per_cu_cycles),
+                per_cu_cycles=(
+                    dict(per_cu_cycles) if member else per_cu_cycles
+                ),
             )
-            for _ in range(members)
+            for member in range(members)
         ]
+
+    def _exact(
+        self,
+        kernel: Kernel,
+        num_workgroups: int,
+        args_lists: Sequence[Sequence[int]],
+        reason: str,
+        batch_reason: str,
+    ) -> List[DispatchResult]:
+        """Serve members on the exact path: a batch of one on the
+        interpreter (counted under ``reason``), K >= 2 as serial batches
+        of one (counted once under ``batch_reason``)."""
+        if len(args_lists) > 1:
+            self._m_batch_fallback[batch_reason].inc()
+            return [
+                self.dispatch(kernel, num_workgroups, args)
+                for args in args_lists
+            ]
+        args = args_lists[0]
+        plan = self._dispatch_plan(num_workgroups)
+        per_cu_cycles: Dict[int, int] = {}
+        instructions_before = sum(
+            cu.total_instructions for cu in self.compute_units
+        )
+        for cu in self.compute_units:
+            wg_ids = plan[cu.cu_id]
+            per_cu_cycles[cu.cu_id] = (
+                cu.run_workgroups(kernel, wg_ids, num_workgroups, args)
+                if wg_ids else 0
+            )
+        instructions = (
+            sum(cu.total_instructions for cu in self.compute_units)
+            - instructions_before
+        )
+        cycles = max(per_cu_cycles.values())
+        self._tally(1, cycles, instructions)
+        self._m_interpreted.inc()
+        self._m_fallback[reason].inc()
+        return [
+            DispatchResult(
+                kernel=kernel.name,
+                cycles=cycles,
+                instructions=instructions,
+                per_cu_cycles=per_cu_cycles,
+            )
+        ]
+
+    def _tally(self, members: int, cycles: int, instructions: int) -> None:
+        self.dispatches += members
+        self._m_dispatches.inc(members)
+        self._m_cycles.inc(cycles * members)
+        self._m_instructions.inc(instructions * members)

@@ -135,12 +135,9 @@ class GpuRuntime:
         num_workgroups: int,
         args: Sequence[Union[int, Buffer]] = (),
     ) -> DispatchResult:
-        """Enqueue a kernel (blocking; returns timing/result info)."""
-        if isinstance(kernel, str):
-            kernel = self.get_kernel(kernel)
-        return self.gpu.dispatch(
-            kernel, num_workgroups, self._flatten_args(args)
-        )
+        """Enqueue a kernel (blocking; returns timing/result info): a
+        batch of one."""
+        return self.launch_batch(kernel, num_workgroups, [args])[0]
 
     def launch_batch(
         self,
@@ -151,7 +148,7 @@ class GpuRuntime:
         """Enqueue one fused dispatch serving K compatible requests.
 
         Returns one :class:`DispatchResult` per member, bit-identical
-        to launching the members one at a time (see
+        to interpreting the members one at a time (see
         :meth:`repro.miaow.gpu.Gpu.dispatch_batch`).
         """
         if isinstance(kernel, str):

@@ -188,8 +188,8 @@ class DeployedModel:
     - ``kind`` names the MCM protocol conversion (``ProtocolConverter``);
     - ``infer_batch(members, inputs)`` is the only code that launches
       the model's kernels, for K converted inputs; ``infer`` is a batch
-      of one, which ``Gpu.dispatch_batch`` sends straight to the serial
-      oracle ``Gpu.dispatch``;
+      of one, which ``Gpu.dispatch_batch`` runs on its executor for
+      K = 1 (a fused launch of one member);
     - ``batch_key(converted)`` says which inferences may share a fused
       dispatch (equal keys fix the same kernel shapes and loop bounds);
     - ``warmup_input()`` is the typical input the driver measures the

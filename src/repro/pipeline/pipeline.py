@@ -24,7 +24,6 @@ from repro.pipeline.stages import (
     IgmStage,
     PtmFifoStage,
 )
-from repro.soc.clocks import RTAD_CLOCK, ClockDomain
 from repro.workloads.cfg import BranchEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -161,8 +160,6 @@ def build_trace_pipeline(
     sink: Callable[[InputVector, float], None],
     *,
     frontend: "TraceFrontend",
-    fifo_threshold_bytes: int = 176,
-    port_clock: ClockDomain = RTAD_CLOCK,
     igm_pipe_ns: float = 24.0,
     metrics: Optional[MetricsRegistry] = None,
     chunk_events: int = DEFAULT_CHUNK_EVENTS,
@@ -184,11 +181,7 @@ def build_trace_pipeline(
     """
     stages: List[Stage] = [
         *frontend.build_encode_stages(metrics=metrics),
-        PtmFifoStage(
-            threshold_bytes=fifo_threshold_bytes,
-            port_clock=port_clock,
-            metrics=metrics,
-        ),
+        PtmFifoStage(metrics=metrics),
         IgmStage(mapper, encoder, metrics=metrics),
         DeliverStage(sink, igm_pipe_ns=igm_pipe_ns, metrics=metrics),
     ]

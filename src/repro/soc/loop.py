@@ -27,7 +27,7 @@ from repro.eventbatch import EventBatch
 from repro.igm.address_mapper import AddressMapper
 from repro.igm.vector_encoder import InputVector, VectorEncoder
 from repro.obs import MetricsRegistry, NULL_REGISTRY
-from repro.soc.clocks import CPU_CLOCK, RTAD_CLOCK, ClockDomain
+from repro.soc.clocks import CPU_CLOCK
 from repro.soc.cpu import PtmFifoModel
 from repro.workloads.cfg import BranchEvent
 
@@ -50,8 +50,6 @@ class LoopDataplane:
         sink: Callable[[InputVector, float], None],
         *,
         frontend: "TraceFrontend",
-        fifo_threshold_bytes: int = 176,
-        port_clock: ClockDomain = RTAD_CLOCK,
         igm_pipe_ns: float = 24.0,
         metrics: Optional[MetricsRegistry] = None,
         fault_plan: Optional["FaultPlan"] = None,
@@ -68,11 +66,7 @@ class LoopDataplane:
         self.driver: "TraceDriver" = frontend.create_driver(
             metrics=self.metrics
         )
-        self.fifo = PtmFifoModel(
-            threshold_bytes=fifo_threshold_bytes,
-            port_clock=port_clock,
-            metrics=self.metrics,
-        )
+        self.fifo = PtmFifoModel(metrics=self.metrics)
         self._overflow: Optional["VectorOverflowModel"] = None
         event_metrics = vector_metrics = NULL_REGISTRY
         if fault_plan is not None and not fault_plan.is_noop:

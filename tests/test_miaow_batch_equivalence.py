@@ -17,9 +17,9 @@ import pytest
 from repro.errors import GpuError
 from repro.miaow.assembler import assemble
 from repro.miaow.compiler import (
-    BatchCompiledKernel,
+    CompiledKernel,
     CompileUnsupported,
-    compile_kernel_batched,
+    compile_kernel,
 )
 from repro.miaow.gpu import Gpu
 from repro.miaow.isa import WAVE_SIZE
@@ -145,7 +145,7 @@ class TestSyntheticStreams:
         _assert_engines_identical(interpreted, compiled)
         _assert_engines_identical(compiled, batched)
         # the fused path really fused (one cache entry, no fallback)
-        assert batched[0].batch_stats()["batch_compiled_cached"] == 1
+        assert batched[0].fastpath_stats()["compiled_cached"] == 1
 
     @pytest.mark.parametrize("k", K_VALUES)
     def test_uniform_loop_fuses_varying_loop_replays(self, k):
@@ -324,10 +324,10 @@ class TestShippedModelBatches:
 
 
 class TestBatchedLowering:
-    def test_batch_below_two_rejected(self):
+    def test_batch_below_one_rejected(self):
         kernel = assemble(_FLOAT_KERNEL)
         with pytest.raises(ValueError):
-            compile_kernel_batched(kernel, 1)
+            compile_kernel(kernel, batch=0)
 
     def test_lds_store_declined_in_batch_mode(self):
         source = """
@@ -340,12 +340,12 @@ class TestBatchedLowering:
 """
         kernel = assemble(source)
         with pytest.raises(CompileUnsupported):
-            compile_kernel_batched(kernel, 2)
+            compile_kernel(kernel, batch=2)
 
     def test_batched_executor_is_inspectable(self):
         kernel = assemble(_FLOAT_KERNEL)
-        compiled = compile_kernel_batched(kernel, 3)
-        assert isinstance(compiled, BatchCompiledKernel)
+        compiled = compile_kernel(kernel, batch=3)
+        assert isinstance(compiled, CompiledKernel)
         assert compiled.batch == 3
         assert "def _run" in compiled.source
         assert "batchpath-k3" in compiled.filename

@@ -16,7 +16,7 @@ from repro.miaow.assembler import assemble, float_bits
 from repro.miaow.compiler import CompileUnsupported, compile_kernel
 from repro.miaow.compute_unit import GpuTimings
 from repro.miaow.coverage import CoverageCollector
-from repro.miaow.gpu import COMPILED_CACHE_CAPACITY, Gpu
+from repro.miaow.gpu import EXECUTOR_CACHE_CAPACITY, Gpu
 from repro.miaow.isa import WAVE_SIZE
 from repro.obs import MetricsRegistry
 import repro.miaow.gpu as gpu_module
@@ -535,13 +535,78 @@ loop:
 """
         kernel = assemble(source)
         messages = []
+        counts = []
         for fast in (True, False):
             gpu = Gpu(num_cus=1, fast_path=fast)
             with pytest.raises(GpuError) as info:
                 gpu.dispatch(kernel, 1)
             messages.append(str(info.value))
+            counts.append(
+                [cu.total_instructions for cu in gpu.compute_units]
+            )
         assert messages[0] == messages[1]
         assert "runaway loop" in messages[0]
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("members", [1, 3])
+    def test_store_then_fault_leaves_the_interpreters_state(self, members):
+        """A compiled run that stores and then faults is rolled back and
+        replayed: memory, counters and the exception are the
+        interpreter's, alone and as the faulting member of a fused
+        batch."""
+        # each workgroup adds s4 to the member's words in place, so a
+        # replay over memory that was not rolled back would add twice
+        source = """
+.kernel storefault
+.vgprs 8
+    v_lshlrev_b32 v5, 2, v0
+    v_add_i32 v6, v5, s2
+    flat_load_dword v1, v6
+    v_add_i32 v1, v1, s4
+    flat_store_dword v6, v1
+    s_mul_i32 s10, s0, s3
+    v_add_i32 v6, v5, s10
+    flat_load_dword v2, v6
+    v_add_i32 v1, v1, v2
+    v_add_i32 v6, v5, s2
+    flat_store_dword v6, v1
+    s_endpgm
+"""
+        kernel = assemble(source)
+        words = _random_words(np.random.default_rng(11), 3 * WAVE_SIZE)
+        # workgroup 1 (on the second CU) loads far out of device
+        # memory, after workgroup 0 has completed on the first
+        bad = 1 << 30
+        args_lists = [
+            [member * 4 * WAVE_SIZE, 0, 0, 7 + member]
+            for member in range(members)
+        ]
+        args_lists[-1][1] = bad
+        outcomes = []
+        for fast in (True, False):
+            gpu = Gpu(num_cus=2, fast_path=fast)
+            gpu.global_memory.write_block(0, words)
+            with pytest.raises(GpuMemoryError) as info:
+                if fast:
+                    gpu.dispatch_batch(kernel, 2, args_lists)
+                else:
+                    for args in args_lists:
+                        gpu.dispatch(kernel, 2, args)
+            outcomes.append((gpu, type(info.value), str(info.value)))
+        (gpu_fast, *error_fast), (gpu_slow, *error_slow) = outcomes
+        assert error_fast == error_slow
+        assert np.array_equal(
+            gpu_fast.global_memory._words, gpu_slow.global_memory._words
+        )
+        # the faulting member's first store landed before the fault
+        assert not np.array_equal(gpu_slow.global_memory._words[
+            (members - 1) * WAVE_SIZE:members * WAVE_SIZE
+        ], words[(members - 1) * WAVE_SIZE:members * WAVE_SIZE])
+        for cu_fast, cu_slow in zip(
+            gpu_fast.compute_units, gpu_slow.compute_units
+        ):
+            assert cu_fast.total_cycles == cu_slow.total_cycles
+            assert cu_fast.total_instructions == cu_slow.total_instructions
 
 
 # ---------------------------------------------------------------------------
@@ -617,13 +682,13 @@ class TestFallbacks:
     def test_lru_eviction(self):
         registry = MetricsRegistry()
         gpu = Gpu(metrics=registry)
-        for index in range(COMPILED_CACHE_CAPACITY + 3):
+        for index in range(EXECUTOR_CACHE_CAPACITY + 3):
             source = _TRIVIAL.replace("trivial", f"trivial{index}")
             gpu.dispatch(assemble(source), 1)
         counters = self._counters(registry)
         assert counters["miaow.compile.evictions"] == 3
         stats = gpu.fastpath_stats()
-        assert stats["compiled_cached"] == COMPILED_CACHE_CAPACITY
+        assert stats["compiled_cached"] == EXECUTOR_CACHE_CAPACITY
 
 
 # ---------------------------------------------------------------------------
@@ -683,3 +748,33 @@ class TestCompileKernel:
         compiled = compile_kernel(assemble(_TRIVIAL))
         assert "def _run" in compiled.source
         assert compiled.filename.startswith("<miaow-fastpath:trivial:")
+
+    @pytest.mark.parametrize("op", ["ds_write_b32", "ds_add_u32"])
+    def test_declines_lds_writes_at_every_width(self, op):
+        # a fault rollback restores global memory only, so no compiled
+        # run may write LDS
+        source = f"""
+.kernel ldsw
+.vgprs 4
+    v_lshlrev_b32 v1, 2, v0
+    {op} v1, v0
+    s_endpgm
+"""
+        for batch in (1, 2):
+            with pytest.raises(CompileUnsupported):
+                compile_kernel(assemble(source), batch=batch)
+
+    def test_batch_of_one_emits_no_fused_forms(self):
+        source = _OP_SCAFFOLD.format(
+            body="    v_fma_f32 v3, s5, s6, v2\n"
+            "    s_load_dword s10, s2, 8\n"
+            "    v_cmp_lt_i32 v1, s5\n"
+            "    s_cbranch_vccz done\n"
+            "    v_mov_b32 v3, s10\n"
+            "done:"
+        )
+        single = compile_kernel(assemble(source)).source
+        fused = compile_kernel(assemble(source), batch=2).source
+        for helper in ("_vxu(", "_vxf(", "_vxi(", "_uany(", "_sld("):
+            assert helper not in single
+        assert "_vxf(" in fused and "_uany(" in fused and "_sld(" in fused

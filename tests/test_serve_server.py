@@ -353,6 +353,69 @@ class TestOverloadControls:
         assert server.counts["serve.round.events"] >= 30
 
 
+class TestSlowClient:
+    def test_stalled_client_times_out_without_touching_its_neighbour(self):
+        """A client that stalls mid-frame for 10x the idle timeout is
+        dropped and counted once as slow; a clean tenant streaming at
+        the same time gets the verdicts of a solo fault-free run."""
+        from repro.eval.report import verdict_flags
+        from repro.faults.connection import ConnectionFaultInjector
+        from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
+        from repro.serve import SimulatedClient
+
+        stream = _events(300, label="slow-neighbour")
+        plan = FaultPlan(
+            seed=0, specs=(FaultSpec(FaultKind.CONN_SLOW_LORIS, rate=1.0),)
+        )
+
+        async def scenario():
+            server, _ = _server(config=ServeConfig(idle_timeout_s=0.05))
+            slow = SimulatedClient.local_faulty(
+                server, ConnectionFaultInjector(plan, client_index=1),
+                loris_delay_s=0.5,
+            )
+            # Every frame of the slow client is dribbled with 0.5 s
+            # pauses, so its HELLO header never completes in time.
+            stalled = asyncio.ensure_future(slow.hello("tenant1"))
+            # The clean tenant writes all its frames at once, so the
+            # server never waits on it mid-session.
+            clean = ServeClient.local(server)
+            clean.writer.write(
+                protocol.hello_frame("tenant0")
+                + protocol.events_frame(stream, sequence=1)
+                + protocol.bye_frame()
+            )
+            await clean.writer.drain()
+            responses = [(await clean._recv()).type for _ in range(3)]
+            for _ in range(500):  # up to 5 s: 100x the idle timeout
+                if server.counts["serve.clients.slow"]:
+                    break
+                await asyncio.sleep(0.01)
+            stalled.cancel()
+            await asyncio.gather(stalled, return_exceptions=True)
+            server.drain_once()
+            await server.stop()
+            return server, responses
+
+        server, responses = asyncio.run(scenario())
+        assert responses == [
+            protocol.FrameType.ACK,
+            protocol.FrameType.ACK,
+            protocol.FrameType.SUMMARY,
+        ]
+        assert server.counts["serve.clients.slow"] == 1
+        assert server.counts["serve.connections.opened"] == 2
+        assert server.counts["serve.connections.closed"] == 2
+        assert server.drain_errors == []
+        reference = build_demo_manager(1, kind="lstm", seed=0).run_events(
+            {"tenant0": stream}
+        )["tenant0"]
+        assert reference
+        assert verdict_flags(server.last_records["tenant0"]) == (
+            verdict_flags(reference)
+        )
+
+
 class TestTcpTransport:
     def test_tcp_session(self):
         async def scenario():
