@@ -7,7 +7,7 @@ from typing import List, Optional
 from repro.frontends.base import TraceFrontend
 from repro.frontends.etrace.decoder import EtraceDecoder
 from repro.frontends.etrace.driver import EtraceDriver
-from repro.frontends.etrace.encoder import EtraceConfig, EtraceEncoder
+from repro.frontends.etrace.encoder import EtraceConfig
 from repro.frontends.etrace.transport import EtraceDeframer, EtraceFramer
 from repro.obs import MetricsRegistry
 
@@ -43,16 +43,10 @@ class EtraceFrontend(TraceFrontend):
     ) -> List:
         # Deferred import: repro.pipeline.stages pulls in numpy-heavy
         # modules the control-plane users of this frontend never need.
-        from repro.pipeline.stages import ByteCountEncodeStage, LinkFrameStage
+        from repro.pipeline.stages import EtraceEncodeStage, LinkFrameStage
 
-        config = self.etrace_config
-        # No vectorised E-Trace encoder: count a real encoder's bytes.
         return [
-            ByteCountEncodeStage(
-                "etrace",
-                lambda: EtraceEncoder(config, metrics=metrics),
-                metrics=metrics,
-            ),
+            EtraceEncodeStage(config=self.etrace_config, metrics=metrics),
             LinkFrameStage(
                 "etrace_link",
                 EtraceFramer,

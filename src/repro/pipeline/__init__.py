@@ -11,8 +11,8 @@ chain, like the IGM's fixed hardware blocks:
   tag at every stage boundary, and threads ``repro.obs`` instruments
   through every stage,
 - :mod:`~repro.pipeline.stages` — the concrete trace-path stages
-  (PTM encode, link framing, PTM-FIFO batching, IGM map+encode,
-  delivery), rewritten to operate on numpy *batches* of events.
+  (PTM and E-Trace encode, link framing, PTM-FIFO batching, IGM
+  map+encode, delivery), rewritten to operate on numpy *batches* of events.
 
 The batched stages are **behaviour-preserving**: every simulated
 timestamp, byte count, and counter matches the per-event reference
@@ -26,6 +26,7 @@ from repro.pipeline.pipeline import Pipeline, build_trace_pipeline
 from repro.pipeline.stage import Stage, StageBase
 from repro.pipeline.stages import (
     DeliverStage,
+    EtraceEncodeStage,
     IgmStage,
     LinkFrameStage,
     PtmEncodeStage,
@@ -34,6 +35,7 @@ from repro.pipeline.stages import (
 
 __all__ = [
     "DeliverStage",
+    "EtraceEncodeStage",
     "EventBatch",
     "FifoFlush",
     "IgmStage",

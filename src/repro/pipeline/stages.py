@@ -1,31 +1,43 @@
 """Concrete trace-path stages, batched.
 
 Each stage reproduces one segment of the per-event reference loop in
-:meth:`repro.soc.loop.LoopDataplane.run` — PTM packet encoding, TPIU
+:meth:`repro.soc.loop.LoopDataplane.run` — packet encoding, link
 framing, PTM-FIFO batching, address map + vector encode, and vector
 delivery — but operates on numpy arrays over whole chunks of events.
 
 **Exactness contract.**  Every byte count, simulated timestamp, and
 observability counter matches the reference loop bit-for-bit.  The
-vectorized PTM encoder models the stream at the *byte-accounting*
-level: per-packet lengths (prefix-compressed branch addresses, atom
-packets, sync bursts) are computed with array arithmetic, and the
-data-dependent sync placement is resolved with a binary-search loop
-over the cumulative byte counts — one Python iteration per ~1 KiB of
-trace instead of one per branch.  For configurations it does not
-model (waypoint mode, pathological sync intervals) the CoreSight
+vectorised encoders (:class:`PtmEncodeStage` for CoreSight,
+:class:`EtraceEncodeStage` for E-Trace) model the stream at the
+*byte-accounting* level: per-packet lengths (compressed branch
+addresses, atom packets and branch maps, sync bursts) are computed
+with array arithmetic, and the data-dependent sync placement is
+resolved by :func:`_place_syncs` with a binary-search loop over the
+cumulative byte counts — one Python iteration per sync instead of one
+per branch.  For the CoreSight configurations the PTM stage does not
+model (waypoint mode, sync intervals within two sync bursts) the
 frontend builds a :class:`ByteCountEncodeStage` over a real
 :class:`~repro.coresight.ptm.Ptm` instead.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.coresight.ptm import PtmConfig
 from repro.errors import PacketEncodeError, SocConfigError
+from repro.eventbatch import EventBatch
+from repro.frontends.etrace.encoder import EtraceConfig
+from repro.frontends.etrace.packets import (
+    ALIGN_PREAMBLE,
+    MAX_MAP_BRANCHES,
+    SUPPORT_PAYLOAD,
+    SYNC_START_PAYLOAD,
+    encode_address,
+    encode_sync_start,
+)
 from repro.igm.address_mapper import AddressMapper
 from repro.igm.vector_encoder import EncoderMode, InputVector, VectorEncoder
 from repro.obs import MetricsRegistry
@@ -44,11 +56,125 @@ _SYNC_BURST_BYTES = 17
 #: Timestamp packet appended to the burst when enabled.
 _TIMESTAMP_BYTES = 9
 
+#: LEB128 group thresholds: a value below ``_VARINT_BOUNDS[k]`` fits in
+#: ``k + 1`` bytes.
+_VARINT_BOUNDS = np.array(
+    [1 << 7, 1 << 14, 1 << 21, 1 << 28], dtype=np.int64
+)
+#: E-Trace mid-run sync: align preamble + sync-start packet.
+_ETRACE_SYNC_BYTES = len(ALIGN_PREAMBLE) + 1 + SYNC_START_PAYLOAD
+#: E-Trace start burst: a sync plus the support packet.
+_ETRACE_START_BYTES = _ETRACE_SYNC_BYTES + 1 + SUPPORT_PAYLOAD
+#: A full branch map: header byte + ``MAX_MAP_BRANCHES`` outcome bits.
+_FULL_MAP_BYTES = 1 + (MAX_MAP_BRANCHES + 7) // 8
+
 
 def _sync_burst_bytes(config: PtmConfig) -> int:
     return _SYNC_BURST_BYTES + (
         _TIMESTAMP_BYTES if config.timestamps_enabled else 0
     )
+
+
+def _run_lengths(is_map: np.ndarray, carried: int) -> np.ndarray:
+    """Outcome bits pending at each event of a batch.
+
+    A map-only event reports the run it extends (itself included); an
+    address event reports the run it flushes.  ``carried`` outcomes
+    were pending before the batch and join the first run.
+    """
+    cum = np.cumsum(is_map, dtype=np.int64)
+    marks = np.where(is_map, 0, cum)
+    run = cum - np.concatenate(([0], np.maximum.accumulate(marks)[:-1]))
+    first_address = len(is_map) if is_map.all() else int(np.argmin(is_map))
+    run[: first_address + 1] += carried
+    return run
+
+
+def _place_syncs(
+    cum: np.ndarray,
+    addr_events: np.ndarray,
+    addr_bytes: np.ndarray,
+    relength: Callable[[int, int], int],
+    since_sync: int,
+    start_bytes: Optional[int],
+    sync_bytes: int,
+    interval: int,
+) -> Tuple[List[int], Dict[int, int], int]:
+    """Place one batch's data-dependent syncs (both encode stages).
+
+    Both grammars check ``bytes_since_sync >= interval`` after each
+    event's packets and, when it holds, append a ``sync_bytes`` burst
+    that restarts address compression from that event's source.
+    ``cum`` is the cumulative per-event byte count without syncs, and
+    ``addr_events``/``addr_bytes`` are the address packets' events and
+    compressed lengths.  Inside a sync-to-sync run those counts hold,
+    except that the first address packet after a sync restarts from
+    the sync address — a patch of one element, whose new length is
+    ``relength(k, j)`` for address packet ``k`` after a sync at event
+    ``j``.  Each run boundary is found with searchsorted over ``cum``.
+    ``start_bytes`` is the start burst ahead of event 0 when the
+    encoder has not started yet (``None`` once it has).
+
+    Returns the mid-run sync events, the length deltas of the patched
+    address packets by position, and the bytes since the last sync at
+    the end of the batch.
+    """
+    n = len(cum)
+    syncs: List[int] = []
+    committed: Dict[int, int] = {}
+    pend_pos, pend_delta, pend_event = -1, 0, n
+    s = since_sync
+    p = 0
+    if start_bytes is not None:
+        if len(addr_events):
+            pend_pos = 0
+            pend_delta = relength(0, 0) - int(addr_bytes[0])
+            pend_event = int(addr_events[0])
+        s = start_bytes
+    while True:
+        c0 = int(cum[p - 1]) if p > 0 else 0
+        j = -1
+        hi = min(pend_event, n)
+        if p < hi:
+            jj = int(
+                np.searchsorted(cum[p:hi], interval - s + c0, side="left")
+            ) + p
+            if jj < hi:
+                j = jj
+        if j < 0 and pend_event < n:
+            lo = max(p, pend_event)
+            jj = int(
+                np.searchsorted(
+                    cum[lo:], interval - s + c0 - pend_delta, side="left"
+                )
+            ) + lo
+            if jj < n:
+                j = jj
+        if j < 0:
+            break
+        if pend_pos >= 0 and pend_event <= j and pend_delta:
+            # The patched packet is behind the new sync: it was really
+            # encoded with the patched length.
+            committed[pend_pos] = pend_delta
+        # A pending patch *ahead* of the sync is superseded: that
+        # packet restarts from the newer sync's address instead.
+        syncs.append(j)
+        k = int(np.searchsorted(addr_events, j, side="right"))
+        if k < len(addr_events):
+            pend_pos = k
+            pend_delta = relength(k, j) - int(addr_bytes[k])
+            pend_event = int(addr_events[k])
+        else:
+            pend_pos, pend_delta, pend_event = -1, 0, n
+        s = sync_bytes
+        p = j + 1
+    if pend_pos >= 0 and pend_event < n and pend_delta:
+        committed[pend_pos] = pend_delta
+    c0 = int(cum[p - 1]) if p > 0 else 0
+    since_sync = (
+        s + int(cum[-1]) - c0 + (pend_delta if pend_event < n else 0)
+    )
+    return syncs, committed, since_sync
 
 
 class PtmEncodeStage(StageBase):
@@ -156,7 +282,6 @@ class PtmEncodeStage(StageBase):
     def _process_fast(self, batch: TraceBatch) -> TraceBatch:
         ev = batch.events
         assert ev is not None
-        n = len(ev)
         is_atom = ev.atom
         is_branch = ~is_atom
         bidx = np.nonzero(is_branch)[0]
@@ -170,15 +295,7 @@ class PtmEncodeStage(StageBase):
         # --- atom packets -------------------------------------------------
         # Atoms accumulate per run (between taken branches); a packet
         # closes at every 4th atom, and a branch flushes the remainder.
-        cum_atoms = np.cumsum(is_atom.astype(np.int64))
-        cum_branch = np.cumsum(is_branch.astype(np.int64))
-        cum_branch_excl = cum_branch - is_branch.astype(np.int64)
-        branch_marks = np.where(is_branch, cum_atoms, 0)
-        prev_mark = np.concatenate(
-            ([0], np.maximum.accumulate(branch_marks)[:-1])
-        )
-        base = np.where(cum_branch_excl == 0, self._pending_atoms, 0)
-        run_count = cum_atoms - prev_mark + base
+        run_count = _run_lengths(is_atom, self._pending_atoms)
         atom_emit = is_atom & (run_count % 4 == 0)
         branch_flush = is_branch & (run_count % 4 != 0)
 
@@ -202,104 +319,40 @@ class PtmEncodeStage(StageBase):
             nb[bidx] = branch_flush[bidx].astype(np.int64) + nbytes
 
         # --- data-dependent sync placement --------------------------------
-        # Walk sync-to-sync runs: inside a run the byte counts are the
-        # precomputed vector above, except the *first* branch after a
-        # sync restarts compression from the sync address (a patch of
-        # one element).  Each run boundary is found with searchsorted
-        # over the cumulative byte counts.
-        interval = self.config.sync_interval_bytes
+        def relength(k: int, j: int) -> int:
+            b = int(bidx[k])
+            return self._packet_len(
+                int(ev.target[b]), int(ev.source[j]) & ~0x3,
+                bool(ev.syscall[b]),
+            )
+
         sync_len = self._sync_len
-        C = np.cumsum(nb)
-        sync_events: List[int] = []
-        initial_sync = False
-        committed: Dict[int, int] = {}  # branch position -> length delta
-        pend_pos, pend_delta, pend_event = -1, 0, n
-        s = self._bytes_since_sync
-        p = 0
-        if not self._started:
-            initial_sync = True
-            sync_events.append(0)
-            if len(bidx):
-                reset = int(ev.source[0]) & ~0x3
-                new_len = self._packet_len(
-                    int(ev.target[bidx[0]]), reset, bool(ev.syscall[bidx[0]])
-                )
-                pend_pos = 0
-                pend_delta = new_len - int(nbytes[0])
-                pend_event = int(bidx[0])
-            s = sync_len
-            self._started = True
-        while True:
-            C0 = int(C[p - 1]) if p > 0 else 0
-            j = -1
-            hi = min(pend_event, n)
-            if p < hi:
-                jj = int(
-                    np.searchsorted(C[p:hi], interval - s + C0, side="left")
-                ) + p
-                if jj < hi:
-                    j = jj
-            if j < 0 and pend_event < n:
-                lo = max(p, pend_event)
-                jj = int(
-                    np.searchsorted(
-                        C[lo:], interval - s + C0 - pend_delta, side="left"
-                    )
-                ) + lo
-                if jj < n:
-                    j = jj
-            if j < 0:
-                break
-            if pend_pos >= 0 and pend_event <= j:
-                # The patched branch is behind the new sync: it was
-                # really encoded with the patched length.
-                if pend_delta:
-                    committed[pend_pos] = pend_delta
-            # A pending patch *ahead* of the sync is superseded: that
-            # branch restarts from the newer sync's address instead.
-            sync_events.append(j)
-            reset = int(ev.source[j]) & ~0x3
-            k = int(np.searchsorted(bidx, j, side="right"))
-            if k < len(bidx):
-                fb = int(bidx[k])
-                new_len = self._packet_len(
-                    int(ev.target[fb]), reset, bool(ev.syscall[fb])
-                )
-                pend_pos, pend_delta, pend_event = (
-                    k, new_len - int(nbytes[k]), fb,
-                )
-            else:
-                pend_pos, pend_delta, pend_event = -1, 0, n
-            s = sync_len
-            p = j + 1
-        if pend_pos >= 0 and pend_event < n and pend_delta:
-            committed[pend_pos] = pend_delta
-        C0 = int(C[p - 1]) if p > 0 else 0
-        self._bytes_since_sync = (
-            s + int(C[-1]) - C0
-            + (pend_delta if pend_event < n else 0)
+        initial_sync = not self._started
+        syncs, committed, self._bytes_since_sync = _place_syncs(
+            np.cumsum(nb),
+            bidx,
+            nbytes,
+            relength,
+            self._bytes_since_sync,
+            sync_len if initial_sync else None,
+            sync_len,
+            self.config.sync_interval_bytes,
         )
+        self._started = True
 
         # --- finalize per-event byte counts -------------------------------
         for pos, delta in committed.items():
             nb[bidx[pos]] += delta
-        for j in sync_events:
-            nb[j] += sync_len
+        if initial_sync:
+            nb[0] += sync_len
+        nb[np.asarray(syncs, dtype=np.int64)] += sync_len
 
         # --- carry state ---------------------------------------------------
-        if len(bidx):
-            self._pending_atoms = int(
-                cum_atoms[-1] - cum_atoms[bidx[-1]]
-            ) % 4
-        else:
-            self._pending_atoms = (
-                self._pending_atoms + int(cum_atoms[-1])
-            ) % 4
+        self._pending_atoms = int(run_count[-1]) % 4 if is_atom[-1] else 0
         lb = int(bidx[-1]) if len(bidx) else -1
         # Mid-run syncs reset the compression base *after* the event's
         # own packet; the initial burst precedes the first packet.
-        post_syncs = sync_events[1:] if initial_sync else sync_events
-        ls = max(post_syncs) if post_syncs else -1
+        ls = syncs[-1] if syncs else -1
         if ls >= 0 and ls >= lb:
             self._last_address = int(ev.source[ls]) & ~0x3
         elif lb >= 0:
@@ -308,8 +361,8 @@ class PtmEncodeStage(StageBase):
             self._last_address = int(ev.source[0]) & ~0x3
 
         # --- observability -------------------------------------------------
-        num_syncs = len(sync_events)
-        self._m_events.inc(n)
+        num_syncs = len(syncs) + initial_sync
+        self._m_events.inc(len(ev))
         self._m_bytes.inc(int(nb.sum()))
         self._m_sync_bytes.inc(sync_len * num_syncs)
         self._m_packets["branch"].inc(int(len(bidx)))
@@ -325,16 +378,249 @@ class PtmEncodeStage(StageBase):
         return batch
 
 
-class ByteCountEncodeStage(StageBase):
-    """Grammar-neutral encode stage: drives a per-event packet encoder.
+class EtraceEncodeStage(StageBase):
+    """Branch events -> per-event E-Trace byte counts (batched).
 
-    Any trace frontend whose encoder exposes ``feed(event) -> bytes``
-    and ``flush() -> bytes`` (plus ``export_state``/``restore_state``)
-    rides the batched dataplane through this stage.  Downstream stages
-    consume only the per-event byte *counts* — framing, FIFO timing —
-    so per-event reference encoding is exact by construction; grammars
-    with a vectorized fast path (CoreSight) subclass or replace this
-    stage rather than extend it.
+    The vectorised model of
+    :class:`~repro.frontends.etrace.encoder.EtraceEncoder`, for every
+    :class:`~repro.frontends.etrace.encoder.EtraceConfig`:
+
+    - a map-only event (not-taken conditional) adds one outcome bit to
+      the pending branch map, which flushes ``1 + ceil(k / 8)`` bytes
+      at every ``MAX_MAP_BRANCHES``-th outcome and at the next address
+      packet;
+    - every other event is an address packet: one header byte, the
+      LEB128 length of ``zigzag((target >> 1) - previous units)``, and
+      a cause byte on a syscall;
+    - the start burst and the mid-run syncs are placed by
+      :func:`_place_syncs`, which re-sizes the next address packet
+      against ``source & ~1``.
+
+    Carried state and its checkpoint document are the encoder's:
+    :meth:`export_state` returns the ``{"encoder": ...}`` document of
+    a :class:`ByteCountEncodeStage` over an ``EtraceEncoder``, and, as
+    there, the encoder (with its ``etrace.*`` counters) comes into
+    being at the first non-empty batch.
+    """
+
+    name = "etrace"
+
+    def __init__(
+        self,
+        config: Optional[EtraceConfig] = None,
+        metrics: Optional[MetricsRegistry] = None,
+    ) -> None:
+        super().__init__(metrics=metrics)
+        self.config = config or EtraceConfig()
+        self.reset()
+
+    def reset(self) -> None:
+        self._on = False
+
+    def _power_up(self) -> None:
+        """A fresh encoder: zeroed carry state and its counters."""
+        self._on = True
+        self._last_units = 0
+        self._pending = 0
+        self._bytes_since_sync = 0
+        self._started = False
+        self.total_bytes = 0
+        self.packet_counts = {
+            "support": 0, "sync": 0, "context": 0, "map": 0, "address": 0,
+        }
+        self._m_events = self.metrics.counter("etrace.events")
+        self._m_bytes = self.metrics.counter("etrace.bytes")
+        self._m_sync_bytes = self.metrics.counter("etrace.sync_bytes")
+        self._m_packets = {
+            kind: self.metrics.counter(f"etrace.packets.{kind}")
+            for kind in self.packet_counts
+        }
+
+    def export_state(self) -> dict:
+        if not self._on:
+            return {"encoder": None}
+        return {
+            "encoder": {
+                "context_id": self.config.context_id,
+                "last_units": self._last_units,
+                "pending_map": [False] * self._pending,
+                "bytes_since_sync": self._bytes_since_sync,
+                "started": self._started,
+                "total_bytes": self.total_bytes,
+                "packet_counts": dict(self.packet_counts),
+            },
+        }
+
+    def restore_state(self, state: dict) -> None:
+        doc = state["encoder"]
+        if doc is None:
+            self._on = False
+            return
+        self._power_up()
+        self.config.context_id = doc["context_id"]
+        self._last_units = doc["last_units"]
+        self._pending = len(doc["pending_map"])
+        self._bytes_since_sync = doc["bytes_since_sync"]
+        self._started = doc["started"]
+        self.total_bytes = doc["total_bytes"]
+        self.packet_counts = dict(doc["packet_counts"])
+
+    def _count(self, kind: str, amount: int) -> None:
+        self.packet_counts[kind] += amount
+        self._m_packets[kind].inc(amount)
+
+    def _account(self, nbytes: int) -> None:
+        self.total_bytes += nbytes
+        self._bytes_since_sync += nbytes
+        self._m_bytes.inc(nbytes)
+
+    def process(self, batch: TraceBatch) -> TraceBatch:
+        self._account_batch(batch)
+        if batch.tail:
+            if self._on and self._pending:
+                # End of session: the pending branch map goes out.
+                tail = 1 + (self._pending + 7) // 8
+                batch.tail_ptm_bytes = tail
+                self._pending = 0
+                self._count("map", 1)
+                self._account(tail)
+            return batch
+        if len(batch) == 0:
+            batch.ptm_bytes = np.zeros(0, dtype=np.int64)
+            return batch
+        if not self._on:
+            self._power_up()
+        ev = batch.events
+        assert ev is not None
+        (
+            nb, start, syncs, maps, addresses,
+            self._last_units, self._pending, since_sync,
+        ) = self._byte_counts(ev)
+        self._started = True
+        self._m_events.inc(len(ev))
+        self._account(int(nb.sum()))
+        self._bytes_since_sync = since_sync
+        self._count("support", start)
+        self._count("sync", start + syncs)
+        self._count("map", maps)
+        self._count("address", addresses)
+        self._m_sync_bytes.inc(
+            _ETRACE_START_BYTES * start + _ETRACE_SYNC_BYTES * syncs
+        )
+        batch.ptm_bytes = nb
+        return batch
+
+    def _byte_counts(self, ev: EventBatch) -> tuple:
+        """Per-event bytes and the carry after ``ev``; no state changes.
+
+        Raises the encoder's :class:`PacketEncodeError` for the first
+        offending event.
+        """
+        source = ev.source
+        context_id = self.config.context_id
+        if not self._started:
+            # The start burst's sync is checked before event 0's target.
+            encode_sync_start(int(source[0]) & ~0x1, context_id)
+        is_map = ev.atom
+        aidx = np.flatnonzero(~is_map)
+        targets = ev.target[aidx]
+        bad = ((targets & 0x1) != 0) | (targets < 0) | (targets > 0xFFFF_FFFF)
+        if bad.any():
+            first = int(np.argmax(bad))
+            if aidx[first]:
+                # A sync ahead of the offending event may fail first.
+                self._byte_counts(ev[: int(aidx[first])])
+            raise PacketEncodeError(
+                "branch target not halfword aligned"
+                if targets[first] & 0x1
+                else "branch target out of range"
+            )
+
+        # --- branch maps --------------------------------------------------
+        pending = _run_lengths(is_map, self._pending) % MAX_MAP_BRANCHES
+        full_maps = is_map & (pending == 0)
+        nb = full_maps * _FULL_MAP_BYTES
+        flushed = pending[aidx]
+        map_bytes = np.where(flushed > 0, 1 + (flushed + 7) // 8, 0)
+
+        # --- address packets ----------------------------------------------
+        units = targets >> 1
+        deltas = np.diff(units, prepend=self._last_units)
+        zigzag = (deltas << 1) ^ (deltas >> 63)
+        syscall = ev.syscall[aidx]
+        addr_bytes = (
+            np.searchsorted(_VARINT_BOUNDS, zigzag, side="right") + 2
+        ) + syscall
+        nb[aidx] = map_bytes + addr_bytes
+
+        # --- sync placement -----------------------------------------------
+        def relength(k: int, j: int) -> int:
+            # The encoder's own packet functions: the sync at ``j``
+            # fails on a bad address before packet ``k`` is sized.
+            address = int(source[j]) & ~0x1
+            encode_sync_start(address, context_id)
+            delta = int(units[k]) - (address >> 1)
+            return len(encode_address(delta, trap=bool(syscall[k])))
+
+        start = not self._started
+        syncs, committed, since_sync = _place_syncs(
+            np.cumsum(nb),
+            aidx,
+            addr_bytes,
+            relength,
+            self._bytes_since_sync,
+            _ETRACE_START_BYTES if start else None,
+            _ETRACE_SYNC_BYTES,
+            self.config.sync_interval_bytes,
+        )
+        sync_events = np.asarray(syncs, dtype=np.int64)
+        for address in (source[sync_events] & ~0x1).tolist():
+            # Also the syncs after the last address packet, which no
+            # re-length has checked.
+            encode_sync_start(address, context_id)
+        for pos, delta_len in committed.items():
+            nb[aidx[pos]] += delta_len
+        if start:
+            nb[0] += _ETRACE_START_BYTES
+        nb[sync_events] += _ETRACE_SYNC_BYTES
+
+        # --- carry ----------------------------------------------------------
+        # A mid-run sync resets the compression base *after* its
+        # event's own packet; the start burst precedes the first one.
+        last_address = int(aidx[-1]) if len(aidx) else -1
+        last_sync = syncs[-1] if syncs else -1
+        if last_sync >= 0 and last_sync >= last_address:
+            last_units = (int(source[last_sync]) & ~0x1) >> 1
+        elif last_address >= 0:
+            last_units = int(units[-1])
+        elif start:
+            last_units = (int(source[0]) & ~0x1) >> 1
+        else:
+            last_units = self._last_units
+        return (
+            nb,
+            int(start),
+            len(syncs),
+            int(full_maps.sum()) + int(np.count_nonzero(flushed)),
+            len(aidx),
+            last_units,
+            int(pending[-1]) if is_map[-1] else 0,
+            since_sync,
+        )
+
+
+class ByteCountEncodeStage(StageBase):
+    """CoreSight's fallback encode stage: drives a per-event encoder.
+
+    Feeds each event of the batch's object view to an encoder exposing
+    ``feed(event) -> bytes`` and ``flush() -> bytes`` (plus
+    ``export_state``/``restore_state``) and records the byte counts —
+    exact by construction, one Python call per event.  The CoreSight
+    frontend builds it over a real :class:`~repro.coresight.ptm.Ptm`
+    for the configs :meth:`PtmEncodeStage.models` refuses (waypoint
+    mode, sync intervals within two sync bursts); the differential
+    tests also run it over an ``EtraceEncoder`` as the oracle of
+    :class:`EtraceEncodeStage`.
     """
 
     def __init__(

@@ -111,8 +111,10 @@ class ServeConfig:
     drain_interval_s: float = 0.005
     #: Queued events that wake the drain loop early.
     drain_kick_events: int = 4096
-    #: Per-read timeout guarding against slow-loris clients
-    #: (None = patient).
+    #: Timeout on each read inside a frame — the rest of the header
+    #: after its first byte, and the body — guarding against
+    #: slow-loris clients (None = patient).  The wait for a frame's
+    #: first byte is always patient: idling between frames is legal.
     idle_timeout_s: Optional[float] = None
     #: Synthetic cycle cadence for events reconstructed from raw byte
     #: streams (the wire carries no timestamps).
@@ -541,13 +543,18 @@ class IngestServer:
     async def _session_loop(self, session, reader, writer) -> None:
         while True:
             try:
-                header = await self._read_exactly(
-                    reader, protocol.HEADER_BYTES
-                )
-            except asyncio.IncompleteReadError as error:
-                if error.partial:
-                    self._count("serve.clients.disconnected_midframe")
+                # Between frames the client may idle for as long as it
+                # likes; once a frame has begun, every read is bounded.
+                first = await reader.readexactly(1)
+            except asyncio.IncompleteReadError:
                 return  # clean EOF between frames
+            try:
+                header = first + await self._read_exactly(
+                    reader, protocol.HEADER_BYTES - 1
+                )
+            except asyncio.IncompleteReadError:
+                self._count("serve.clients.disconnected_midframe")
+                return
             try:
                 length, crc = protocol.split_header(header)
             except FrameProtocolError as error:

@@ -415,6 +415,27 @@ class TestSlowClient:
             verdict_flags(reference)
         )
 
+    def test_idling_between_frames_is_not_slow(self):
+        """The idle timeout bounds reads inside a frame only: a client
+        that pauses for 4x the timeout between two complete frames
+        keeps its session and is not counted as slow."""
+
+        async def scenario():
+            server, _ = _server(config=ServeConfig(idle_timeout_s=0.05))
+            client = ServeClient.local(server)
+            await client.hello("tenant0")
+            await asyncio.sleep(0.2)
+            response = await client.send_events(_events(40))
+            await client.bye()
+            await server.stop()
+            return server, response
+
+        server, response = asyncio.run(scenario())
+        assert response["frame_type"] == protocol.FrameType.ACK
+        assert response["accepted_events"] == 40
+        assert server.counts["serve.clients.slow"] == 0
+        assert server.counts["serve.clients.disconnected_midframe"] == 0
+
 
 class TestTcpTransport:
     def test_tcp_session(self):
