@@ -4,7 +4,10 @@ Times exact-mode inference (every kernel really dispatched on the GPU
 simulator, through the :class:`MlMiaowDriver` sequencing layer the MCM
 uses) with the engine's compiled fast path on and off, for the ELM and
 the LSTM at three model sizes each.  Both paths are bit-identical
-(``tests/test_miaow_compiler.py``), so this is pure speed.
+(``tests/test_miaow_compiler.py``), so this is pure speed.  The two
+paths are timed in interleaved blocks, and a size's speedup is the
+median of the per-pair ratios, so host load that drifts during a run
+moves both sides of a pair alike.
 
 Results go to ``benchmarks/results/BENCH_mcm.json`` and are mirrored
 to the repository root via ``bench_io.save_result``, where
@@ -63,6 +66,9 @@ LSTM_SIZES = (8, 16, 32)
 SMOKE_ELM_SIZES = (64,)
 SMOKE_LSTM_SIZES = (8,)
 SPEEDUP_GATE = 5.0
+#: Interleaved interpreted/compiled block pairs per model size (at
+#: least); the gated speedup is the median of their ratios.
+PAIRS = 9
 
 #: Cross-tenant batched dispatch: tenants sharing one fused launch,
 #: and the aggregate-throughput multiplier the batched entry gates.
@@ -91,6 +97,56 @@ def _throughput(run_once, min_reps: int, min_wall_s: float = 0.25) -> dict:
         "wall_s": round(wall_s, 4),
         "inferences_per_s": round(reps / wall_s, 1),
     }
+
+
+def _paired_speedup(
+    run_interpreted,
+    run_compiled,
+    min_reps: int,
+    pairs: int = PAIRS,
+    block_s: float = 0.04,
+) -> dict:
+    """Compiled-over-interpreted speedup from interleaved blocks.
+
+    Each pair times a block of interpreted and a block of compiled
+    inferences back to back (which goes first alternates), so both
+    sides of a pair see the same host load; the speedup is the median
+    of the per-pair ratios.  The inf/s figures total every block.
+    """
+    runs = {"interpreter": run_interpreted, "compiled": run_compiled}
+    for run in runs.values():
+        run()  # warm-up (compile, caches)
+    totals = {label: [0, 0.0] for label in runs}
+    ratios = []
+    order = list(runs)
+    while len(ratios) < pairs or totals["compiled"][0] < min_reps:
+        rate = {}
+        for label in order:
+            run = runs[label]
+            reps = 0
+            start = time.perf_counter()
+            while True:
+                run()
+                reps += 1
+                wall_s = time.perf_counter() - start
+                if wall_s >= block_s:
+                    break
+            totals[label][0] += reps
+            totals[label][1] += wall_s
+            rate[label] = reps / wall_s
+        ratios.append(rate["compiled"] / rate["interpreter"])
+        order.reverse()
+    measured = {
+        label: {
+            "reps": reps,
+            "wall_s": round(wall_s, 4),
+            "inferences_per_s": round(reps / wall_s, 1),
+        }
+        for label, (reps, wall_s) in totals.items()
+    }
+    measured["pairs"] = len(ratios)
+    measured["speedup"] = round(float(np.median(ratios)), 2)
+    return measured
 
 
 def _elm_driver(hidden: int, fast_path: bool, dictionary, windows):
@@ -179,49 +235,31 @@ def run_throughput(
     dictionary.fit(windows)
     indices = dictionary.indices(windows[0])
 
+    def elm(hidden, fast):
+        driver = _elm_driver(hidden, fast, dictionary, windows)
+        return lambda: driver.run_inference(indices)
+
+    def lstm(hidden, fast):
+        driver = _lstm_driver(hidden, fast)
+        return lambda: driver.run_inference(3)
+
     entries = []
-    for hidden in elm_sizes:
-        measured = {}
-        for label, fast in (("interpreter", False), ("compiled", True)):
-            driver = _elm_driver(hidden, fast, dictionary, windows)
-            measured[label] = _throughput(
-                lambda: driver.run_inference(indices), min_reps
+    for kind, sizes, default, build in (
+        ("elm", elm_sizes, ELM_DEFAULT_HIDDEN, elm),
+        ("lstm", lstm_sizes, LSTM_DEFAULT_HIDDEN, lstm),
+    ):
+        for hidden in sizes:
+            measured = _paired_speedup(
+                build(hidden, False), build(hidden, True), min_reps
             )
-        entries.append(
-            {
-                "kind": "elm",
-                "hidden": hidden,
-                "default_size": hidden == ELM_DEFAULT_HIDDEN,
-                "interpreter": measured["interpreter"],
-                "compiled": measured["compiled"],
-                "speedup": round(
-                    measured["compiled"]["inferences_per_s"]
-                    / measured["interpreter"]["inferences_per_s"],
-                    2,
-                ),
-            }
-        )
-    for hidden in lstm_sizes:
-        measured = {}
-        for label, fast in (("interpreter", False), ("compiled", True)):
-            driver = _lstm_driver(hidden, fast)
-            measured[label] = _throughput(
-                lambda: driver.run_inference(3), min_reps
+            entries.append(
+                {
+                    "kind": kind,
+                    "hidden": hidden,
+                    "default_size": hidden == default,
+                    **measured,
+                }
             )
-        entries.append(
-            {
-                "kind": "lstm",
-                "hidden": hidden,
-                "default_size": hidden == LSTM_DEFAULT_HIDDEN,
-                "interpreter": measured["interpreter"],
-                "compiled": measured["compiled"],
-                "speedup": round(
-                    measured["compiled"]["inferences_per_s"]
-                    / measured["interpreter"]["inferences_per_s"],
-                    2,
-                ),
-            }
-        )
     result = {
         "benchmark": "mcm_throughput",
         "mode": "exact (execute_on_gpu=True)",
@@ -266,7 +304,8 @@ def save_and_format(
                 f"{entry['speedup']:>7.2f}x{marker}"
             )
         lines.append("  (* = default deployment size, gated at "
-                     f">= {SPEEDUP_GATE}x)")
+                     f">= {SPEEDUP_GATE}x; speedup = median of the "
+                     "interleaved pairs' ratios)")
     batched = result.get("batched")
     if batched:
         lines += [

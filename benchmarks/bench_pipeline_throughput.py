@@ -8,12 +8,17 @@ the staged-dataplane refactor is >= 3x events/sec on the 1M-event
 trace; both implementations produce byte-identical records
 (``tests/test_pipeline_equivalence.py``), so this is pure speed.
 
-Runs two ways:
+Runs three ways:
 
 - ``pytest benchmarks/bench_pipeline_throughput.py`` — all three
   trace sizes, asserts the 1M-event speedup gate;
 - ``python benchmarks/bench_pipeline_throughput.py --smoke`` — the
-  smallest size only, for the CI smoke step (fails on speedup < 1).
+  smallest size only, for the CI smoke step (fails on speedup < 1);
+- ``python benchmarks/bench_pipeline_throughput.py --decode`` — the
+  server's raw-ingest decode alone (``deframer.push`` +
+  ``decoder.feed`` + the ``EventBatch`` column build), per grammar,
+  over perfbench's seed-1 raw frame pools: ns per wire byte and per
+  decoded event.  Prints only; nothing is saved.
 """
 
 from __future__ import annotations
@@ -23,8 +28,9 @@ import sys
 import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:  # script-mode imports
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+for _path in (REPO_ROOT / "src", REPO_ROOT):  # script-mode imports
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 from repro.eval.metrics import build_demo_soc, demo_events  # noqa: E402
 
@@ -114,7 +120,65 @@ def test_pipeline_throughput():
         assert entry["speedup"] >= 1.0, entry
 
 
+def run_decode(passes: int = 20, repeats: int = 5) -> list:
+    """Best-of-``repeats`` cost of raw ingest over each grammar's pool.
+
+    Each repeat feeds ``passes`` cycles of the pool through a fresh
+    ingest state, so the decoder carries state across frames and pool
+    wraps exactly as a serve session does.
+    """
+    from perfbench.inputs import raw_inputs
+    from repro.frontends import get_frontend
+    from repro.obs import MetricsRegistry
+    from repro.serve import ServeConfig
+    from repro.serve.server import _RawIngest
+
+    cadence = ServeConfig().raw_cycles_per_event
+    rows = []
+    for stream in raw_inputs(1):
+        frontend = get_frontend(stream.frontend)
+        wire = passes * sum(len(payload) for payload in stream.payloads)
+        best = None
+        for _ in range(repeats):
+            ingest = _RawIngest(frontend, cadence, MetricsRegistry())
+            events = 0
+            start = time.perf_counter()
+            for _ in range(passes):
+                for payload in stream.payloads:
+                    events += len(ingest.feed(payload))
+            elapsed = time.perf_counter() - start
+            best = elapsed if best is None else min(best, elapsed)
+        rows.append(
+            {
+                "frontend": stream.frontend,
+                "wire_bytes": wire,
+                "events": events,
+                "ns_per_byte": round(best / wire * 1e9, 1),
+                "ns_per_event": round(best / events * 1e9, 1),
+            }
+        )
+    return rows
+
+
+def format_decode(rows) -> str:
+    lines = [
+        "raw-ingest decode: deframe + decode + column build",
+        f"{'frontend':>10}  {'wire B':>9}  {'events':>8}  "
+        f"{'ns/B':>7}  {'ns/event':>9}",
+    ]
+    for row in rows:
+        lines.append(
+            f"{row['frontend']:>10}  {row['wire_bytes']:>9}  "
+            f"{row['events']:>8}  {row['ns_per_byte']:>7.1f}  "
+            f"{row['ns_per_event']:>9.1f}"
+        )
+    return "\n".join(lines)
+
+
 def main(argv) -> int:
+    if "--decode" in argv:
+        print(format_decode(run_decode()))
+        return 0
     smoke = "--smoke" in argv
     sizes = SMOKE_SIZES if smoke else FULL_SIZES
     result = run_throughput(sizes)

@@ -5,16 +5,19 @@ against — the role the paper's step-4 "verify" plays for ML-MIAOW, here
 applied to the trace path.  The streaming scaffold (``feed``,
 ``finish``, modes, resync hunting, state) is the shared
 :class:`repro.tracepath.TraceDecoder`; this module supplies the PFT
-byte machine (``_step``) and its bulk path (``_claim``), which claims
-whole branch-address, atom and ignore packets while the decoder is
-locked and idle.
+byte machine (``_step``) and its column bulk path (``_scan``,
+``_settle``), which claims runs of whole branch-address, atom and
+ignore packets while the decoder is locked and idle.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional
+from functools import partial
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.coresight.packets import (
     ASYNC_FILL_COUNT,
@@ -32,7 +35,7 @@ from repro.coresight.packets import (
     merge_compressed_address,
 )
 from repro.errors import PacketDecodeError
-from repro.tracepath import TraceDecoder
+from repro.tracepath import ClaimedRun, TraceDecoder, continuation_runs
 
 _ADDR_BITS_BY_COUNT = [6, 13, 20, 27, 30]
 
@@ -99,6 +102,75 @@ def _atom_items(byte: int):
 _ATOM_ITEMS = tuple(_atom_items(byte) for byte in range(256))
 
 
+def _common_length(more: int, fifth: int, head: int) -> int:
+    """Length of the common packet ``head`` starts, or 0.
+
+    ``more`` is how many bytes from the header on carry the
+    continuation bit (capped at 4), ``fifth`` the top two bits of the
+    fifth byte: a branch packet runs to its first byte without the
+    bit, or to its fifth byte, whose 0x40 bit must not flag an
+    exception byte.  A valid atom byte and the ignore byte are
+    one-byte packets.
+    """
+    if head & 0x01:
+        if more == BRANCH_ADDR_MAX_BYTES - 1 and fifth & 0x1:
+            return 0
+        return more + 1
+    return int(_ATOM_ITEMS[head] is not None or head == HEADER_IGNORE)
+
+
+#: Bulk path: :func:`_common_length` by ``[more, fifth, head]``.
+_LENGTHS = np.array(
+    [
+        [[_common_length(more, fifth, head) for head in range(256)]
+         for fifth in range(4)]
+        for more in range(BRANCH_ADDR_MAX_BYTES)
+    ],
+    dtype=np.uint8,
+)
+#: Bulk path: the address bits of each byte (row) of a branch
+#: packet, read from the eight bytes at the packet, and the right
+#: shift that moves byte g's bits to ``7 * g``, so the rows sum to
+#: ``word << 1`` (the header carries word bits [5:0] in its [6:1]).
+_GROUP_ROWS = np.arange(BRANCH_ADDR_MAX_BYTES)[:, None]
+_GROUP_BYTES = np.array(
+    [0x7E, 0x7F << 8, 0x7F << 16, 0x7F << 24, 0x07 << 32], dtype=np.uint64
+)[:, None]
+_GROUP_SHIFTS = _GROUP_ROWS.astype(np.uint64)
+
+
+def _full_packet(address: int) -> int:
+    """The bytes (little-endian) of a five-byte packet carrying
+    ``address`` whole, as a uint64 — its address bits only."""
+    word = (address >> 2) & 0x3FFF_FFFF
+    return (
+        (word & 0x3F) << 1
+        | (word >> 6 & 0x7F) << 8
+        | (word >> 13 & 0x7F) << 16
+        | (word >> 20 & 0x7F) << 24
+        | (word >> 27) << 32
+    )
+
+
+_NO_TARGETS = np.zeros(0, dtype=np.int64)
+_PADDING = bytes(2 * TraceDecoder._PAD)
+
+
+def _run_items(padded, starts: List[int], target) -> List[object]:
+    """The items of a claimed run: its branches and atoms, in order."""
+    out: List[object] = []
+    addresses = iter(target.tolist())
+    none = ExceptionType.NONE
+    heads = padded.tobytes()
+    for start in starts:
+        head = heads[start]
+        if head & 0x01:
+            out.append(DecodedBranch(next(addresses), none))
+        else:
+            out += _ATOM_ITEMS[head] or ()
+    return out
+
+
 class _State(enum.Enum):
     IDLE = "idle"
     ASYNC = "async"
@@ -131,47 +203,50 @@ class PftDecoder(TraceDecoder):
     truncation_type = TruncatedPacket
     grammar_state = {"last_address": 0}
 
-    def _claim(self, data, index: int, out: List[object]) -> int:
-        """Bulk path: decode whole common packets from ``data[index:]``.
+    def _scan(self, data) -> Tuple[bytes, tuple]:
+        """Bulk path: the common-packet length at every byte of
+        ``data`` (:func:`_common_length`).  The padded copy is
+        writable: ``_settle`` parks the address before a run in it."""
+        padded = np.frombuffer(bytearray(data) + _PADDING, dtype=np.uint8)
+        span = len(data) + self._PAD
+        heads = padded[:span]
+        more = np.minimum(
+            continuation_runs(padded)[:span], BRANCH_ADDR_MAX_BYTES - 1
+        )
+        lengths = _LENGTHS[more, padded[4:4 + span] >> 6, heads]
+        branch = (heads & 1).view(bool)
+        return lengths.tobytes(), (padded, lengths, branch)
 
-        Runs only while idle, where the byte machine holds no scratch
-        bytes.  Claims branch-address packets that end inside ``data``
-        and carry no exception byte, valid atom bytes and the ignore
-        byte, leaving the state exactly as the byte machine would.
-        Returns the index of the first byte it does not claim.
+    def _settle(self, scan, starts: List[int], stop: int):
+        """Bulk path: the branch targets of a claimed run.
+
+        Byte g of each target's packet comes from the latest packet in
+        the run long enough to carry it, or else from the address
+        before the run: a forward fill of carrier positions per byte.
+        The address before the run is written as a full packet into
+        the padding, where carrier -1 reads it.
         """
-        end = len(data)
-        last = self._last_address
-        none = ExceptionType.NONE
-        while index < end:
-            byte = data[index]
-            if byte & 0x01:
-                word = (byte >> 1) & 0x3F
-                bits = 6
-                stop = index + 1
-                while byte & 0x80 and stop < end:
-                    byte = data[stop]
-                    stop += 1
-                    if bits == 27:
-                        word |= (byte & 0x07) << 27
-                        bits = 30
-                        break
-                    word |= (byte & 0x7F) << bits
-                    bits += 7
-                if (byte & 0x40) if bits == 30 else (byte & 0x80):
-                    break  # an exception byte follows, or the chunk ends
-                last = merge_compressed_address(word, bits, last)
-                out.append(DecodedBranch(last, none))
-                index = stop
-                continue
-            atoms = _ATOM_ITEMS[byte]
-            if atoms is not None:
-                out += atoms
-            elif byte != HEADER_IGNORE:
-                break
-            index += 1
-        self._last_address = last
-        return index
+        padded, lengths, branch = scan
+        where = np.fromiter(starts, np.int64, len(starts))
+        where = where[branch[where]]
+        count = len(where)
+        target = _NO_TARGETS
+        if count:
+            carrier = np.where(lengths[where] > _GROUP_ROWS, where, -1)
+            np.maximum.accumulate(carrier, axis=1, out=carrier)
+            # The eight bytes from each position, little-endian.
+            packets = np.ndarray(len(padded) - 7, np.uint64, padded, 0, (1,))
+            packets[-1] = _full_packet(self._last_address)
+            target = (
+                (packets[carrier] & _GROUP_BYTES) >> _GROUP_SHIFTS
+            ).sum(axis=0).view(np.int64) << 1
+            self._last_address = int(target[-1])
+        run = ClaimedRun(
+            target,
+            np.zeros(count, dtype=bool),
+            partial(_run_items, padded, starts, target),
+        )
+        return stop, run
 
     def _step(self, byte: int) -> Optional[List[object]]:
         state = self._state

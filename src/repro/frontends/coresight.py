@@ -67,8 +67,8 @@ class CoreSightFrontend(TraceFrontend):
         if PtmEncodeStage.models(config):
             encode = PtmEncodeStage(config=config, metrics=metrics)
         else:
-            # Waypoint mode or a sync interval the vectorised stage
-            # does not model: count a real PTM's bytes per event.
+            # Waypoint mode, which the vectorised stage does not
+            # model: count a real PTM's bytes per event.
             encode = ByteCountEncodeStage(
                 "ptm", lambda: Ptm(config, metrics=metrics), metrics=metrics
             )

@@ -4,9 +4,10 @@ The streaming scaffold (``feed``, ``finish``, the strict / lenient /
 resync-hunt modes, state) is the shared
 :class:`repro.tracepath.TraceDecoder`, as for
 :class:`repro.coresight.decoder.PftDecoder`.  This module supplies the
-E-Trace byte machine (``_step``), its bulk path (``_claim``, which
-claims whole address, trap-address and branch-map packets while the
-decoder is locked and idle) and the hunt pattern: the alignment
+E-Trace byte machine (``_step``), its column bulk path (``_scan``,
+``_settle``, which claim runs of whole address, trap-address and
+branch-map packets while the decoder is locked and idle) and the hunt
+pattern: the alignment
 preamble (``4 x 0x00`` then ``0xAA``) the encoder emits before every
 sync burst.
 """
@@ -15,7 +16,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import PacketDecodeError
 from repro.frontends.etrace.packets import (
@@ -37,7 +41,7 @@ from repro.frontends.etrace.packets import (
     SYNC_SUB_SUPPORT,
     zigzag_decode,
 )
-from repro.tracepath import TraceDecoder
+from repro.tracepath import ClaimedRun, TraceDecoder, continuation_runs
 
 
 @dataclass(frozen=True)
@@ -91,6 +95,68 @@ _MAP_TAKEN = tuple(
 )
 
 
+def _common_length(groups: int, head: int) -> int:
+    """Length of the common packet ``head`` starts when ``groups``
+    continuation bytes follow it (5: an over-long varint), else 0."""
+    if head in (HEADER_ADDRESS, HEADER_ADDRESS_TRAP):
+        if groups == ADDRESS_VARINT_MAX_BYTES:
+            return 0
+        return 2 + groups + (head == HEADER_ADDRESS_TRAP)
+    count = head >> 3
+    if head & 0x07 == FMT_BRANCH_MAP and count:
+        return 1 + (count + 7) // 8
+    return 0
+
+
+#: Bulk path: :func:`_common_length` by ``[groups, head]``.
+_LENGTHS = np.array(
+    [
+        [_common_length(groups, head) for head in range(256)]
+        for groups in range(ADDRESS_VARINT_MAX_BYTES + 1)
+    ],
+    dtype=np.uint8,
+)
+#: Bulk path: by continuation-group count, the bits a varint of that
+#: many groups (+1) takes of the eight bytes after its header, top bits
+#: cleared (an over-long one: its first five), and each group's byte.
+_VARINT_GROUPS = np.array(
+    [
+        int.from_bytes(bytes([0x7F] * min(groups + 1, 5)), "little")
+        for groups in range(ADDRESS_VARINT_MAX_BYTES + 1)
+    ],
+    dtype=np.int64,
+)
+_VARINT_SHIFTS = np.arange(ADDRESS_VARINT_MAX_BYTES)[:, None]
+_VARINT_BYTES = 0x7F << 8 * _VARINT_SHIFTS
+#: Bulk path: whether each header byte starts an address packet.
+_ADDRESS_HEADS = np.zeros(256, dtype=bool)
+_ADDRESS_HEADS[[HEADER_ADDRESS, HEADER_ADDRESS_TRAP]] = True
+#: Zero bytes after a chunk: the scan's reach, plus the eight-byte
+#: view past its last position.
+_PADDING = bytes(2 * TraceDecoder._PAD)
+
+
+def _run_items(padded, starts: List[int], lengths, target) -> List[object]:
+    """The items of a claimed run: its branches and maps, in order."""
+    out: List[object] = []
+    addresses = iter(target.tolist())
+    data = padded.tobytes()
+    for start in starts:
+        head = data[start]
+        if head == HEADER_ADDRESS:
+            out.append(EtraceBranch(next(addresses)))
+            continue
+        stop = start + int(lengths[start])
+        if head == HEADER_ADDRESS_TRAP:
+            out.append(EtraceBranch(next(addresses), True, data[stop - 1]))
+            continue
+        taken = ()
+        for payload in data[start + 1:stop]:
+            taken += _MAP_TAKEN[payload]
+        out.append(EtraceBranchMap(taken[:head >> 3]))
+    return out
+
+
 class _State(enum.Enum):
     IDLE = "idle"
     ALIGN = "align"
@@ -139,59 +205,84 @@ class EtraceDecoder(TraceDecoder):
         self._state = _State.IDLE
         return []
 
-    def _claim(self, data, index: int, out: List[object]) -> int:
-        """Bulk path: decode whole common packets from ``data[index:]``.
+    def _scan(self, data) -> Tuple[bytes, tuple]:
+        """Bulk path: the common-packet length at every byte of ``data``.
 
-        Runs only while idle, where the byte machine holds no scratch
-        bytes.  Claims address packets whose varint ends inside
-        ``data`` with an in-range delta, trap-address packets with a
-        valid cause byte, and branch maps whose payload is in
-        ``data``, leaving the state exactly as the byte machine would.
-        Returns the index of the first byte it does not claim.
+        An address header starts its varint (up to five groups, ending
+        at the first without a continuation bit), plus a cause byte
+        after a trap header (its range is ``_settle``'s to check).  A
+        branch-map header with a non-zero count starts its payload.
+        Beside the lengths goes the zigzag delta an address packet at
+        each address header would carry.
         """
-        end = len(data)
-        units = self._last_units
-        while index < end:
-            byte = data[index]
-            if byte == HEADER_ADDRESS or byte == HEADER_ADDRESS_TRAP:
-                value = 0
-                shift = 0
-                stop = index + 1
-                group = 0x80
-                while group & 0x80 and stop < end and shift < 35:
-                    group = data[stop]
-                    stop += 1
-                    value |= (group & 0x7F) << shift
-                    shift += 7
-                if group & 0x80:
-                    break  # over-long varint, or the chunk ends
-                target = units + zigzag_decode(value)
-                if not 0 <= target <= 0x7FFF_FFFF:
-                    break
-                if byte == HEADER_ADDRESS:
-                    out.append(EtraceBranch(target << 1))
-                else:
-                    if stop == end or data[stop] > MAX_CAUSE:
-                        break
-                    self._pending_address = target << 1
-                    out.append(EtraceBranch(target << 1, True, data[stop]))
-                    stop += 1
-                self._trap = False
-                units = target
-                index = stop
-                continue
-            count = byte >> 3
-            stop = index + 1 + ((count + 7) >> 3)
-            if byte & 0x07 != FMT_BRANCH_MAP or not count or stop > end:
-                break
-            taken = _MAP_TAKEN[data[index + 1]]
-            for payload in data[index + 2:stop]:
-                taken += _MAP_TAKEN[payload]
-            out.append(EtraceBranchMap(taken[:count]))
+        padded = np.frombuffer(bytes(data) + _PADDING, dtype=np.uint8)
+        span = len(data) + self._PAD
+        heads = padded[:span]
+        groups = np.minimum(
+            continuation_runs(padded)[1:1 + span], ADDRESS_VARINT_MAX_BYTES
+        )
+        lengths = _LENGTHS[groups, heads]
+        address = _ADDRESS_HEADS[heads]
+        where = np.flatnonzero(address)
+        # The eight bytes after each address header, little-endian,
+        # with all but the varint's groups cleared; group g moves
+        # from bit 8g to bit 7g.
+        value = np.ndarray(span, np.int64, padded, 1, (1,))[where]
+        value &= _VARINT_GROUPS[groups[where]]
+        value = ((value & _VARINT_BYTES) >> _VARINT_SHIFTS).sum(axis=0)
+        delta = np.zeros(span, dtype=np.int64)
+        delta[where] = (value >> 1) ^ -(value & 1)
+        return lengths.tobytes(), (padded, lengths, address, delta)
+
+    def _settle(self, scan, starts: List[int], stop: int):
+        """Bulk path: the branch targets of a claimed run.
+
+        Targets are the running sum of the zigzag deltas from the
+        address before the run.  The first packet the byte machine
+        would reject — a target out of the 31-bit range, a trap cause
+        out of range — ends the claim.
+        """
+        padded, lengths, address, delta = scan
+        where = np.fromiter(starts, np.int64, len(starts))
+        address = where[address[where]]
+        count = len(address)
+        units = np.cumsum(delta[address])
+        units += self._last_units
+        trap = padded[address] == HEADER_ADDRESS_TRAP
+        # Out of range either side is above the top as unsigned.
+        if count and (
+            trap.any() or units.view(np.uint64).max() > 0x7FFF_FFFF
+        ):
+            count = self._first_rejected(padded, lengths, address, units, trap)
+            if count < len(address):
+                stop = int(address[count])
+                starts = starts[:int(np.searchsorted(where, stop))]
+                if not starts:
+                    return stop, None
+                units = units[:count]
+                trap = trap[:count]
+        target = units << 1
+        if count:
+            self._last_units = int(units[-1])
+            self._trap = False
+            if trap.any():
+                self._pending_address = int(target[trap][-1])
+        if len(starts) > count:
             self._map_count = 0
-            index = stop
-        self._last_units = units
-        return index
+        run = ClaimedRun(
+            target, trap, partial(_run_items, padded, starts, lengths, target)
+        )
+        return stop, run
+
+    @staticmethod
+    def _first_rejected(padded, lengths, address, units, trap) -> int:
+        """Index of the first address packet of a run the byte machine
+        rejects (a target out of range, a trap cause out of range), or
+        ``len(address)``."""
+        bad = (units < 0) | (units > 0x7FFF_FFFF)
+        traps = address[trap]
+        bad[trap] |= padded[traps + lengths[traps] - 1] > MAX_CAUSE
+        return int(bad.argmax()) if bad.any() else len(address)
 
     def _step(self, byte: int) -> Optional[List[object]]:
         state = self._state

@@ -14,9 +14,9 @@ addresses, atom packets and branch maps, sync bursts) are computed
 with array arithmetic, and the data-dependent sync placement is
 resolved by :func:`_place_syncs` with a binary-search loop over the
 cumulative byte counts — one Python iteration per sync instead of one
-per branch.  For the CoreSight configurations the PTM stage does not
-model (waypoint mode, sync intervals within two sync bursts) the
-frontend builds a :class:`ByteCountEncodeStage` over a real
+per branch.  For the one CoreSight configuration the PTM stage does
+not model (waypoint mode) the frontend builds a
+:class:`ByteCountEncodeStage` over a real
 :class:`~repro.coresight.ptm.Ptm` instead.
 """
 
@@ -197,8 +197,7 @@ class PtmEncodeStage(StageBase):
         self.config = config or PtmConfig()
         if not self.models(self.config):
             raise SocConfigError(
-                "the vectorised PTM stage needs branch broadcast and a "
-                "sync interval above two sync bursts"
+                "the vectorised PTM stage needs branch broadcast"
             )
         self._sync_len = _sync_burst_bytes(self.config)
         self.reset()
@@ -221,12 +220,8 @@ class PtmEncodeStage(StageBase):
     @staticmethod
     def models(config: PtmConfig) -> bool:
         """Whether this stage models ``config``: branch-broadcast
-        encoding and a sync interval that cannot retrigger within one
-        sync burst."""
-        return (
-            config.branch_broadcast
-            and config.sync_interval_bytes > 2 * _sync_burst_bytes(config)
-        )
+        encoding, at any sync interval."""
+        return config.branch_broadcast
 
     def export_state(self) -> dict:
         return {
@@ -618,7 +613,7 @@ class ByteCountEncodeStage(StageBase):
     exact by construction, one Python call per event.  The CoreSight
     frontend builds it over a real :class:`~repro.coresight.ptm.Ptm`
     for the configs :meth:`PtmEncodeStage.models` refuses (waypoint
-    mode, sync intervals within two sync bursts); the differential
+    mode); the differential
     tests also run it over an ``EtraceEncoder`` as the oracle of
     :class:`EtraceEncodeStage`.
     """

@@ -45,8 +45,8 @@ from repro.serve.windows import IngestBatch, TenantWindow
 from repro.soc.manager import SocManager
 from repro.workloads.cfg import BranchKind
 
-_SYSCALL = KIND_CODE[BranchKind.SYSCALL]
-_INDIRECT = KIND_CODE[BranchKind.INDIRECT]
+_SYSCALL = np.uint8(KIND_CODE[BranchKind.SYSCALL])
+_INDIRECT = np.uint8(KIND_CODE[BranchKind.INDIRECT])
 
 #: Canonical ``serve.*`` counters, surfaced by the metrics report
 #: with a stable shape (0 when the front door never ran).
@@ -157,9 +157,9 @@ class _RawIngest:
     cadence.  Atom/branch-map outcome bits carry no address and are
     skipped — they can never hit the IGM mapper anyway.
 
-    Decoded items append straight to column builders; the cycle and
-    source columns follow from the running counters, so no per-event
-    object is built.
+    The decoder hands over its branch ``target``/``is_syscall``
+    columns; the cycle and source columns follow from the running
+    counters, so no per-item object is built.
     """
 
     def __init__(
@@ -179,33 +179,28 @@ class _RawIngest:
         self._cycle = 0
         self._last_target = 0
 
-    def _columns(self, items) -> EventBatch:
-        branch = self.decoder.branch_type  # skip sync/outcome items
-        branches = [item for item in items if type(item) is branch]
-        targets = [item.address for item in branches]
-        syscalls = [item.is_syscall for item in branches]
-        count = len(targets)
+    def feed(self, stream: bytes) -> EventBatch:
+        decoded = self.decoder.feed(self.deframer.push(stream))
+        target = decoded.target
+        count = len(target)
         step = self._cycles_per_event
-        cycle = np.arange(1, count + 1, dtype=np.int64) * step + self._cycle
-        target = np.array(targets, dtype=np.int64)
+        first = self._cycle + step
+        self._cycle += step * count
+        cycle = np.arange(first, self._cycle + 1, step, dtype=np.int64)
         source = np.empty(count, dtype=np.int64)
         if count:
             source[0] = self._last_target
             source[1:] = target[:-1]
-            self._cycle = int(cycle[-1])
-            self._last_target = targets[-1]
-        kind = np.full(count, _INDIRECT, dtype=np.uint8)
-        kind[np.array(syscalls, dtype=bool)] = _SYSCALL
+            self._last_target = int(target[-1])
+        kind = np.where(decoded.is_syscall, _SYSCALL, _INDIRECT)
         return EventBatch(
             cycle, source, target, kind, np.ones(count, dtype=bool)
         )
 
-    def feed(self, stream: bytes) -> EventBatch:
-        payload = self.deframer.push(stream)
-        return self._columns(self.decoder.feed(payload))
-
-    def finish(self) -> EventBatch:
-        return self._columns(self.decoder.finish())
+    def finish(self) -> None:
+        """End of stream: a torn tail packet only counts as truncated
+        (``finish`` never completes a branch)."""
+        self.decoder.finish()
 
 
 class _Session:
@@ -691,17 +686,15 @@ class IngestServer:
             self.breakers[session.tenant].record_refused_frame()
 
     def _flush_raw_tail(self, session) -> None:
-        """Session over: decode whatever the raw decoder still buffers.
+        """Session over: end the raw decoder's stream.
 
-        Tail events go through the same admission funnel; the client
-        is gone, so the response frame is simply not sent.
+        A packet still buffered is torn, so it is counted as truncated;
+        it completes no event to admit.
         """
         if session.raw is None or session.tenant is None:
             return
-        tail = session.raw.finish()
+        session.raw.finish()
         session.raw = None
-        if tail:
-            self._admit(session, tail)
 
     # ------------------------------------------------------------------
     # Admission funnel

@@ -15,8 +15,10 @@ only what is really its own:
   grammar supplies its counter names and its ``push``.
 - :class:`TraceDecoder` — the streaming scaffold (``feed``,
   ``finish``, resync hunting, modes, counters, state).  A grammar
-  supplies its states, its hunt pattern, its bulk ``_claim`` and its
-  byte machine ``_step``.
+  supplies its states, its hunt pattern, its column bulk path
+  (``_scan`` and ``_settle``) and its byte machine ``_step``.
+- :class:`DecodedItems` — what ``feed`` returns: the chunk's branch
+  columns, with its decoded items built only when read.
 
 This module imports neither grammar, so both can import it.
 """
@@ -24,7 +26,20 @@ This module imports neither grammar, so both can import it.
 from __future__ import annotations
 
 import enum
-from typing import Callable, ClassVar, Dict, Iterable, List, Optional, Tuple
+from collections.abc import Sequence
+from functools import cached_property
+from typing import (
+    Callable,
+    ClassVar,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
+
+import numpy as np
 
 from repro.errors import FrameSyncError, PacketDecodeError, SocConfigError
 from repro.obs import MetricsRegistry, NULL_REGISTRY
@@ -290,15 +305,121 @@ class LinkDeframer:
         return self._synced
 
 
+def continuation_runs(padded: np.ndarray) -> np.ndarray:
+    """At every byte, how many bytes from it on carry the continuation
+    bit (0x80) — a varint's or a multi-byte packet's length in one
+    scan.  ``padded`` must end in a byte without the bit."""
+    size = len(padded)
+    place = np.arange(size)
+    stops = np.where(padded < 0x80, place, size)
+    return np.minimum.accumulate(stops[::-1])[::-1] - place
+
+
+class ClaimedRun(NamedTuple):
+    """A run of common packets the bulk path claimed.
+
+    ``target``/``is_syscall`` are the columns of its taken branches;
+    ``build()`` returns its items, as the byte machine would.
+    """
+
+    target: np.ndarray
+    is_syscall: np.ndarray
+    build: Callable[[], List[object]]
+
+
+_NO_TARGETS = np.zeros(0, dtype=np.int64)
+_NO_FLAGS = np.zeros(0, dtype=bool)
+
+
+class DecodedItems(Sequence):
+    """One chunk's decode, as :meth:`TraceDecoder.feed` returns it.
+
+    ``target`` (int64) and ``is_syscall`` (bool) are the columns of
+    the chunk's taken-branch items, in stream order.  The items
+    themselves — exactly the list the byte machine returns — are built
+    on first use (``len``, indexing, iteration, ``==``), so a
+    reader of the columns alone builds no per-item object.
+
+    ``parts`` are, in stream order, byte-machine item lists and
+    :class:`ClaimedRun` s; ``branch_type`` is the grammar's branch
+    item, whose ``address``/``is_syscall`` the columns read from the
+    byte-machine lists.
+    """
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, parts: List[object], branch_type: type) -> None:
+        self._parts = parts
+        targets: List[object] = []
+        flags: List[object] = []
+        for part in parts:
+            if type(part) is list:
+                found = [item for item in part if type(item) is branch_type]
+                if found:
+                    targets.append([item.address for item in found])
+                    flags.append([item.is_syscall for item in found])
+            else:
+                targets.append(part.target)
+                flags.append(part.is_syscall)
+        if not targets:
+            self.target, self.is_syscall = _NO_TARGETS, _NO_FLAGS
+        elif len(targets) == 1 and type(targets[0]) is not list:
+            self.target, self.is_syscall = targets[0], flags[0]
+        else:
+            self.target = np.concatenate(targets, dtype=np.int64)
+            self.is_syscall = np.concatenate(flags, dtype=bool)
+
+    @cached_property
+    def items(self) -> List[object]:
+        items: List[object] = []
+        for part in self._parts:
+            items += part if type(part) is list else part.build()
+        return items
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __getitem__(self, index):
+        return self.items[index]
+
+    def __iter__(self):
+        return iter(self.items)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, DecodedItems):
+            other = other.items
+        if isinstance(other, list):
+            return self.items == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"DecodedItems({self.items!r})"
+
+
 class TraceDecoder:
     """Streaming packet decoder scaffold.
 
     Bytes can be fed in arbitrary chunks; packet state is carried
     across calls.  The byte machine (a grammar's ``_step``, exposed as
-    :meth:`step_byte`) is the reference.  :meth:`feed` runs the
-    grammar's bulk ``_claim`` beside it while the decoder is idle and
-    hands every other packet, from its first byte, to the byte
-    machine, which owns sync, errors, hunting and truncation.
+    :meth:`step_byte`) is the reference.  :meth:`feed` decodes runs of
+    common packets as columns while the decoder is idle and hands
+    every other packet, from its first byte, to the byte machine,
+    which owns sync, errors, hunting and truncation.
+
+    The column bulk path is the grammar's, in two steps.
+    ``_scan(data)`` computes with numpy, at every byte of the chunk,
+    the length of the common packet that would start there (0: none),
+    as a ``bytes`` object, reading the chunk as if zero bytes followed
+    it: a zero byte starts no common packet in either grammar, so the
+    lengths are 0 from ``len(data)`` for ``_PAD`` entries.  From each
+    idle position ``feed`` follows those lengths to the first byte no
+    common packet starts at, dropping a last packet the chunk end
+    cuts.  ``_settle`` then decodes the packets it passed as columns,
+    updates the grammar state as the byte machine would, and returns
+    the index where the claim really ends (a run stops early at a
+    packet whose check needs the running state, such as E-Trace's
+    target range) with the :class:`ClaimedRun`, or ``None`` if it
+    claimed nothing.
 
     Three error-handling modes:
 
@@ -319,6 +440,10 @@ class TraceDecoder:
     grammar state field (checkpointed under its key, held in
     ``_<key>``).
     """
+
+    #: Zero bytes ``_scan`` reads past a chunk: more than the longest
+    #: common packet.
+    _PAD = 8
 
     _IDLE: ClassVar[enum.Enum]
     _HUNT: ClassVar[enum.Enum]
@@ -359,27 +484,43 @@ class TraceDecoder:
 
     # ------------------------------------------------------------------
 
-    def feed(self, data: bytes) -> List[object]:
+    def feed(self, data: bytes) -> DecodedItems:
         """Decode a chunk; returns the packets completed by it."""
-        out: List[object] = []
+        parts: List[object] = []
+        items: List[object] = []
         index = 0
         end = len(data)
         idle = self._IDLE
+        lengths = None
         while index < end:
             if self._state is idle:
-                index = self._claim(data, index, out)
-                if index == end:
-                    break
+                if lengths is None:
+                    lengths, scan = self._scan(data)
+                starts: List[int] = []
+                stop = index
+                size = lengths[stop]
+                while size:
+                    starts.append(stop)
+                    stop += size
+                    size = lengths[stop]
+                if stop > end:  # the chunk ends inside the last packet
+                    stop = starts.pop()
+                if starts:
+                    index, run = self._settle(scan, starts, stop)
+                    if run is not None:
+                        if items:
+                            parts.append(items)
+                            items = []
+                        parts.append(run)
+                    if index == end:
+                        break
             decoded = self._step(data[index])
             if decoded:
-                out.extend(decoded)
+                items += decoded
             index += 1
-        return out
-
-    def branches(self, data: bytes) -> List[object]:
-        """Feed and keep only the taken-branch packets."""
-        branch = self.branch_type
-        return [p for p in self.feed(data) if isinstance(p, branch)]
+        if items:
+            parts.append(items)
+        return DecodedItems(parts, self.branch_type)
 
     def step_byte(self, byte: int) -> List[object]:
         """Decode exactly one byte (the TA-unit per-lane granularity)."""
@@ -468,9 +609,16 @@ class TraceDecoder:
         self._zeros = 0
         return None
 
-    def _claim(self, data, index: int, out: List[object]) -> int:
-        """Bulk path: decode whole packets from ``data[index:]`` while
-        idle; return the index of the first byte it does not claim."""
+    def _scan(self, data) -> Tuple[List[int], object]:
+        """Bulk path: per-byte common-packet lengths of ``data`` (with
+        the 0 sentinel), and the arrays ``_settle`` reads."""
+        raise NotImplementedError  # pragma: no cover
+
+    def _settle(
+        self, scan, starts: List[int], stop: int
+    ) -> Tuple[int, Optional[ClaimedRun]]:
+        """Bulk path: claim the packets at ``starts`` (ending at
+        ``stop``) while idle; return where the claim ends and its run."""
         raise NotImplementedError  # pragma: no cover
 
     def _step(self, byte: int) -> Optional[List[object]]:

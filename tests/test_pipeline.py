@@ -144,11 +144,10 @@ class TestPtmEncodeStage:
             assert tail.tail_ptm_bytes == expect_tail
 
     def test_reference_fallback_path(self):
-        # A sync interval small enough to retrigger within one burst is
-        # outside the vectorised stage's model: the CoreSight frontend
-        # counts a real Ptm's bytes per event instead — the same byte
-        # counts and the same ptm.* counters.
-        config = PtmConfig(sync_interval_bytes=16)
+        # Waypoint mode is outside the vectorised stage's model: the
+        # CoreSight frontend counts a real Ptm's bytes per event
+        # instead — the same byte counts and the same ptm.* counters.
+        config = PtmConfig(branch_broadcast=False)
         assert not PtmEncodeStage.models(config)
         with pytest.raises(SocConfigError):
             PtmEncodeStage(config=config)
